@@ -8,6 +8,7 @@ printed output).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import combinations
 from typing import TypeVar
 
 T = TypeVar("T")
@@ -43,3 +44,13 @@ def lex_subsets(items: Sequence[T], max_size: int) -> Iterator[tuple[T, ...]]:
             prefix.pop()
 
     return walk(0)
+
+
+def guesses(names: Sequence[T], k0: int, exact: bool) -> Iterator[tuple[T, ...]]:
+    """Enumerate candidate sets of ``names`` in the one fixed witness order.
+
+    Exact guesses are the size-``k0`` subsets in lexicographic order (none
+    when ``k0 > len(names)``); at-most guesses are all subsets of size up to
+    ``k0`` in lexicographic subset order, as :func:`lex_subsets` yields them.
+    """
+    return combinations(names, k0) if exact else lex_subsets(names, k0)

@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract: 0 satisfiable / accepted / verification
 passed, 1 unsatisfiable / rejected / verification failed, 2 usage or
-validation errors, 3 method not applicable to the instance.
+validation errors, 3 method not applicable to the instance or capacity
+exceeded.
 
 Instance and machine documents are read from files, with ``-`` for stdin.
 Identical arguments and inputs produce byte-identical output.
@@ -19,6 +20,7 @@ from .errors import (
     CapacityError,
     DomainError,
     NotApplicableError,
+    ParamCSPError,
     UsageError,
     ValidationError,
 )
@@ -45,9 +47,9 @@ from .instances import (
 )
 from .machines import (
     SimulationResult,
+    completion_reduction,
     explicitize_w_body,
     reduce_appearance,
-    reduce_completion,
     reduce_cw,
     simulate,
     solve_wd_pipeline,
@@ -59,6 +61,15 @@ EXIT_SAT = 0
 EXIT_UNSAT = 1
 EXIT_USAGE = 2
 EXIT_NOT_APPLICABLE = 3
+
+# First matching class wins, so NotApplicableError must precede its base UsageError.
+_ERROR_EXITS: tuple[tuple[type[ParamCSPError], int], ...] = (
+    (ValidationError, EXIT_USAGE),
+    (NotApplicableError, EXIT_NOT_APPLICABLE),
+    (CapacityError, EXIT_NOT_APPLICABLE),
+    (UsageError, EXIT_USAGE),
+    (DomainError, EXIT_USAGE),
+)
 
 SOLVE_METHODS = ("brute", "fpt-kue", "fpt-kt", "cw-machine", "completion-pipeline")
 REDUCE_TARGETS = ("appearance", "cw", "w-cw")
@@ -155,7 +166,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     else:
         bound = args.bound if args.bound is not None else _infer_bound(lifted)
         explicit = explicitize_w_body(lifted, bound)
-        text = serialize_instance(reduce_completion(explicit, bound))
+        text = serialize_instance(completion_reduction(explicit, bound).instance)
     _write_text(args.out, text)
     return EXIT_SAT
 
@@ -423,18 +434,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NotApplicableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    except (UsageError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ParamCSPError as exc:
+        for error_class, code in _ERROR_EXITS:
+            if isinstance(exc, error_class):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def main() -> int:

@@ -38,3 +38,33 @@ class BudgetExceededError(ParamCSPError):
     Budgets are materialized from instance parameters at build time, so this
     indicates a bug in the budget arithmetic or the checker, never user error.
     """
+
+
+def require_int(
+    value: object,
+    what: str,
+    error: type[ParamCSPError],
+    low: int = 0,
+    high: int | None = None,
+) -> int:
+    """Return ``value`` if it is an integer (never a ``bool``) in ``low..high``.
+
+    Anything else raises ``error`` naming ``what``; ``high=None`` leaves the
+    range open above.
+    """
+    if (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and low <= value
+        and (high is None or value <= high)
+    ):
+        return value
+    if high is not None:
+        expected = f"an integer in {low}..{high}"
+    elif low == 0:
+        expected = "a nonnegative integer"
+    elif low == 1:
+        expected = "a positive integer"
+    else:
+        expected = f"an integer >= {low}"
+    raise error(f"{what} must be {expected}, got {value!r}")

@@ -48,6 +48,8 @@ def _load(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"document is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValidationError("document nests too deeply to parse") from None
 
 
 def _as_object(value: Any, path: str) -> dict[str, Any]:
@@ -183,6 +185,34 @@ def _relation_from_doc(value: Any, path: str) -> Relation:
     raise ValidationError(f"{path}.type: unknown relation type {rtype!r}")
 
 
+def _constraints_to_doc(constraints: tuple[Constraint, ...]) -> list[dict[str, Any]]:
+    return [
+        {"relation": _relation_to_doc(c.relation), "scope": list(c.scope)}
+        for c in constraints
+    ]
+
+
+def _constraints_from_doc(value: Any, path: str, declared: set[str]) -> tuple[Constraint, ...]:
+    """Parse a constraint list whose scopes may only name ``declared`` variables."""
+    body = []
+    for i, entry in enumerate(_as_list(value, path)):
+        cpath = f"{path}[{i}]"
+        obj = _as_object(entry, cpath)
+        rel = _relation_from_doc(_get(obj, "relation", cpath), f"{cpath}.relation")
+        scope = tuple(
+            _as_str(v, f"{cpath}.scope[{j}]")
+            for j, v in enumerate(_as_list(_get(obj, "scope", cpath), f"{cpath}.scope"))
+        )
+        for j, v in enumerate(scope):
+            if v not in declared:
+                raise ValidationError(f"{cpath}.scope[{j}]: undeclared variable {v!r}")
+        try:
+            body.append(Constraint(rel, scope))
+        except ValidationError as exc:
+            raise ValidationError(f"{cpath}: {exc}") from None
+    return tuple(body)
+
+
 def serialize_instance(inst: Instance, *, materialize_weight: bool = False) -> str:
     """Render an instance document; canonical, ends with a newline.
 
@@ -190,22 +220,14 @@ def serialize_instance(inst: Instance, *, materialize_weight: bool = False) -> s
     an explicit constraint over all variables, for consumers that want the
     bound inside the body; the parameter field stays authoritative either way.
     """
-    constraints = [
-        {"relation": _relation_to_doc(c.relation), "scope": list(c.scope)}
-        for c in inst.body
-    ]
+    body = inst.body
     if materialize_weight:
-        constraints.append(
-            {
-                "relation": _relation_to_doc(weight_relation(inst)),
-                "scope": list(inst.variables),
-            }
-        )
+        body += (Constraint(weight_relation(inst), inst.variables),)
     doc = {
         "format_version": FORMAT_VERSION,
         "variables": list(inst.variables),
         "parameter": {"kind": inst.weight.kind.value, "k": inst.weight.k0},
-        "constraints": constraints,
+        "constraints": _constraints_to_doc(body),
     }
     return _dump(doc)
 
@@ -225,25 +247,9 @@ def parse_instance(text: str) -> Instance:
     except ValueError:
         raise ValidationError(f"parameter.kind: unknown kind {kind_name!r}") from None
     k0 = _as_int(_get(param, "k", "parameter"), "parameter.k", low=0)
-    declared = set(names)
-    body = []
-    for i, entry in enumerate(_as_list(_get(top, "constraints", "document"), "constraints")):
-        path = f"constraints[{i}]"
-        obj = _as_object(entry, path)
-        rel = _relation_from_doc(_get(obj, "relation", path), f"{path}.relation")
-        scope = tuple(
-            _as_str(v, f"{path}.scope[{j}]")
-            for j, v in enumerate(_as_list(_get(obj, "scope", path), f"{path}.scope"))
-        )
-        for j, v in enumerate(scope):
-            if v not in declared:
-                raise ValidationError(f"{path}.scope[{j}]: undeclared variable {v!r}")
-        try:
-            body.append(Constraint(rel, scope))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+    body = _constraints_from_doc(_get(top, "constraints", "document"), "constraints", set(names))
     try:
-        return Instance(tuple(names), WeightParameter(kind, k0), tuple(body))
+        return Instance(tuple(names), WeightParameter(kind, k0), body)
     except ValidationError as exc:
         raise ValidationError(f"document: {exc}") from None
 
@@ -289,10 +295,7 @@ def _machine_to_doc(machine: GuessCheckMachine) -> dict[str, Any]:
     elif isinstance(ck, AppearanceChecker):
         doc["kind"] = "appearance"
         doc["cost_model"] = _cost_model_to_doc(ck.cost_model)
-        doc["constraints"] = [
-            {"relation": _relation_to_doc(c.relation), "scope": list(c.scope)}
-            for c in ck.constraints
-        ]
+        doc["constraints"] = _constraints_to_doc(ck.constraints)
         doc["e_v"] = {v: list(ix) for v, ix in sorted(ck.e_v.items())}
         doc["d_set"] = list(ck.d_set)
     elif isinstance(ck, CWChecker):
@@ -341,19 +344,9 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
         checker: Any = ALWAYS_REJECT
     elif kind == "appearance":
         cost_model = _cost_model_from_doc(_get(obj, "cost_model", path), f"{path}.cost_model")
-        constraints = []
-        for i, entry in enumerate(_as_list(_get(obj, "constraints", path), f"{path}.constraints")):
-            cpath = f"{path}.constraints[{i}]"
-            centry = _as_object(entry, cpath)
-            rel = _relation_from_doc(_get(centry, "relation", cpath), f"{cpath}.relation")
-            scope = tuple(
-                _as_str(v, f"{cpath}.scope[{j}]")
-                for j, v in enumerate(_as_list(_get(centry, "scope", cpath), f"{cpath}.scope"))
-            )
-            try:
-                constraints.append(Constraint(rel, scope))
-            except ValidationError as exc:
-                raise ValidationError(f"{cpath}: {exc}") from None
+        constraints = _constraints_from_doc(
+            _get(obj, "constraints", path), f"{path}.constraints", set(universe)
+        )
         count = len(constraints)
         e_v = {}
         for v, raw in _as_object(_get(obj, "e_v", path), f"{path}.e_v").items():
@@ -372,7 +365,7 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
         for n in d_set:
             if n > count:
                 raise ValidationError(f"{path}.d_set: index {n} beyond {count} constraints")
-        checker = AppearanceChecker(tuple(constraints), e_v, d_set, cost_model)
+        checker = AppearanceChecker(constraints, e_v, d_set, cost_model)
     elif kind == "cw":
         b = _as_int(_get(obj, "b", path), f"{path}.b", low=0)
         sum_bound = _as_int(_get(obj, "sum_bound", path), f"{path}.sum_bound", low=0)

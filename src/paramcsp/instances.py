@@ -13,10 +13,9 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import combinations
 
-from ._sets import lex_subsets
-from .errors import DomainError, NotApplicableError, UsageError, ValidationError
+from ._sets import guesses
+from .errors import DomainError, NotApplicableError, UsageError, ValidationError, require_int
 from .relations import (
     CWRelation,
     ExplicitRelation,
@@ -40,8 +39,7 @@ class WeightParameter:
     k0: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k0, int) or isinstance(self.k0, bool) or self.k0 < 0:
-            raise ValidationError(f"k0 must be a nonnegative integer, got {self.k0!r}")
+        require_int(self.k0, "k0", ValidationError)
 
 
 @dataclass(frozen=True)
@@ -139,19 +137,13 @@ def param_e(inst: Instance) -> int:
 def brute_force_solve(inst: Instance) -> frozenset[str] | None:
     """Exhaustive reference solver; returns the least witness in enumeration order.
 
-    Exact instances enumerate size-``k0`` subsets of the sorted variables in
-    lexicographic order; at-most instances enumerate all subsets up to size
-    ``k0`` in lexicographic subset order. Returns ``None`` when unsatisfiable.
+    Candidates are the sorted variables' subsets in the order of
+    :func:`~paramcsp._sets.guesses`, the order in which
+    :func:`~paramcsp.machines.simulate` explores machine branches. Returns
+    ``None`` when unsatisfiable.
     """
-    names = sorted(inst.variables)
-    k0 = inst.weight.k0
-    if inst.weight.kind is WeightKind.EXACT:
-        if k0 > len(names):
-            return None
-        candidates: Iterable[tuple[str, ...]] = combinations(names, k0)
-    else:
-        candidates = lex_subsets(names, k0)
-    for combo in candidates:
+    exact = inst.weight.kind is WeightKind.EXACT
+    for combo in guesses(sorted(inst.variables), inst.weight.k0, exact):
         aset = frozenset(combo)
         if satisfies(inst, aset):
             return aset
@@ -290,8 +282,7 @@ class InstanceConfig:
             ("weight_cap", self.weight_cap, 0),
         )
         for name, value, low in checks:
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise UsageError(f"{name} must be an integer >= {low}, got {value!r}")
+            require_int(value, name, UsageError, low=low)
         if self.finite_values is not None:
             object.__setattr__(self, "finite_values", tuple(self.finite_values))
 

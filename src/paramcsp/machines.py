@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 from typing import Union
 
-from ._sets import lex_subsets
+from ._sets import guesses
 from .errors import (
     BudgetExceededError,
     DomainError,
@@ -30,6 +30,7 @@ from .errors import (
     ParamCSPError,
     UsageError,
     ValidationError,
+    require_int,
 )
 from .instances import (
     Constraint,
@@ -196,10 +197,8 @@ class GuessCheckMachine:
         object.__setattr__(self, "universe", names)
         if list(names) != sorted(set(names)):
             raise ValidationError("machine universe must be sorted and duplicate-free")
-        if not isinstance(self.k0, int) or isinstance(self.k0, bool) or self.k0 < 0:
-            raise ValidationError(f"k0 must be a nonnegative integer, got {self.k0!r}")
-        if not isinstance(self.budget, int) or self.budget < 0:
-            raise ValidationError(f"budget must be a nonnegative integer, got {self.budget!r}")
+        require_int(self.k0, "k0", ValidationError)
+        require_int(self.budget, "budget", ValidationError)
 
     def run_branch(self, combo: tuple[str, ...]) -> tuple[bool, int]:
         """Run one guess; returns (accepted, steps charged). ``combo`` must be sorted."""
@@ -305,8 +304,7 @@ def build_cw_tables(inst: Instance, k0: int) -> CWChecker:
     skipped outright: no guess of at most ``k0`` variables can ever bind
     them. The total entry count is asserted against its combinatorial cap.
     """
-    if not isinstance(k0, int) or isinstance(k0, bool) or k0 < 0:
-        raise DomainError(f"k0 must be a nonnegative integer, got {k0!r}")
+    require_int(k0, "k0", DomainError)
     b = _cw_shared_bound(inst)
     n_size = max(len(inst.variables), len(inst.body), 1)
     g_cap = min(b + 1, k0)
@@ -416,23 +414,16 @@ def combine_machines(first: GuessCheckMachine, second: GuessCheckMachine) -> Gue
 def simulate(machine: GuessCheckMachine) -> SimulationResult:
     """Deterministically explore guesses until one accepts.
 
-    Exact machines enumerate size-k0 subsets of the universe in sorted order;
-    at-most machines enumerate all subsets up to size k0 in lexicographic
-    subset order. The first accepting branch ends the run. Machines that
-    rejected at build time explore nothing.
+    Branches are subsets of the sorted universe in the order of
+    :func:`~paramcsp._sets.guesses`, the order :func:`brute_force_solve`
+    tries candidates in. The first accepting branch ends the run. Machines
+    that rejected at build time explore nothing.
     """
     if isinstance(machine.checker, AlwaysReject):
         return SimulationResult(False, None, 0, 0)
-    names = machine.universe
-    if machine.exact:
-        if machine.k0 > len(names):
-            return SimulationResult(False, None, 0, 0)
-        branches = combinations(names, machine.k0)
-    else:
-        branches = lex_subsets(names, machine.k0)
     max_steps = 0
     explored = 0
-    for combo in branches:
+    for combo in guesses(machine.universe, machine.k0, machine.exact):
         explored += 1
         accepted, steps = machine.run_branch(combo)
         if steps > machine.budget:
@@ -494,6 +485,18 @@ def explicitize_w_body(inst: Instance, d: int) -> Instance:
     return replace(inst, body=tuple(new_body))
 
 
+def _check_explicit_body(inst: Instance, d: int) -> None:
+    """Require every body relation to be explicit with members of size at most ``d``."""
+    for i, c in enumerate(inst.body, start=1):
+        if not isinstance(c.relation, ExplicitRelation):
+            raise NotApplicableError(f"constraint {i} is not an explicit relation")
+        oversized = [m for m in c.relation.members if len(m) > d]
+        if oversized:
+            raise UsageError(
+                f"constraint {i} has a member of size {len(oversized[0])}, above the bound {d}"
+            )
+
+
 def completion_reduction(inst: Instance, d: int) -> CompletionReduction:
     """Reduce an explicit-relation instance to the weight-plus-conditional language.
 
@@ -505,18 +508,10 @@ def completion_reduction(inst: Instance, d: int) -> CompletionReduction:
     """
     if inst.weight.kind is not WeightKind.EXACT:
         raise NotApplicableError("the completion reduction starts from an exact weight bound")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise UsageError(f"the member-size bound must be a positive integer, got {d!r}")
+    require_int(d, "the member-size bound", UsageError, low=1)
     if not inst.variables:
         raise UsageError("the completion reduction needs at least one variable")
-    for i, c in enumerate(inst.body, start=1):
-        if not isinstance(c.relation, ExplicitRelation):
-            raise NotApplicableError(f"constraint {i} is not an explicit relation")
-        oversized = [m for m in c.relation.members if len(m) > d]
-        if oversized:
-            raise UsageError(
-                f"constraint {i} has a member of size {len(oversized[0])}, above the bound {d}"
-            )
+    _check_explicit_body(inst, d)
     k0 = inst.weight.k0
     tables = {}
     keyset: set[frozenset[str]] = set()
@@ -572,65 +567,47 @@ def completion_reduction(inst: Instance, d: int) -> CompletionReduction:
     )
 
 
-def reduce_completion(inst: Instance, d: int) -> Instance:
-    """The instance produced by :func:`completion_reduction`."""
-    return completion_reduction(inst, d).instance
-
-
 def solve_wd_pipeline(inst: Instance, d: int) -> frozenset[str] | None:
     """End-to-end solver for exact-weight instances with finite weights in [0, d].
 
-    For ``d = 0`` the answer is immediate: constraints admitting weight 0
-    forbid their scopes, constraints admitting nothing are contradictions.
-    Otherwise the body is made explicit, reduced through indicator variables,
-    lifted to an exact weight, split into its weight and conditional parts,
-    compiled into a combined machine, and simulated; an accepting witness is
-    projected back onto the original variables.
+    The body is first made explicit. For ``d = 0`` the answer is then
+    immediate: constraints admitting only the empty tuple forbid their
+    scopes, constraints admitting nothing are contradictions. Otherwise the
+    explicit body is reduced through indicator variables, lifted to an exact
+    weight, split into its weight and conditional parts, compiled into a
+    combined machine, and simulated; an accepting witness is projected back
+    onto the original variables.
     """
     if inst.weight.kind is not WeightKind.EXACT:
         raise NotApplicableError("the pipeline starts from an exact weight bound")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise UsageError(f"the member-size bound must be a nonnegative integer, got {d!r}")
+    require_int(d, "the member-size bound", UsageError)
+    explicit = explicitize_w_body(inst, d)
     if d == 0:
-        forbidden: set[str] = set()
-        contradiction = False
-        for i, c in enumerate(inst.body, start=1):
-            rel = c.relation
-            if not isinstance(rel, WRelation) or rel.weights.kind is not WeightSetKind.FINITE:
-                raise NotApplicableError(
-                    f"constraint {i}: only finite weight-set constraints convert"
-                )
-            if rel.weights.values and max(rel.weights.values) > 0:
-                raise UsageError(f"constraint {i}: weight above the bound 0")
-            if not rel.weights.values:
-                contradiction = True
-            forbidden.update(c.scope)
-        if contradiction:
+        _check_explicit_body(explicit, 0)
+        if any(not c.relation.members for c in explicit.body):
             return None
+        forbidden = {v for c in explicit.body for v in c.scope}
         allowed = sorted(set(inst.variables) - forbidden)
         if inst.weight.k0 > len(allowed):
             return None
         witness = frozenset(allowed[: inst.weight.k0])
-        if not satisfies(inst, witness):
-            raise ParamCSPError("pipeline produced an invalid witness")
-        return witness
-    explicit = explicitize_w_body(inst, d)
-    reduction = completion_reduction(explicit, d)
-    lifted = lift_kle_to_k(reduction.instance)
-    w_part = replace(
-        lifted,
-        body=tuple(c for c in lifted.body if isinstance(c.relation, WRelation)),
-    )
-    cw_part = replace(
-        lifted,
-        body=tuple(c for c in lifted.body if isinstance(c.relation, CWRelation)),
-    )
-    machine = combine_machines(reduce_appearance(w_part), reduce_cw(cw_part))
-    result = simulate(machine)
-    if not result.accepted:
-        return None
-    assert result.witness is not None
-    witness = frozenset(v for v in result.witness if v in inst.variable_set)
+    else:
+        reduction = completion_reduction(explicit, d)
+        lifted = lift_kle_to_k(reduction.instance)
+        w_part = replace(
+            lifted,
+            body=tuple(c for c in lifted.body if isinstance(c.relation, WRelation)),
+        )
+        cw_part = replace(
+            lifted,
+            body=tuple(c for c in lifted.body if isinstance(c.relation, CWRelation)),
+        )
+        machine = combine_machines(reduce_appearance(w_part), reduce_cw(cw_part))
+        result = simulate(machine)
+        if not result.accepted:
+            return None
+        assert result.witness is not None
+        witness = frozenset(v for v in result.witness if v in inst.variable_set)
     if not satisfies(inst, witness):
         raise ParamCSPError("pipeline produced an invalid witness")
     return witness

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Union
 
 from ._sets import canonical_set, canonical_sets
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, require_int
 
 
 class WeightSetKind(Enum):
@@ -46,8 +46,7 @@ class WeightSet:
     def __post_init__(self) -> None:
         raw = tuple(self.values)
         for w in raw:
-            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                raise ValidationError(f"weight values must be nonnegative integers, got {w!r}")
+            require_int(w, "weight value", ValidationError)
         vals = canonical_set(raw)
         if self.kind in (WeightSetKind.EVEN, WeightSetKind.ODD) and vals:
             raise ValidationError(f"{self.kind.value} weight sets carry no values")
@@ -70,8 +69,7 @@ class WeightSet:
         return cls(WeightSetKind.ODD)
 
     def contains(self, weight: int) -> bool:
-        if not isinstance(weight, int) or isinstance(weight, bool) or weight < 0:
-            raise DomainError(f"weights are nonnegative integers, got {weight!r}")
+        require_int(weight, "weight", DomainError)
         if self.kind is WeightSetKind.FINITE:
             return weight in self.values
         if self.kind is WeightSetKind.COFINITE:
@@ -81,17 +79,10 @@ class WeightSet:
         return weight % 2 == 1
 
 
-def weightset_contains(weights: WeightSet, weight: int) -> bool:
-    """Decide ``weight in weights``."""
-    return weights.contains(weight)
-
-
 def _normalize_index(rel: object, arity: int, index: int | None) -> None:
     if index is None:
         index = arity
-    if not isinstance(index, int) or isinstance(index, bool) or index < 1:
-        raise ValidationError(f"relation index must be a positive integer, got {index!r}")
-    object.__setattr__(rel, "index", index)
+    object.__setattr__(rel, "index", require_int(index, "relation index", ValidationError, low=1))
 
 
 @dataclass(frozen=True)
@@ -103,8 +94,7 @@ class WRelation:
     index: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.arity, int) or isinstance(self.arity, bool) or self.arity < 1:
-            raise ValidationError(f"arity must be a positive integer, got {self.arity!r}")
+        require_int(self.arity, "arity", ValidationError, low=1)
         _normalize_index(self, self.arity, self.index)
 
     def _contains(self, positions: frozenset[int]) -> bool:
@@ -128,9 +118,7 @@ class CWRelation:
 
     def __post_init__(self) -> None:
         for name in ("head", "tail"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValidationError(f"{name} must be a nonnegative integer, got {v!r}")
+            require_int(getattr(self, name), name, ValidationError)
         if self.head + self.tail < 1:
             raise ValidationError("relation arity must be at least 1")
         _normalize_index(self, self.arity, self.index)
@@ -159,16 +147,12 @@ class ExplicitRelation:
     )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.arity, int) or isinstance(self.arity, bool) or self.arity < 1:
-            raise ValidationError(f"arity must be a positive integer, got {self.arity!r}")
+        require_int(self.arity, "arity", ValidationError, low=1)
         checked: list[tuple[int, ...]] = []
         for member in self.members:
             entry = tuple(member)
             for p in entry:
-                if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= self.arity:
-                    raise ValidationError(
-                        f"member position {p!r} outside 1..{self.arity}"
-                    )
+                require_int(p, "member position", ValidationError, low=1, high=self.arity)
             checked.append(entry)
         canon = canonical_sets(checked)
         object.__setattr__(self, "members", canon)
@@ -185,8 +169,7 @@ Relation = Union[WRelation, CWRelation, ExplicitRelation]
 def _check_positions(rel: Relation, positions: Iterable[int]) -> frozenset[int]:
     pset = frozenset(positions)
     for p in pset:
-        if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= rel.arity:
-            raise DomainError(f"position {p!r} outside 1..{rel.arity}")
+        require_int(p, "position", DomainError, low=1, high=rel.arity)
     return pset
 
 
@@ -200,8 +183,7 @@ def relation_membership(rel: Relation, positions: Iterable[int]) -> bool:
 
 def ceil_log2(x: int) -> int:
     """Smallest ``k`` with ``2**k >= x``, for positive ``x``."""
-    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-        raise DomainError(f"ceil_log2 needs a positive integer, got {x!r}")
+    require_int(x, "ceil_log2 argument", DomainError, low=1)
     return (x - 1).bit_length()
 
 
@@ -219,9 +201,7 @@ class AffineCost:
 
     def __post_init__(self) -> None:
         for name in ("slope", "offset"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValidationError(f"{name} must be a nonnegative integer, got {v!r}")
+            require_int(getattr(self, name), name, ValidationError)
 
     def __call__(self, weight: int) -> int:
         return self.slope * weight + self.offset
@@ -239,17 +219,12 @@ class CostModel:
     checker_cost: Callable[[int], int] = default_checker_cost
 
     def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool) or self.exponent < 0:
-            raise ValidationError(f"exponent must be a nonnegative integer, got {self.exponent!r}")
+        require_int(self.exponent, "exponent", ValidationError)
 
     def cost(self, index: int, weight: int) -> int:
-        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
-            raise DomainError(f"relation index must be a positive integer, got {index!r}")
-        if not isinstance(weight, int) or isinstance(weight, bool) or weight < 0:
-            raise DomainError(f"tuple weight must be a nonnegative integer, got {weight!r}")
-        base = self.checker_cost(weight)
-        if not isinstance(base, int) or base < 0:
-            raise ValidationError(f"checker_cost must return a nonnegative integer, got {base!r}")
+        require_int(index, "relation index", DomainError, low=1)
+        require_int(weight, "tuple weight", DomainError)
+        base = require_int(self.checker_cost(weight), "checker_cost result", ValidationError)
         return base * ceil_log2(index + 1) ** self.exponent
 
 

@@ -23,8 +23,8 @@ from paramcsp import (
     explicitize_w_body,
     parse_instance,
     parse_machine,
+    completion_reduction,
     reduce_appearance,
-    reduce_completion,
     reduce_cw,
     serialize_instance,
     serialize_machine,
@@ -142,6 +142,13 @@ class TestSolve:
         _, err = capsys.readouterr()
         assert err.startswith("error:")
 
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert run(["solve", str(deep)]) == EXIT_USAGE
+        _, err = capsys.readouterr()
+        assert "nests too deeply" in err
+
     def test_unreadable_path(self, tmp_path, capsys):
         assert run(["solve", str(tmp_path / "missing.json")]) == EXIT_USAGE
         _, err = capsys.readouterr()
@@ -191,9 +198,18 @@ class TestReduceAndSimulate:
     def test_reduce_w_cw_matches_the_library(self, doc, capsys):
         assert run(["reduce", doc(CHOOSE_U), "--to", "w-cw"]) == EXIT_SAT
         out, _ = capsys.readouterr()
-        want = reduce_completion(explicitize_w_body(CHOOSE_U, 1), 1)
+        want = completion_reduction(explicitize_w_body(CHOOSE_U, 1), 1).instance
         assert out == serialize_instance(want)
         assert parse_instance(out) == want
+
+    def test_simulate_rejects_scopes_outside_the_universe(self, tmp_path, capsys):
+        machine = json.loads(serialize_machine(reduce_appearance(POSITIVE_X)))
+        machine["machine"]["constraints"][0]["scope"] = ["w"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(machine), encoding="utf-8")
+        assert run(["simulate", str(path)]) == EXIT_USAGE
+        _, err = capsys.readouterr()
+        assert err.startswith("error: machine.constraints[0].scope[0]: undeclared variable")
 
     def test_cw_machine_round_trip_through_files(self, doc, tmp_path, capsys):
         machine_path = tmp_path / "cw.json"

@@ -199,6 +199,11 @@ class TestInstanceDocuments:
         with pytest.raises(ValidationError, match="relation.type"):
             parse_relation('{"type": "Q"}')
 
+    def test_deep_nesting_is_a_validation_error(self):
+        depth = 200_000
+        with pytest.raises(ValidationError, match="nests too deeply"):
+            parse_instance("[" * depth + "]" * depth)
+
 
 def machines_under_test():
     reject_body = tuple(
@@ -268,6 +273,17 @@ class TestMachineDocuments:
             lambda d: d["machine"]["second"].update(exact=False),
         )
         with pytest.raises(ValidationError, match="disagree on the guess bound"):
+            parse_machine(text)
+
+    def test_appearance_scope_outside_the_universe(self):
+        text = edit(
+            serialize_machine(reduce_appearance(POSITIVE_X)),
+            lambda d: d["machine"]["constraints"][0].update(scope=["w"]),
+        )
+        with pytest.raises(
+            ValidationError,
+            match=r"^machine\.constraints\[0\]\.scope\[0\]: undeclared variable 'w'",
+        ):
             parse_machine(text)
 
     def test_occurrence_index_beyond_constraint_count(self):

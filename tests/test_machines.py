@@ -53,7 +53,6 @@ from paramcsp import (
     inclusion_exclusion_union,
     param_t,
     reduce_appearance,
-    reduce_completion,
     reduce_cw,
     relation_membership,
     satisfies,
@@ -105,6 +104,10 @@ class TestGuessCheckMachine:
     def test_rejects_negative_budget(self):
         with pytest.raises(ValidationError, match="budget"):
             GuessCheckMachine(("a",), 1, True, -3, ALWAYS_REJECT)
+
+    def test_rejects_boolean_budget(self):
+        with pytest.raises(ValidationError, match="budget"):
+            GuessCheckMachine(("x",), 0, True, True, ALWAYS_REJECT)
 
     def test_exact_branch_rejects_wrong_size(self):
         m = GuessCheckMachine(("a", "b"), 2, True, 10, trivial_cw_checker())
@@ -564,9 +567,6 @@ class TestCompletionReduction:
         assert direct == want
         assert binding_invariant_holds(red, direct)
 
-    def test_reduce_completion_returns_the_instance(self):
-        assert reduce_completion(CHOOSE_U, 1) == completion_reduction(CHOOSE_U, 1).instance
-
     def test_duplicate_constraints_collapse(self):
         c = Constraint(ExplicitRelation(2, ((1,), (2,))), ("u", "v"))
         once = completion_reduction(exact("uv", 1, c), 1)
@@ -702,6 +702,20 @@ class TestSolveWdPipeline:
     def test_zero_bound_rejects_positive_weights(self):
         with pytest.raises(UsageError, match="above the bound 0"):
             solve_wd_pipeline(POSITIVE_X, 0)
+
+    def test_zero_bound_accepts_listed_relations_of_empty_members(self):
+        inst = exact("xy", 1, Constraint(ExplicitRelation(1, ((),)), ("x",)))
+        assert solve_wd_pipeline(inst, 0) == frozenset({"y"})
+        assert solve_wd_pipeline(inst, 1) == frozenset({"y"})
+
+    def test_zero_bound_listed_relation_without_members_is_contradiction(self):
+        inst = exact("xy", 1, Constraint(ExplicitRelation(1, ()), ("x",)))
+        assert solve_wd_pipeline(inst, 0) is None
+
+    def test_zero_bound_rejects_nonempty_listed_members(self):
+        inst = exact("xy", 1, Constraint(ExplicitRelation(1, ((1,),)), ("x",)))
+        with pytest.raises(UsageError, match="size 1, above the bound 0"):
+            solve_wd_pipeline(inst, 0)
 
     def test_zero_bound_needs_finite_weight_sets(self):
         inst = exact("xy", 1, Constraint(CWRelation(WS1, 1, 1), ("x", "y")))

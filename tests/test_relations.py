@@ -21,7 +21,6 @@ from paramcsp import (
     default_checker_cost,
     membership_cost,
     relation_membership,
-    weightset_contains,
 )
 
 finite_values = st.sets(st.integers(0, 30), max_size=8)
@@ -33,9 +32,9 @@ def subsets_of(arity: int):
 
 class TestWeightSet:
     def test_contains_examples(self):
-        assert weightset_contains(WeightSet.even(), 0) is True
-        assert weightset_contains(WeightSet.finite([1]), 2) is False
-        assert weightset_contains(WeightSet.cofinite([0]), 5) is True
+        assert WeightSet.even().contains(0) is True
+        assert WeightSet.finite([1]).contains(2) is False
+        assert WeightSet.cofinite([0]).contains(5) is True
 
     def test_values_normalize_sorted_and_deduped(self):
         assert WeightSet.finite([2, 1, 1, 2]).values == (1, 2)
@@ -63,15 +62,11 @@ class TestWeightSet:
 
     @given(values=finite_values, w=st.integers(0, 40))
     def test_finite_and_cofinite_are_complements(self, values, w):
-        assert weightset_contains(WeightSet.finite(values), w) != weightset_contains(
-            WeightSet.cofinite(values), w
-        )
+        assert WeightSet.finite(values).contains(w) != WeightSet.cofinite(values).contains(w)
 
     @given(w=st.integers(0, 40))
     def test_parity_kinds_partition_the_weights(self, w):
-        assert weightset_contains(WeightSet.even(), w) != weightset_contains(
-            WeightSet.odd(), w
-        )
+        assert WeightSet.even().contains(w) != WeightSet.odd().contains(w)
 
 
 class TestRelationMembership:
@@ -213,6 +208,11 @@ class TestCostModel:
     def test_broken_checker_cost_is_reported(self):
         cm = CostModel(exponent=1, checker_cost=lambda w: -5)
         with pytest.raises(ValidationError):
+            cm.cost(1, 0)
+
+    def test_boolean_checker_cost_is_reported(self):
+        cm = CostModel(exponent=1, checker_cost=lambda w: True)
+        with pytest.raises(ValidationError, match="checker_cost"):
             cm.cost(1, 0)
 
     @given(
