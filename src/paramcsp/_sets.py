@@ -32,18 +32,23 @@ def lex_subsets(items: Sequence[T], max_size: int) -> Iterator[tuple[T, ...]]:
     empty set is first and ``(items[0],)`` precedes ``(items[0], items[1])``.
     """
     n = len(items)
+    chosen: list[int] = []
     prefix: list[T] = []
-
-    def walk(start: int) -> Iterator[tuple[T, ...]]:
+    while True:
         yield tuple(prefix)
-        if len(prefix) >= max_size:
-            return
-        for i in range(start, n):
-            prefix.append(items[i])
-            yield from walk(i + 1)
+        nxt = chosen[-1] + 1 if chosen else 0
+        if len(chosen) < max_size and nxt < n:
+            chosen.append(nxt)
+            prefix.append(items[nxt])
+            continue
+        # No room to extend: step to the next sibling, first leaving exhausted levels.
+        while chosen and chosen[-1] + 1 >= n:
+            chosen.pop()
             prefix.pop()
-
-    return walk(0)
+        if not chosen:
+            return
+        chosen[-1] += 1
+        prefix[-1] = items[chosen[-1]]
 
 
 def guesses(names: Sequence[T], k0: int, exact: bool) -> Iterator[tuple[T, ...]]:

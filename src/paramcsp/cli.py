@@ -3,7 +3,7 @@
 Exit codes are part of the contract: 0 satisfiable / accepted / verification
 passed, 1 unsatisfiable / rejected / verification failed, 2 usage or
 validation errors, 3 method not applicable to the instance or capacity
-exceeded.
+exceeded, 4 internal fault (a broken invariant, never the input's fault).
 
 Instance and machine documents are read from files, with ``-`` for stdin.
 Identical arguments and inputs produce byte-identical output.
@@ -62,13 +62,15 @@ EXIT_UNSAT = 1
 EXIT_USAGE = 2
 EXIT_NOT_APPLICABLE = 3
 
-# First matching class wins, so NotApplicableError must precede its base UsageError.
+# First matching class wins, so NotApplicableError must precede its base UsageError;
+# the last row gives every other fault, an internal one, exit code 4.
 _ERROR_EXITS: tuple[tuple[type[ParamCSPError], int], ...] = (
     (ValidationError, EXIT_USAGE),
     (NotApplicableError, EXIT_NOT_APPLICABLE),
     (CapacityError, EXIT_NOT_APPLICABLE),
     (UsageError, EXIT_USAGE),
     (DomainError, EXIT_USAGE),
+    (ParamCSPError, 4),
 )
 
 SOLVE_METHODS = ("brute", "fpt-kue", "fpt-kt", "cw-machine", "completion-pipeline")
@@ -435,11 +437,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except ParamCSPError as exc:
-        for error_class, code in _ERROR_EXITS:
-            if isinstance(exc, error_class):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        raise
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for error_class, code in _ERROR_EXITS if isinstance(exc, error_class))
 
 
 def main() -> int:

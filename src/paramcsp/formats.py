@@ -12,9 +12,10 @@ convention. Weight values are plain nonnegative integers.
 from __future__ import annotations
 
 import json
-from typing import Any
+from collections.abc import Callable
+from typing import Any, TypeVar
 
-from .errors import ValidationError
+from .errors import UsageError, ValidationError
 from .instances import Constraint, Instance, WeightKind, WeightParameter, weight_relation
 from .machines import (
     ALWAYS_REJECT,
@@ -23,6 +24,9 @@ from .machines import (
     CombinedChecker,
     CWChecker,
     GuessCheckMachine,
+    _cw_budget,
+    combine_machines,
+    reduce_appearance,
 )
 from .relations import (
     AffineCost,
@@ -37,6 +41,8 @@ from .relations import (
 )
 
 FORMAT_VERSION = "1"
+
+T = TypeVar("T")
 
 
 def _dump(doc: dict[str, Any]) -> str:
@@ -62,6 +68,11 @@ def _as_list(value: Any, path: str) -> list[Any]:
     if not isinstance(value, list):
         raise ValidationError(f"{path}: expected a list, got {type(value).__name__}")
     return value
+
+
+def _as_list_of(value: Any, path: str, read: Callable[..., T], **limits: Any) -> tuple[T, ...]:
+    """Read a list whose items each pass ``read(item, item_path, **limits)``."""
+    return tuple(read(v, f"{path}[{i}]", **limits) for i, v in enumerate(_as_list(value, path)))
 
 
 def _as_str(value: Any, path: str) -> str:
@@ -90,6 +101,14 @@ def _get(obj: dict[str, Any], key: str, path: str) -> Any:
     return obj[key]
 
 
+def _at(path: str, build: Callable[..., T], *args: Any) -> T:
+    """Return ``build(*args)``, refusing its validation or usage errors at ``path``."""
+    try:
+        return build(*args)
+    except (ValidationError, UsageError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def _check_version(obj: dict[str, Any], path: str) -> None:
     version = _as_str(_get(obj, "format_version", path), f"{path}.format_version")
     if version != FORMAT_VERSION:
@@ -112,15 +131,8 @@ def _weights_from_doc(value: Any, path: str) -> WeightSet:
         kind = WeightSetKind(kind_name)
     except ValueError:
         raise ValidationError(f"{path}.kind: unknown weight-set kind {kind_name!r}") from None
-    raw = obj.get("values", [])
-    values = tuple(
-        _as_int(v, f"{path}.values[{i}]", low=0)
-        for i, v in enumerate(_as_list(raw, f"{path}.values"))
-    )
-    try:
-        return WeightSet(kind, values)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    values = _as_list_of(obj.get("values", []), f"{path}.values", _as_int, low=0)
+    return _at(path, WeightSet, kind, values)
 
 
 def _relation_to_doc(rel: Relation) -> dict[str, Any]:
@@ -168,17 +180,12 @@ def _relation_from_doc(value: Any, path: str) -> Relation:
             return CWRelation(weights, head, tail, index)
         if rtype == "explicit":
             arity = _as_int(_get(obj, "arity", path), f"{path}.arity", low=1)
-            raw_members = _as_list(_get(obj, "members", path), f"{path}.members")
-            members = []
-            for i, member in enumerate(raw_members):
-                entries = _as_list(member, f"{path}.members[{i}]")
-                members.append(
-                    tuple(
-                        _as_int(p, f"{path}.members[{i}][{j}]", low=1)
-                        for j, p in enumerate(entries)
-                    )
-                )
-            return ExplicitRelation(arity, tuple(members), index)
+            members = _as_list_of(
+                _get(obj, "members", path),
+                f"{path}.members",
+                lambda member, mpath: _as_list_of(member, mpath, _as_int, low=1),
+            )
+            return ExplicitRelation(arity, members, index)
     except ValidationError as exc:
         msg = str(exc)
         raise ValidationError(msg if msg.startswith(path) else f"{path}: {msg}") from None
@@ -199,17 +206,11 @@ def _constraints_from_doc(value: Any, path: str, declared: set[str]) -> tuple[Co
         cpath = f"{path}[{i}]"
         obj = _as_object(entry, cpath)
         rel = _relation_from_doc(_get(obj, "relation", cpath), f"{cpath}.relation")
-        scope = tuple(
-            _as_str(v, f"{cpath}.scope[{j}]")
-            for j, v in enumerate(_as_list(_get(obj, "scope", cpath), f"{cpath}.scope"))
-        )
+        scope = _as_list_of(_get(obj, "scope", cpath), f"{cpath}.scope", _as_str)
         for j, v in enumerate(scope):
             if v not in declared:
                 raise ValidationError(f"{cpath}.scope[{j}]: undeclared variable {v!r}")
-        try:
-            body.append(Constraint(rel, scope))
-        except ValidationError as exc:
-            raise ValidationError(f"{cpath}: {exc}") from None
+        body.append(_at(cpath, Constraint, rel, scope))
     return tuple(body)
 
 
@@ -236,10 +237,7 @@ def parse_instance(text: str) -> Instance:
     """Parse an instance document, naming the failing field on error."""
     top = _as_object(_load(text), "document")
     _check_version(top, "document")
-    names = [
-        _as_str(v, f"variables[{i}]")
-        for i, v in enumerate(_as_list(_get(top, "variables", "document"), "variables"))
-    ]
+    names = _as_list_of(_get(top, "variables", "document"), "variables", _as_str)
     param = _as_object(_get(top, "parameter", "document"), "parameter")
     kind_name = _as_str(_get(param, "kind", "parameter"), "parameter.kind")
     try:
@@ -248,10 +246,7 @@ def parse_instance(text: str) -> Instance:
         raise ValidationError(f"parameter.kind: unknown kind {kind_name!r}") from None
     k0 = _as_int(_get(param, "k", "parameter"), "parameter.k", low=0)
     body = _constraints_from_doc(_get(top, "constraints", "document"), "constraints", set(names))
-    try:
-        return Instance(tuple(names), WeightParameter(kind, k0), body)
-    except ValidationError as exc:
-        raise ValidationError(f"document: {exc}") from None
+    return _at("document", Instance, names, WeightParameter(kind, k0), body)
 
 
 def parse_relation(text: str) -> Relation:
@@ -330,42 +325,47 @@ def serialize_machine(machine: GuessCheckMachine) -> str:
     return _dump({"format_version": FORMAT_VERSION, "machine": _machine_to_doc(machine)})
 
 
+def _require_derived(got: Any, want: Any, path: str, source: str) -> None:
+    """Refuse a document field that differs from the value its builder derives."""
+    if got != want:
+        name = path.rsplit(".", 1)[-1]
+        raise ValidationError(
+            f"{path}: {json.dumps(got, sort_keys=True)} is not the {name} "
+            f"{json.dumps(want, sort_keys=True)} {source}"
+        )
+
+
 def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
+    """Parse a machine by rebuilding it, so budgets and appearance tables come
+    only from the builders and a document whose copies differ is refused."""
     obj = _as_object(value, path)
     kind = _as_str(_get(obj, "kind", path), f"{path}.kind")
-    universe = tuple(
-        _as_str(v, f"{path}.universe[{i}]")
-        for i, v in enumerate(_as_list(_get(obj, "universe", path), f"{path}.universe"))
-    )
+    universe = _as_list_of(_get(obj, "universe", path), f"{path}.universe", _as_str)
     k0 = _as_int(_get(obj, "k0", path), f"{path}.k0", low=0)
     exact = _as_bool(_get(obj, "exact", path), f"{path}.exact")
     budget = _as_int(_get(obj, "budget", path), f"{path}.budget", low=0)
     if kind == "always-reject":
         checker: Any = ALWAYS_REJECT
+        derived_budget = 0
     elif kind == "appearance":
         cost_model = _cost_model_from_doc(_get(obj, "cost_model", path), f"{path}.cost_model")
         constraints = _constraints_from_doc(
             _get(obj, "constraints", path), f"{path}.constraints", set(universe)
         )
-        count = len(constraints)
-        e_v = {}
-        for v, raw in _as_object(_get(obj, "e_v", path), f"{path}.e_v").items():
-            ix = tuple(
-                _as_int(n, f"{path}.e_v.{v}[{j}]", low=1)
-                for j, n in enumerate(_as_list(raw, f"{path}.e_v.{v}"))
+        inst = _at(path, Instance, universe, WeightParameter(WeightKind.EXACT, k0), constraints)
+        rebuilt = reduce_appearance(inst, cost_model)
+        if isinstance(rebuilt.checker, AlwaysReject):
+            raise ValidationError(
+                f"{path}.kind: its constraints admit no guess, so the machine is 'always-reject'"
             )
-            for n in ix:
-                if n > count:
-                    raise ValidationError(f"{path}.e_v.{v}: index {n} beyond {count} constraints")
-            e_v[v] = ix
-        d_raw = _as_list(_get(obj, "d_set", path), f"{path}.d_set")
-        d_set = tuple(
-            _as_int(n, f"{path}.d_set[{j}]", low=1) for j, n in enumerate(d_raw)
-        )
-        for n in d_set:
-            if n > count:
-                raise ValidationError(f"{path}.d_set: index {n} beyond {count} constraints")
-        checker = AppearanceChecker(constraints, e_v, d_set, cost_model)
+        e_v = {
+            v: _as_list_of(raw, f"{path}.e_v.{v}", _as_int, low=1)
+            for v, raw in _as_object(_get(obj, "e_v", path), f"{path}.e_v").items()
+        }
+        _require_derived(e_v, rebuilt.checker.e_v, f"{path}.e_v", "its constraints imply")
+        d_set = _as_list_of(_get(obj, "d_set", path), f"{path}.d_set", _as_int, low=1)
+        _require_derived(d_set, rebuilt.checker.d_set, f"{path}.d_set", "its constraints imply")
+        checker, derived_budget = rebuilt.checker, rebuilt.budget
     elif kind == "cw":
         b = _as_int(_get(obj, "b", path), f"{path}.b", low=0)
         sum_bound = _as_int(_get(obj, "sum_bound", path), f"{path}.sum_bound", low=0)
@@ -375,14 +375,8 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
         for i, entry in enumerate(_as_list(_get(obj, "tables", path), f"{path}.tables")):
             rpath = f"{path}.tables[{i}]"
             row = _as_object(entry, rpath)
-            head = frozenset(
-                _as_str(v, f"{rpath}.head[{j}]")
-                for j, v in enumerate(_as_list(_get(row, "head", rpath), f"{rpath}.head"))
-            )
-            tail = frozenset(
-                _as_str(v, f"{rpath}.tail[{j}]")
-                for j, v in enumerate(_as_list(_get(row, "tail", rpath), f"{rpath}.tail"))
-            )
+            head = frozenset(_as_list_of(_get(row, "head", rpath), f"{rpath}.head", _as_str))
+            tail = frozenset(_as_list_of(_get(row, "tail", rpath), f"{rpath}.tail", _as_str))
             count = _as_int(_get(row, "count", rpath), f"{rpath}.count", low=0)
             if tail:
                 key = (head, tail)
@@ -397,20 +391,19 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
                     raise ValidationError(f"{rpath}: duplicate table key")
                 delta_empty[head] = count
         checker = CWChecker(b, delta_sizes, lambda_caps, delta_empty, sum_bound)
+        derived_budget = _cw_budget(k0, b)
     elif kind == "combined":
         first = _machine_from_doc(_get(obj, "first", path), f"{path}.first")
         second = _machine_from_doc(_get(obj, "second", path), f"{path}.second")
-        if first.universe != universe or second.universe != universe:
-            raise ValidationError(f"{path}: combined parts disagree on the universe")
-        if first.k0 != k0 or second.k0 != k0 or first.exact != exact or second.exact != exact:
-            raise ValidationError(f"{path}: combined parts disagree on the guess bound")
-        checker = CombinedChecker(first, second)
+        combined = _at(path, combine_machines, first, second)
+        _require_derived(universe, combined.universe, f"{path}.universe", "its parts share")
+        _require_derived(k0, combined.k0, f"{path}.k0", "its parts share")
+        _require_derived(exact, combined.exact, f"{path}.exact", "its parts share")
+        checker, derived_budget = combined.checker, combined.budget
     else:
         raise ValidationError(f"{path}.kind: unknown machine kind {kind!r}")
-    try:
-        return GuessCheckMachine(universe, k0, exact, budget, checker)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    _require_derived(budget, derived_budget, f"{path}.budget", "its checker implies")
+    return _at(path, GuessCheckMachine, universe, k0, exact, budget, checker)
 
 
 def parse_machine(text: str) -> GuessCheckMachine:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import NotApplicableError
+from .errors import NotApplicableError, ParamCSPError
 from .instances import Instance, WeightKind, param_e, param_t, satisfies
 from .relations import WeightSet, WeightSetKind, WRelation
 
@@ -118,19 +118,24 @@ def _count_vectors(classes: tuple[ProfileClass, ...], target: int):
     for j in range(len(classes) - 1, -1, -1):
         room_after[j] = room_after[j + 1] + caps[j]
     counts = [0] * len(classes)
-
-    def walk(j: int, remaining: int):
-        if remaining > room_after[j]:
+    raised, remaining = -1, target
+    while True:
+        if remaining > room_after[raised + 1]:
             return
-        if j == len(classes):
-            yield tuple(counts)
+        # Place ``remaining`` after the raised class as late as the caps allow.
+        for j in range(raised + 1, len(classes)):
+            counts[j] = max(0, remaining - room_after[j + 1])
+            remaining -= counts[j]
+        yield tuple(counts)
+        # Raise the rightmost count that can take one variable from the classes after it.
+        for raised in range(len(classes) - 1, -1, -1):
+            if remaining and counts[raised] < caps[raised]:
+                counts[raised] += 1
+                remaining -= 1
+                break
+            remaining += counts[raised]
+        else:
             return
-        for n in range(min(caps[j], remaining) + 1):
-            counts[j] = n
-            yield from walk(j + 1, remaining - n)
-        counts[j] = 0
-
-    yield from walk(0, target)
 
 
 def solve_w_kue_with_stats(inst: Instance) -> tuple[frozenset[str] | None, SolveStats]:
@@ -152,7 +157,8 @@ def solve_w_kue_with_stats(inst: Instance) -> tuple[frozenset[str] | None, Solve
                 for cls, n in zip(classes, vector)
                 for name in cls.representatives[:n]
             )
-            assert satisfies(inst, witness), "representative witness failed its instance"
+            if not satisfies(inst, witness):
+                raise ParamCSPError("representative witness failed its instance")
             return witness, SolveStats(h, len(classes), tested)
     return None, SolveStats(h, len(classes), tested)
 

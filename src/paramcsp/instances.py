@@ -294,10 +294,11 @@ def _random_weight_values(rng: random.Random, cfg: InstanceConfig) -> tuple[int,
     return tuple(rng.sample(pool, rng.randint(0, len(pool))))
 
 
-def _random_w_weights(rng: random.Random, cfg: InstanceConfig) -> WeightSet:
-    kind = rng.choice(("finite", "cofinite", "even", "odd"))
+def _random_weight_set(rng: random.Random, cfg: InstanceConfig, kind: str) -> WeightSet:
+    """Draw one weight set of ``kind``: "finite", "cofinite", "even" or "odd"."""
     if kind == "finite":
-        return WeightSet.finite(cfg.finite_values or _random_weight_values(rng, cfg))
+        values = cfg.finite_values
+        return WeightSet.finite(values if values is not None else _random_weight_values(rng, cfg))
     if kind == "cofinite":
         excluded = set(_random_weight_values(rng, cfg))
         if cfg.exclude_zero:
@@ -325,7 +326,8 @@ def _random_relation(
         assert shared is not None
         return WRelation(shared, arity)
     if profile == "w":
-        return WRelation(_random_w_weights(rng, cfg), arity)
+        kind = rng.choice(("finite", "cofinite", "even", "odd"))
+        return WRelation(_random_weight_set(rng, cfg, kind), arity)
     if profile == "cw":
         head = rng.randint(0, arity)
         return CWRelation(
@@ -344,17 +346,8 @@ def random_instance(seed: int, cfg: InstanceConfig) -> Instance:
     width = max(3, len(str(cfg.n)))
     names = tuple(f"x{i:0{width}d}" for i in range(1, cfg.n + 1))
     shared: WeightSet | None = None
-    if cfg.profile == "w-finite":
-        shared = WeightSet.finite(
-            cfg.finite_values
-            if cfg.finite_values is not None
-            else _random_weight_values(rng, cfg)
-        )
-    elif cfg.profile == "w-cofinite":
-        excluded = set(_random_weight_values(rng, cfg))
-        if cfg.exclude_zero:
-            excluded.add(0)
-        shared = WeightSet.cofinite(excluded)
+    if cfg.profile in ("w-finite", "w-cofinite"):
+        shared = _random_weight_set(rng, cfg, cfg.profile.removeprefix("w-"))
     body: list[Constraint] = []
     for _ in range(cfg.body_len):
         arity = rng.randint(cfg.min_arity, cfg.max_arity)

@@ -135,7 +135,7 @@ class CWChecker:
     for the same keys, the largest number of tail positions any one of those
     constraints maps into ``G`` (repeats counted); ``delta_empty`` is the
     ``G = {}`` column. Unstored keys read as zero. ``sum_bound`` bounds every
-    inclusion-exclusion partial sum and is asserted during checking.
+    inclusion-exclusion partial sum and is enforced during checking.
     """
 
     b: int
@@ -166,7 +166,8 @@ class CWChecker:
                 steps += lb + len(g) + 2
                 d = self.delta_sizes.get((bset, g), 0)
                 total += d if len(g) % 2 else -d
-                assert -self.sum_bound <= total <= self.sum_bound, "partial sum escaped its bound"
+                if not -self.sum_bound <= total <= self.sum_bound:
+                    raise ParamCSPError("partial sum escaped its bound")
             steps += lb + 2
             if total != self.delta_empty.get(bset, 0):
                 return False, steps
@@ -302,7 +303,7 @@ def build_cw_tables(inst: Instance, k0: int) -> CWChecker:
 
     Only witnessed keys are stored, with head images larger than ``k0``
     skipped outright: no guess of at most ``k0`` variables can ever bind
-    them. The total entry count is asserted against its combinatorial cap.
+    them. The total entry count is checked against its combinatorial cap.
     """
     require_int(k0, "k0", DomainError)
     b = _cw_shared_bound(inst)
@@ -329,8 +330,10 @@ def build_cw_tables(inst: Instance, k0: int) -> CWChecker:
                     lambda_caps[key] = hits
     entries = len(delta_empty) + len(delta_sizes)
     cap = n_size * sum(comb(n_size, i) for i in range(b + 2))
-    assert entries <= cap, f"{entries} stored table entries exceed the cap {cap}"
-    assert all(len(bset) <= k0 and len(g) <= g_cap for bset, g in delta_sizes), "oversized table key"
+    if entries > cap:
+        raise ParamCSPError(f"{entries} stored table entries exceed the cap {cap}")
+    if not all(len(bset) <= k0 and len(g) <= g_cap for bset, g in delta_sizes):
+        raise ParamCSPError("oversized table key")
     sum_bound = n_size * sum(comb(k0, j) for j in range(1, min(b, k0) + 1))
     return CWChecker(
         b=b,

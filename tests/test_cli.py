@@ -12,6 +12,7 @@ import json
 import pytest
 
 from paramcsp import (
+    BudgetExceededError,
     Constraint,
     CWRelation,
     ExplicitRelation,
@@ -211,6 +212,32 @@ class TestReduceAndSimulate:
         _, err = capsys.readouterr()
         assert err.startswith("error: machine.constraints[0].scope[0]: undeclared variable")
 
+    @pytest.mark.parametrize(
+        "field,value,needle",
+        [
+            ("e_v", {}, 'machine.e_v: {} is not the e_v {"x": [1]} its constraints imply'),
+            ("budget", 1, "machine.budget: 1 is not the budget 6 its checker implies"),
+        ],
+    )
+    def test_simulate_refuses_fields_its_builder_did_not_derive(
+        self, tmp_path, capsys, field, value, needle
+    ):
+        # The only constraint admits weight 0 on x, so the machine accepts {y};
+        # without its e_v entry the forged machine would accept {x} as well.
+        zero_on_x = Instance(
+            variables=("x", "y"),
+            weight=WeightParameter(WeightKind.EXACT, 1),
+            body=(Constraint(WRelation(WeightSet.finite((0,)), 1), ("x",)),),
+        )
+        machine = json.loads(serialize_machine(reduce_appearance(zero_on_x)))
+        machine["machine"][field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(machine), encoding="utf-8")
+        assert run(["simulate", str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {needle}\n"
+
     def test_cw_machine_round_trip_through_files(self, doc, tmp_path, capsys):
         machine_path = tmp_path / "cw.json"
         assert run(["reduce", doc(ONE_OF_TWO), "--to", "cw", "--out", str(machine_path)]) == EXIT_SAT
@@ -356,3 +383,15 @@ class TestArgumentHandling:
 
     def test_unknown_flag(self, doc, capsys):
         assert run(["solve", doc(POSITIVE_X), "--fast"]) == EXIT_USAGE
+
+    def test_internal_faults_exit_4(self, tmp_path, capsys, monkeypatch):
+        # No document reaches a budget overrun any more, so fake the fault.
+        def overrun(machine):
+            raise BudgetExceededError("branch ('x',) used 9 steps against budget 6")
+
+        monkeypatch.setattr("paramcsp.cli.simulate", overrun)
+        path = tmp_path / "m.json"
+        path.write_text(serialize_machine(reduce_appearance(POSITIVE_X)), encoding="utf-8")
+        assert run(["simulate", str(path)]) == 4
+        _, err = capsys.readouterr()
+        assert err == "error: branch ('x',) used 9 steps against budget 6\n"

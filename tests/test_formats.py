@@ -205,13 +205,15 @@ class TestInstanceDocuments:
             parse_instance("[" * depth + "]" * depth)
 
 
+REJECT_ALL = Instance(
+    ("x", "y", "z"),
+    WeightParameter(WeightKind.EXACT, 1),
+    tuple(Constraint(WRelation(WS1, 1), (v,)) for v in ("x", "y", "z")),
+)
+
+
 def machines_under_test():
-    reject_body = tuple(
-        Constraint(WRelation(WS1, 1), (v,)) for v in ("x", "y", "z")
-    )
-    reject = reduce_appearance(
-        Instance(("x", "y", "z"), WeightParameter(WeightKind.EXACT, 1), reject_body)
-    )
+    reject = reduce_appearance(REJECT_ALL)
     appearance = reduce_appearance(POSITIVE_X)
     cw = reduce_cw(ONE_OF_TWO)
     return [
@@ -291,7 +293,7 @@ class TestMachineDocuments:
             serialize_machine(reduce_appearance(POSITIVE_X)),
             lambda d: d["machine"]["e_v"].update(x=[2]),
         )
-        with pytest.raises(ValidationError, match="index 2 beyond 1 constraints"):
+        with pytest.raises(ValidationError, match=r'e_v: \{"x": \[2\]\} is not the e_v'):
             parse_machine(text)
 
     def test_empty_rejector_index_beyond_constraint_count(self):
@@ -299,7 +301,7 @@ class TestMachineDocuments:
             serialize_machine(reduce_appearance(POSITIVE_X)),
             lambda d: d["machine"].update(d_set=[3]),
         )
-        with pytest.raises(ValidationError, match="index 3 beyond 1 constraints"):
+        with pytest.raises(ValidationError, match=r"d_set: \[3\] is not the d_set \[1\]"):
             parse_machine(text)
 
     @pytest.mark.parametrize(
@@ -308,10 +310,66 @@ class TestMachineDocuments:
             (lambda d: d["machine"].update(kind="turing"), "unknown machine kind 'turing'"),
             (lambda d: d["machine"].update(budget=-1), "machine.budget: expected an integer >= 0"),
             (lambda d: d["machine"].update(exact="yes"), "machine.exact: expected a boolean"),
+            (
+                lambda d: d["machine"].update(e_v={}),
+                'machine.e_v: {} is not the e_v {"x": [1]} its constraints imply',
+            ),
+            (
+                lambda d: d["machine"].update(budget=1),
+                "machine.budget: 1 is not the budget 6 its checker implies",
+            ),
+            (
+                lambda d: d["machine"]["e_v"].update(x=[True]),
+                "machine.e_v.x[0]: expected an integer, got bool",
+            ),
         ],
     )
     def test_field_diagnostics(self, mutate, needle):
         text = edit(serialize_machine(reduce_appearance(POSITIVE_X)), mutate)
+        with pytest.raises(ValidationError) as err:
+            parse_machine(text)
+        assert needle in str(err.value)
+
+    @pytest.mark.parametrize(
+        "machine,mutate,needle",
+        [
+            pytest.param(
+                reduce_cw(ONE_OF_TWO),
+                lambda d: d["machine"].update(b=2),
+                "machine.budget: 94 is not the budget 114 its checker implies",
+                id="cw-b",
+            ),
+            pytest.param(
+                reduce_appearance(REJECT_ALL),
+                lambda d: d["machine"].update(budget=7),
+                "machine.budget: 7 is not the budget 0 its checker implies",
+                id="always-reject-budget",
+            ),
+            pytest.param(
+                reduce_appearance(POSITIVE_X),
+                lambda d: d["machine"].update(
+                    universe=["x", "y", "z"],
+                    constraints=[d["machine"]["constraints"][0] | {"scope": [v]} for v in "xyz"],
+                ),
+                "machine.kind: its constraints admit no guess",
+                id="appearance-that-rejects-at-build",
+            ),
+            pytest.param(
+                combine_machines(reduce_appearance(POSITIVE_X), reduce_appearance(POSITIVE_X)),
+                lambda d: d["machine"].update(budget=12),
+                "machine.budget: 12 is not the budget 13 its checker implies",
+                id="combined-budget",
+            ),
+            pytest.param(
+                combine_machines(reduce_appearance(POSITIVE_X), reduce_appearance(POSITIVE_X)),
+                lambda d: d["machine"].update(universe=["x", "y", "z"]),
+                'machine.universe: ["x", "y", "z"] is not the universe ["x", "y"] its parts share',
+                id="combined-universe",
+            ),
+        ],
+    )
+    def test_derived_fields_come_from_the_builders(self, machine, mutate, needle):
+        text = edit(serialize_machine(machine), mutate)
         with pytest.raises(ValidationError) as err:
             parse_machine(text)
         assert needle in str(err.value)

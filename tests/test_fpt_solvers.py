@@ -70,6 +70,18 @@ class TestSharedWeightSet:
             solve_w_kue(inst)
 
 
+class TestManyProfileClasses:
+    def test_more_classes_than_the_recursion_limit(self):
+        # 1,500 distinct unary constraints give 1,500 profile classes.
+        names = tuple(f"v{i:04d}" for i in range(1500))
+        body = tuple(Constraint(WRelation(WeightSet.cofinite((2,)), 1), (v,)) for v in names)
+        inst = Instance(names, WeightParameter(WeightKind.EXACT, 1), body)
+        witness, stats = solve_w_kue_with_stats(inst)
+        assert witness == frozenset({"v0000"})
+        assert stats.class_count == 1500
+        assert stats.multisets_enumerated == 1
+
+
 class TestComputeH:
     def test_finite_maximum_wins_over_the_occurrence_bound(self):
         inst = single_constraint(WeightSet.finite([1]), ("x",) * 5, 1)

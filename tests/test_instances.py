@@ -295,6 +295,11 @@ class TestRandomInstance:
         for c in inst.body:
             assert c.relation.weights == WeightSet.finite([1, 2])
 
+    def test_mixed_profile_honours_empty_finite_values(self):
+        cfg = InstanceConfig(n=4, k0=1, profile="mixed", body_len=3, finite_values=())
+        first = random_instance(2, cfg).body[0].relation
+        assert first == WRelation(WeightSet.finite(()), 1)
+
     def test_cw_profile_shares_one_tail_bound(self):
         cfg = InstanceConfig(n=6, k0=2, profile="cw", body_len=4, cw_bound=2)
         for seed in range(10):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from itertools import islice
 from math import comb
 
 import pytest
@@ -59,6 +63,8 @@ from paramcsp import (
     simulate,
     solve_wd_pipeline,
 )
+import paramcsp
+from paramcsp._sets import lex_subsets
 
 WS1 = WeightSet.finite((1,))
 WS12 = WeightSet.finite((1, 2))
@@ -125,6 +131,32 @@ class TestGuessCheckMachine:
     def test_atmost_machine_tries_empty_guess_first(self):
         m = GuessCheckMachine(("a", "b"), 1, False, 3, trivial_cw_checker())
         assert simulate(m) == SimulationResult(True, frozenset(), 3, 1)
+
+    def test_atmost_guesses_go_deeper_than_the_recursion_limit(self):
+        deep = list(islice(lex_subsets(range(2000), 2000), 1500))
+        assert deep[0] == ()
+        assert deep[-1] == tuple(range(1499))
+
+
+class TestCheckerInvariants:
+    def test_partial_sum_bound_holds_under_optimization(self):
+        # A stored count of 5 escapes a sum bound of 0 on the first term.
+        code = (
+            "from paramcsp import CWChecker\n"
+            "key = (frozenset(), frozenset({'a'}))\n"
+            "ck = CWChecker(b=1, delta_sizes={key: 5}, lambda_caps={key: 1},"
+            " delta_empty={}, sum_bound=0)\n"
+            "print(ck.check(('a',), 0))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__))},
+        )
+        assert done.returncode != 0, done.stdout
+        assert "ParamCSPError: partial sum escaped its bound" in done.stderr
 
 
 class TestReduceAppearance:
