@@ -3,7 +3,8 @@
 Exit codes are part of the contract: 0 satisfiable / accepted / verification
 passed, 1 unsatisfiable / rejected / verification failed, 2 usage or
 validation errors, 3 method not applicable to the instance or capacity
-exceeded, 4 internal fault (a broken invariant, never the input's fault).
+exceeded, 4 internal fault (a broken invariant, never the input's fault),
+141 standard output closed by its reader before everything was written.
 
 Instance and machine documents are read from files, with ``-`` for stdin.
 Identical arguments and inputs produce byte-identical output.
@@ -13,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from collections.abc import Sequence
+from dataclasses import fields
 
 from .errors import (
     CapacityError,
@@ -99,12 +102,12 @@ def _write_text(path: str | None, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _ensure_exact(inst: Instance) -> tuple[Instance, frozenset[str]]:
+def _ensure_exact(inst: Instance) -> Instance:
     """Lift an at-most instance for the machine methods; report on stderr."""
     if inst.weight.kind is WeightKind.EXACT:
-        return inst, inst.variable_set
+        return inst
     print("note: lifting the at-most bound to an exact one with padding variables", file=sys.stderr)
-    return lift_kle_to_k(inst), inst.variable_set
+    return lift_kle_to_k(inst)
 
 
 def _print_witness(witness: frozenset[str] | None) -> int:
@@ -134,33 +137,37 @@ def _infer_bound(inst: Instance) -> int:
     return bound
 
 
+_SOLVERS = {"brute": brute_force_solve, "fpt-kue": solve_w_kue, "fpt-kt": solve_w_kt}
+_MACHINE_BUILDERS = {"appearance": reduce_appearance, "cw-machine": reduce_cw}
+
+
+def _decide(
+    method: str, inst: Instance, bound: int | None = None
+) -> tuple[frozenset[str] | None, tuple[SimulationResult, int] | None]:
+    """Decide ``inst`` by ``method``: the witness, and the machine run with its
+    budget when the method simulates one."""
+    if method in _MACHINE_BUILDERS:
+        machine = _MACHINE_BUILDERS[method](_ensure_exact(inst))
+        result = simulate(machine)
+        witness = None if result.witness is None else result.witness & inst.variable_set
+        return witness, (result, machine.budget)
+    if method == "completion-pipeline":
+        return solve_wd_pipeline(inst, bound if bound is not None else _infer_bound(inst)), None
+    return _SOLVERS[method](inst), None
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read_text(args.instance))
-    if args.method == "brute":
-        return _print_witness(brute_force_solve(inst))
-    if args.method == "fpt-kue":
-        return _print_witness(solve_w_kue(inst))
-    if args.method == "fpt-kt":
-        return _print_witness(solve_w_kt(inst))
-    if args.method == "cw-machine":
-        lifted, originals = _ensure_exact(inst)
-        machine = reduce_cw(lifted)
-        result = simulate(machine)
-        witness = None
-        if result.accepted:
-            assert result.witness is not None
-            witness = frozenset(result.witness & originals)
-        code = _print_witness(witness)
-        if args.budget_report:
-            _print_budget_report(result, machine.budget)
-        return code
-    bound = args.bound if args.bound is not None else _infer_bound(inst)
-    return _print_witness(solve_wd_pipeline(inst, bound))
+    witness, machine_run = _decide(args.method, inst, args.bound)
+    code = _print_witness(witness)
+    if args.budget_report and machine_run is not None:
+        _print_budget_report(*machine_run)
+    return code
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     inst = parse_instance(_read_text(args.instance))
-    lifted, _ = _ensure_exact(inst)
+    lifted = _ensure_exact(inst)
     if args.to == "appearance":
         text = serialize_machine(reduce_appearance(lifted))
     elif args.to == "cw":
@@ -176,15 +183,14 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     machine = parse_machine(_read_text(args.machine))
     result = simulate(machine)
-    if result.accepted:
-        assert result.witness is not None
+    if result.witness is None:
+        print("REJECT")
+    else:
         print("ACCEPT")
         print(f"WITNESS {' '.join(sorted(result.witness))}".rstrip())
-    else:
-        print("REJECT")
     if args.budget_report:
         _print_budget_report(result, machine.budget)
-    return EXIT_SAT if result.accepted else EXIT_UNSAT
+    return EXIT_UNSAT if result.witness is None else EXIT_SAT
 
 
 def _set_str(positions: tuple[int, ...]) -> str:
@@ -223,29 +229,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_SAT
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _int_list(text: str) -> tuple[int, ...] | None:
+    """Comma-separated integers; a blank value means none were given."""
+    if not text:
+        return None
     try:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    cfg = InstanceConfig(
-        n=args.n,
-        k0=args.k0,
-        profile=args.profile,
-        body_len=args.body,
-        min_arity=args.min_arity,
-        max_arity=args.max_arity,
-        atmost=args.atmost,
-        cw_bound=args.cw_bound,
-        member_size=args.member_size,
-        max_members=args.max_members,
-        weight_cap=args.weight_cap,
-        finite_values=_parse_int_list(args.finite_values) if args.finite_values else None,
-        exclude_zero=args.exclude_zero,
-    )
+    cfg = InstanceConfig(**{f.name: getattr(args, f.name) for f in fields(InstanceConfig)})
     inst = random_instance(args.seed, cfg)
     _write_text(args.out, serialize_instance(inst, materialize_weight=args.materialize_weight_constraint))
     return EXIT_SAT
@@ -300,58 +295,33 @@ def _verify_config(method: str, case: int) -> InstanceConfig:
     )
 
 
-def _verify_decide(method: str, inst: Instance) -> frozenset[str] | None:
-    if method == "fpt-kue":
-        return solve_w_kue(inst)
-    if method == "fpt-kt":
-        return solve_w_kt(inst)
-    if method == "appearance":
-        result = simulate(reduce_appearance(inst))
-        return result.witness if result.accepted else None
-    if method == "cw-machine":
-        result = simulate(reduce_cw(inst))
-        return result.witness if result.accepted else None
-    return solve_wd_pipeline(inst, 1)
+_REPORT_FIELDS = ("case", "seed", "profile", "n", "k0", "expected", "got", "agree")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    rows: list[dict[str, object]] = []
+    rows: list[tuple[object, ...]] = []
     agree_count = 0
     for case in range(args.count):
         seed = args.seed * 1_000_003 + case
         cfg = _verify_config(args.method, case)
         inst = random_instance(seed, cfg)
         expected = brute_force_solve(inst)
-        got = _verify_decide(args.method, inst)
+        got = _decide(args.method, inst)[0]
         agree = (expected is None) == (got is None)
         if agree and got is not None and not satisfies(inst, got):
             agree = False
+        expected_word = "unsat" if expected is None else "sat"
+        got_word = "unsat" if got is None else "sat"
         if agree:
             agree_count += 1
         else:
-            expected_word = "unsat" if expected is None else "sat"
-            got_word = "unsat" if got is None else "sat"
             print(f"mismatch case={case} seed={seed}: expected {expected_word}, got {got_word}")
-        rows.append(
-            {
-                "case": case,
-                "seed": seed,
-                "profile": cfg.profile,
-                "n": cfg.n,
-                "k0": cfg.k0,
-                "expected": "unsat" if expected is None else "sat",
-                "got": "unsat" if got is None else "sat",
-                "agree": int(agree),
-            }
-        )
+        rows.append((case, seed, cfg.profile, cfg.n, cfg.k0, expected_word, got_word, int(agree)))
     if args.report:
         try:
             with open(args.report, "w", encoding="utf-8", newline="") as handle:
-                writer = csv.DictWriter(
-                    handle,
-                    fieldnames=["case", "seed", "profile", "n", "k0", "expected", "got", "agree"],
-                )
-                writer.writeheader()
+                writer = csv.writer(handle)
+                writer.writerow(_REPORT_FIELDS)
                 writer.writerows(rows)
         except OSError as exc:
             raise UsageError(f"cannot write {args.report}: {exc}") from exc
@@ -401,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="variable count")
     gen.add_argument("--k0", type=int, required=True, help="weight bound")
     gen.add_argument("--profile", choices=PROFILES, default="mixed")
-    gen.add_argument("--body", type=int, default=2, help="constraint count")
+    gen.add_argument("--body", dest="body_len", metavar="BODY", type=int, default=2, help="constraint count")
     gen.add_argument("--min-arity", type=int, default=1)
     gen.add_argument("--max-arity", type=int, default=4)
     gen.add_argument("--atmost", action="store_true", help="use an at-most weight bound")
@@ -409,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--member-size", type=int, default=2, help="max member size for explicit relations")
     gen.add_argument("--max-members", type=int, default=4)
     gen.add_argument("--weight-cap", type=int, default=3, help="largest random weight value")
-    gen.add_argument("--finite-values", default=None, help="comma-separated shared finite weights")
+    gen.add_argument("--finite-values", type=_int_list, default=None, help="comma-separated shared finite weights")
     gen.add_argument("--exclude-zero", action="store_true", help="keep 0 out of the weight sets")
     gen.add_argument("--materialize-weight-constraint", action="store_true")
     gen.add_argument("--out", default=None, help="output path, stdout by default")
@@ -442,7 +412,17 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> int:
-    return run(sys.argv[1:])
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early: point stdout at the null device so the flush
+        # at exit stays quiet, and report what death by SIGPIPE would (128 + 13).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

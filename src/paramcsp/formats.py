@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
+from math import comb
 from typing import Any, TypeVar
 
 from .errors import UsageError, ValidationError
@@ -372,6 +373,7 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
         delta_sizes: dict[tuple[frozenset[str], frozenset[str]], int] = {}
         lambda_caps: dict[tuple[frozenset[str], frozenset[str]], int] = {}
         delta_empty: dict[frozenset[str], int] = {}
+        tail_rows: list[tuple[str, frozenset[str], int]] = []
         for i, entry in enumerate(_as_list(_get(obj, "tables", path), f"{path}.tables")):
             rpath = f"{path}.tables[{i}]"
             row = _as_object(entry, rpath)
@@ -386,10 +388,25 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
                 lambda_caps[key] = _as_int(
                     _get(row, "max_positions", rpath), f"{rpath}.max_positions", low=0
                 )
+                tail_rows.append((rpath, head, count))
             else:
                 if head in delta_empty:
                     raise ValidationError(f"{rpath}: duplicate table key")
                 delta_empty[head] = count
+        # A tail row counts some of its head's constraints, so every partial sum
+        # of CWChecker.check stays within max(delta_empty) times its term count.
+        for rpath, head, count in tail_rows:
+            head_count = delta_empty.get(head, 0)
+            if count > head_count:
+                raise ValidationError(
+                    f"{rpath}.count: {count} exceeds {head_count}, the count of its head's empty tail"
+                )
+        terms = sum(comb(k0, j) for j in range(1, min(b, k0) + 1))
+        least = max(delta_empty.values(), default=0) * terms
+        if sum_bound < least:
+            raise ValidationError(
+                f"{path}.sum_bound: {sum_bound} is below {least}, the least bound its tables allow"
+            )
         checker = CWChecker(b, delta_sizes, lambda_caps, delta_empty, sum_bound)
         derived_budget = _cw_budget(k0, b)
     elif kind == "combined":

@@ -104,7 +104,8 @@ def _feasible(
         if capped:
             if weights.kind is WeightSetKind.FINITE:
                 return False
-            assert weights.kind is WeightSetKind.COFINITE, "parity sets cannot hit the cap"
+            if weights.kind is not WeightSetKind.COFINITE:
+                raise ParamCSPError("parity sets cannot hit the cap")
             continue
         if not weights.contains(total):
             return False

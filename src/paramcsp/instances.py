@@ -312,19 +312,14 @@ def _random_weight_set(rng: random.Random, cfg: InstanceConfig, kind: str) -> We
 def _random_relation(
     rng: random.Random, cfg: InstanceConfig, arity: int, shared: WeightSet | None
 ) -> Relation:
+    if shared is not None:
+        return WRelation(shared, arity)
     profile = cfg.profile
     if profile == "mixed":
         profile = rng.choice(("w", "cw", "explicit"))
-    if profile in ("w-even",):
-        return WRelation(WeightSet.even(), arity)
-    if profile in ("w-odd",):
-        return WRelation(WeightSet.odd(), arity)
     if profile == "w-parity":
         ws = WeightSet.even() if rng.random() < 0.5 else WeightSet.odd()
         return WRelation(ws, arity)
-    if profile in ("w-finite", "w-cofinite"):
-        assert shared is not None
-        return WRelation(shared, arity)
     if profile == "w":
         kind = rng.choice(("finite", "cofinite", "even", "odd"))
         return WRelation(_random_weight_set(rng, cfg, kind), arity)
@@ -346,7 +341,7 @@ def random_instance(seed: int, cfg: InstanceConfig) -> Instance:
     width = max(3, len(str(cfg.n)))
     names = tuple(f"x{i:0{width}d}" for i in range(1, cfg.n + 1))
     shared: WeightSet | None = None
-    if cfg.profile in ("w-finite", "w-cofinite"):
+    if cfg.profile in ("w-finite", "w-cofinite", "w-even", "w-odd"):
         shared = _random_weight_set(rng, cfg, cfg.profile.removeprefix("w-"))
     body: list[Constraint] = []
     for _ in range(cfg.body_len):

@@ -72,29 +72,34 @@ ALWAYS_REJECT = AlwaysReject()
 
 @dataclass(frozen=True)
 class AppearanceChecker:
-    """Tables for the occurrence-based checker.
+    """Tables for the occurrence-based checker, all derived from the constraints.
 
     ``e_v`` maps each variable to the 1-based body indices it appears in;
-    ``d_set`` lists the indices rejecting the empty tuple. ``positions`` is
-    derived from the constraints and maps index -> variable -> scope
-    positions.
+    ``d_set`` lists the indices rejecting the empty tuple; ``positions`` maps
+    index -> variable -> scope positions.
     """
 
     constraints: tuple[Constraint, ...]
-    e_v: dict[str, tuple[int, ...]]
-    d_set: tuple[int, ...]
     cost_model: CostModel
-    positions: dict[int, dict[str, tuple[int, ...]]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    e_v: dict[str, tuple[int, ...]] = field(init=False)
+    d_set: tuple[int, ...] = field(init=False)
+    positions: dict[int, dict[str, tuple[int, ...]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        occurrences: dict[str, list[int]] = {}
+        empty_rejecting: list[int] = []
         pos: dict[int, dict[str, tuple[int, ...]]] = {}
         for i, c in enumerate(self.constraints, start=1):
             per: dict[str, list[int]] = {}
             for p, v in enumerate(c.scope, start=1):
                 per.setdefault(v, []).append(p)
             pos[i] = {v: tuple(ps) for v, ps in per.items()}
+            for v in per:
+                occurrences.setdefault(v, []).append(i)
+            if not c.relation._contains(frozenset()):
+                empty_rejecting.append(i)
+        object.__setattr__(self, "e_v", {v: tuple(ix) for v, ix in sorted(occurrences.items())})
+        object.__setattr__(self, "d_set", tuple(empty_rejecting))
         object.__setattr__(self, "positions", pos)
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
@@ -236,14 +241,8 @@ def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> Gu
     t0 = param_t(inst)
     e0 = param_e(inst)
     universe = tuple(sorted(inst.variables))
-    occurrences: dict[str, list[int]] = {}
-    empty_rejecting: list[int] = []
-    for i, c in enumerate(inst.body, start=1):
-        for v in sorted(set(c.scope)):
-            occurrences.setdefault(v, []).append(i)
-        if not c.relation._contains(frozenset()):
-            empty_rejecting.append(i)
-    if len(empty_rejecting) > k0 * t0:
+    checker = AppearanceChecker(inst.body, cm)
+    if len(checker.d_set) > k0 * t0:
         return GuessCheckMachine(universe, k0, True, 0, ALWAYS_REJECT)
     weight_cap = k0 * e0
     check_cap = 0
@@ -251,12 +250,6 @@ def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> Gu
         for w in range(weight_cap + 1):
             check_cap = max(check_cap, cm.cost(c.relation.index, w))
     budget = k0 + k0 * t0 + (k0 * t0) * (weight_cap + check_cap) + k0 * t0
-    checker = AppearanceChecker(
-        constraints=inst.body,
-        e_v={v: tuple(ix) for v, ix in sorted(occurrences.items())},
-        d_set=tuple(empty_rejecting),
-        cost_model=cm,
-    )
     return GuessCheckMachine(universe, k0, True, budget, checker)
 
 
@@ -607,9 +600,8 @@ def solve_wd_pipeline(inst: Instance, d: int) -> frozenset[str] | None:
         )
         machine = combine_machines(reduce_appearance(w_part), reduce_cw(cw_part))
         result = simulate(machine)
-        if not result.accepted:
+        if result.witness is None:
             return None
-        assert result.witness is not None
         witness = frozenset(v for v in result.witness if v in inst.variable_set)
     if not satisfies(inst, witness):
         raise ParamCSPError("pipeline produced an invalid witness")

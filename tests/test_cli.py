@@ -1,32 +1,46 @@
 """End-to-end tests for the console entry point.
 
 Everything runs in-process through :func:`paramcsp.cli.run` so exit codes and
-output can be asserted without spawning subprocesses.
+output can be asserted without spawning subprocesses; only the closed-pipe
+exit of :func:`paramcsp.cli.main` needs a child process with a real pipe.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import paramcsp
 from paramcsp import (
+    PROFILES,
     BudgetExceededError,
+    CapacityError,
     Constraint,
     CWRelation,
     ExplicitRelation,
     Instance,
+    InstanceConfig,
+    NotApplicableError,
     WeightKind,
     WeightParameter,
     WeightSet,
     WRelation,
+    brute_force_solve,
     explicitize_w_body,
     parse_instance,
     parse_machine,
     completion_reduction,
+    random_instance,
     reduce_appearance,
     reduce_cw,
+    satisfies,
     serialize_instance,
     serialize_machine,
 )
@@ -35,6 +49,8 @@ from paramcsp.cli import (
     EXIT_SAT,
     EXIT_UNSAT,
     EXIT_USAGE,
+    VERIFY_METHODS,
+    _decide,
     run,
 )
 
@@ -238,6 +254,22 @@ class TestReduceAndSimulate:
         assert out == ""
         assert err == f"error: {needle}\n"
 
+    def test_simulate_refuses_a_cw_sum_bound_its_tables_can_escape(self, tmp_path, capsys):
+        unit_tails = Instance(
+            variables=("x", "y"),
+            weight=WeightParameter(WeightKind.EXACT, 1),
+            body=tuple(Constraint(CWRelation(WS1, 0, 1), (v,)) for v in ("x", "y")),
+        )
+        machine = json.loads(serialize_machine(reduce_cw(unit_tails)))
+        assert machine["machine"]["sum_bound"] == 2
+        machine["machine"]["sum_bound"] = 0
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(machine), encoding="utf-8")
+        assert run(["simulate", str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: machine.sum_bound: 0 is below 2, the least bound its tables allow\n"
+
     def test_cw_machine_round_trip_through_files(self, doc, tmp_path, capsys):
         machine_path = tmp_path / "cw.json"
         assert run(["reduce", doc(ONE_OF_TWO), "--to", "cw", "--out", str(machine_path)]) == EXIT_SAT
@@ -339,6 +371,18 @@ class TestGen:
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert doc["constraints"][-1]["scope"] == doc["variables"]
 
+    @pytest.mark.parametrize("profile", ["w-finite", "mixed"])
+    def test_blank_finite_values_mean_none_given(self, tmp_path, profile):
+        def gen(*extra):
+            path = tmp_path / "g.json"
+            args = GEN_ARGS + ["--seed", "3", "--profile", profile, "--out", str(path), *extra]
+            assert run(args) == EXIT_SAT
+            return parse_instance(path.read_text(encoding="utf-8"))
+
+        assert gen("--finite-values", "") == gen()
+        cfg = InstanceConfig(n=5, k0=2, profile=profile, body_len=2, finite_values=())
+        assert gen("--finite-values", ",") == random_instance(3, cfg)
+
     def test_bad_finite_values(self, capsys):
         args = ["gen", "--n", "4", "--k0", "1", "--finite-values", "a,b"]
         assert run(args) == EXIT_USAGE
@@ -372,6 +416,31 @@ class TestVerify:
         assert run(["verify"]) == EXIT_USAGE
 
 
+class TestDecide:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(PROFILES),
+        n=st.integers(1, 5),
+        k0=st.integers(0, 1),
+        body=st.integers(0, 3),
+        atmost=st.booleans(),
+    )
+    def test_every_method_agrees_with_brute_force(self, seed, profile, n, k0, body, atmost):
+        cfg = InstanceConfig(n=n, k0=k0, profile=profile, body_len=body, atmost=atmost)
+        inst = random_instance(seed, cfg)
+        want = brute_force_solve(inst)
+        for method in ("brute",) + VERIFY_METHODS:
+            try:
+                got, _ = _decide(method, inst)
+            except (NotApplicableError, CapacityError):
+                continue
+            assert (got is None) == (want is None), method
+            assert got is None or satisfies(inst, got), method
+            if method == "cw-machine" and not atmost:
+                assert got == want, method
+
+
 class TestArgumentHandling:
     def test_help_exits_cleanly(self, capsys):
         assert run(["--help"]) == EXIT_SAT
@@ -383,6 +452,28 @@ class TestArgumentHandling:
 
     def test_unknown_flag(self, doc, capsys):
         assert run(["solve", doc(POSITIVE_X), "--fast"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("arity", [1, 12])
+    def test_closed_stdout_exits_141(self, arity):
+        # The read end is closed before the child starts, so its first write
+        # fails: inside run() for the long arity-12 table, at the final flush
+        # for the one-line arity-1 table.
+        relation = f'{{"type":"W","arity":{arity},"weights":{{"kind":"finite","values":[1]}}}}'
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "paramcsp.cli", "partials", "--relation", relation],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+                env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__))},
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert done.stderr == ""
 
     def test_internal_faults_exit_4(self, tmp_path, capsys, monkeypatch):
         # No document reaches a budget overrun any more, so fake the fault.

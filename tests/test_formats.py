@@ -374,6 +374,38 @@ class TestMachineDocuments:
             parse_machine(text)
         assert needle in str(err.value)
 
+    @pytest.mark.parametrize(
+        "mutate,needle",
+        [
+            pytest.param(
+                lambda d: d["machine"].update(sum_bound=1),
+                "machine.sum_bound: 1 is below 2, the least bound its tables allow",
+                id="sum-bound",
+            ),
+            pytest.param(
+                lambda d: d["machine"]["tables"][1].update(count=3),
+                "machine.tables[1].count: 3 exceeds 2, the count of its head's empty tail",
+                id="tail-count",
+            ),
+            pytest.param(
+                lambda d: d["machine"]["tables"].pop(0),
+                "machine.tables[0].count: 1 exceeds 0, the count of its head's empty tail",
+                id="missing-empty-tail",
+            ),
+        ],
+    )
+    def test_cw_tables_keep_partial_sums_in_their_bound(self, mutate, needle):
+        # Two unit tails: the empty head counts 2 constraints, each tail 1.
+        unit_tails = Instance(
+            ("x", "y"),
+            WeightParameter(WeightKind.EXACT, 1),
+            tuple(Constraint(CWRelation(WS1, 0, 1), (v,)) for v in ("x", "y")),
+        )
+        text = edit(serialize_machine(reduce_cw(unit_tails)), mutate)
+        with pytest.raises(ValidationError) as err:
+            parse_machine(text)
+        assert str(err.value) == needle
+
     def test_affine_cost_model_round_trips(self):
         m = reduce_appearance(POSITIVE_X, CostModel(2, AffineCost(3, 1)))
         back = parse_machine(serialize_machine(m))

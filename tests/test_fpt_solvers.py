@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from math import comb
 
 import pytest
 
+import paramcsp
 from paramcsp import (
     Constraint,
     CWRelation,
@@ -80,6 +84,25 @@ class TestManyProfileClasses:
         assert witness == frozenset({"v0000"})
         assert stats.class_count == 1500
         assert stats.multisets_enumerated == 1
+
+
+class TestFeasibilityInvariant:
+    def test_parity_cap_holds_under_optimization(self):
+        # A count above the cap h under a parity set breaks the module's premise.
+        code = (
+            "from paramcsp import WeightSet\n"
+            "from paramcsp.fpt_solvers import ProfileClass, _feasible\n"
+            "print(_feasible(WeightSet.even(), 0, (ProfileClass((1,), 1, ('a',)),), (1,), 1))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__))},
+        )
+        assert done.returncode != 0, done.stdout
+        assert "ParamCSPError: parity sets cannot hit the cap" in done.stderr
 
 
 class TestComputeH:

@@ -30,6 +30,7 @@ from oracles import (
 )
 from paramcsp import (
     ALWAYS_REJECT,
+    AppearanceChecker,
     BudgetExceededError,
     CombinedChecker,
     Constraint,
@@ -200,6 +201,19 @@ class TestReduceAppearance:
         assert m.budget == 0
         assert simulate(m) == SimulationResult(False, None, 0, 0)
         assert brute_force_solve(exact("xyz", 1, *body)) is None
+
+    def test_checker_derives_its_tables_from_its_constraints(self):
+        body = (
+            Constraint(WRelation(WS1, 3), ("y", "x", "y")),
+            Constraint(WRelation(WeightSet.even(), 1), ("x",)),
+        )
+        ck = AppearanceChecker(body, CostModel())
+        assert ck.e_v == {"x": (1, 2), "y": (1,)}
+        assert ck.d_set == (1,)
+        assert ck.positions == {1: {"y": (1, 3), "x": (2,)}, 2: {"x": (1,)}}
+        assert ck == reduce_appearance(exact("xy", 1, *body)).checker
+        with pytest.raises(TypeError):
+            AppearanceChecker(body, CostModel(), e_v={}, d_set=())
 
     def test_cost_model_is_threaded_through(self):
         cm = CostModel(exponent=2)
