@@ -58,4 +58,6 @@ def guesses(names: Sequence[T], k0: int, exact: bool) -> Iterator[tuple[T, ...]]
     when ``k0 > len(names)``); at-most guesses are all subsets of size up to
     ``k0`` in lexicographic subset order, as :func:`lex_subsets` yields them.
     """
+    if exact and k0 > len(names):
+        return iter(())  # combinations() cannot take a k0 beyond the platform's index range
     return combinations(names, k0) if exact else lex_subsets(names, k0)

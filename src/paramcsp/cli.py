@@ -168,14 +168,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     inst = parse_instance(_read_text(args.instance))
     lifted = _ensure_exact(inst)
-    if args.to == "appearance":
-        text = serialize_machine(reduce_appearance(lifted))
-    elif args.to == "cw":
-        text = serialize_machine(reduce_cw(lifted))
-    else:
+    if args.to == "w-cw":
         bound = args.bound if args.bound is not None else _infer_bound(lifted)
         explicit = explicitize_w_body(lifted, bound)
         text = serialize_instance(completion_reduction(explicit, bound).instance)
+    else:
+        build = _MACHINE_BUILDERS["cw-machine" if args.to == "cw" else args.to]
+        text = serialize_machine(build(lifted))
     _write_text(args.out, text)
     return EXIT_SAT
 
@@ -237,6 +236,17 @@ def _int_list(text: str) -> tuple[int, ...] | None:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+def _nonnegative(text: str) -> int:
+    """A count flag; negative or non-integer values are usage errors."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -359,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     partials_cmd.add_argument("--instance", default=None, help="instance document path, - for stdin")
     partials_cmd.add_argument("--constraint", type=int, default=1, help="1-based body index (with --instance)")
     partials_cmd.add_argument("--relation", default=None, help="inline relation JSON")
-    partials_cmd.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY, help="exhaustive arity cap")
+    partials_cmd.add_argument("--capacity", type=_nonnegative, default=DEFAULT_CAPACITY, help="exhaustive arity cap")
     partials_cmd.set_defaults(func=_cmd_partials)
 
     stats = sub.add_parser("stats", help="print instance parameters")
@@ -387,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="cross-check a method against brute force on random instances")
     verify.add_argument("--method", choices=VERIFY_METHODS, required=True)
-    verify.add_argument("--count", type=int, default=100)
+    verify.add_argument("--count", type=_nonnegative, default=100)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--report", default=None, help="write a per-case CSV report")
     verify.set_defaults(func=_cmd_verify)

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from math import comb
 from typing import Any, TypeVar
 
-from .errors import UsageError, ValidationError
+from .errors import CapacityError, UsageError, ValidationError
 from .instances import Constraint, Instance, WeightKind, WeightParameter, weight_relation
 from .machines import (
     ALWAYS_REJECT,
@@ -25,7 +24,9 @@ from .machines import (
     CombinedChecker,
     CWChecker,
     GuessCheckMachine,
+    TableKey,
     _cw_budget,
+    _cw_terms,
     combine_machines,
     reduce_appearance,
 )
@@ -46,14 +47,19 @@ FORMAT_VERSION = "1"
 T = TypeVar("T")
 
 
-def _dump(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _dump(value: Any, indent: int | None = 2) -> str:
+    """Canonical JSON text; an integer too long for Python to print is a capacity fault."""
+    try:
+        return json.dumps(value, indent=indent, sort_keys=True)
+    except ValueError as exc:
+        raise CapacityError(f"cannot write the document: {exc}") from None
 
 
 def _load(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer with more digits than Python converts.
         raise ValidationError(f"document is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ValidationError("document nests too deeply to parse") from None
@@ -169,27 +175,23 @@ def _relation_from_doc(value: Any, path: str) -> Relation:
     index = None
     if "index" in obj:
         index = _as_int(obj["index"], f"{path}.index", low=1)
-    try:
-        if rtype == "W":
-            weights = _weights_from_doc(_get(obj, "weights", path), f"{path}.weights")
-            arity = _as_int(_get(obj, "arity", path), f"{path}.arity", low=1)
-            return WRelation(weights, arity, index)
-        if rtype == "CW":
-            weights = _weights_from_doc(_get(obj, "weights", path), f"{path}.weights")
-            head = _as_int(_get(obj, "d", path), f"{path}.d", low=0)
-            tail = _as_int(_get(obj, "m", path), f"{path}.m", low=0)
-            return CWRelation(weights, head, tail, index)
-        if rtype == "explicit":
-            arity = _as_int(_get(obj, "arity", path), f"{path}.arity", low=1)
-            members = _as_list_of(
-                _get(obj, "members", path),
-                f"{path}.members",
-                lambda member, mpath: _as_list_of(member, mpath, _as_int, low=1),
-            )
-            return ExplicitRelation(arity, members, index)
-    except ValidationError as exc:
-        msg = str(exc)
-        raise ValidationError(msg if msg.startswith(path) else f"{path}: {msg}") from None
+    if rtype == "W":
+        weights = _weights_from_doc(_get(obj, "weights", path), f"{path}.weights")
+        arity = _as_int(_get(obj, "arity", path), f"{path}.arity", low=1)
+        return _at(path, WRelation, weights, arity, index)
+    if rtype == "CW":
+        weights = _weights_from_doc(_get(obj, "weights", path), f"{path}.weights")
+        head = _as_int(_get(obj, "d", path), f"{path}.d", low=0)
+        tail = _as_int(_get(obj, "m", path), f"{path}.m", low=0)
+        return _at(path, CWRelation, weights, head, tail, index)
+    if rtype == "explicit":
+        arity = _as_int(_get(obj, "arity", path), f"{path}.arity", low=1)
+        members = _as_list_of(
+            _get(obj, "members", path),
+            f"{path}.members",
+            lambda member, mpath: _as_list_of(member, mpath, _as_int, low=1),
+        )
+        return _at(path, ExplicitRelation, arity, members, index)
     raise ValidationError(f"{path}.type: unknown relation type {rtype!r}")
 
 
@@ -231,7 +233,7 @@ def serialize_instance(inst: Instance, *, materialize_weight: bool = False) -> s
         "parameter": {"kind": inst.weight.kind.value, "k": inst.weight.k0},
         "constraints": _constraints_to_doc(body),
     }
-    return _dump(doc)
+    return _dump(doc) + "\n"
 
 
 def parse_instance(text: str) -> Instance:
@@ -323,7 +325,7 @@ def _machine_to_doc(machine: GuessCheckMachine) -> dict[str, Any]:
 
 def serialize_machine(machine: GuessCheckMachine) -> str:
     """Render a machine document with canonically ordered tables."""
-    return _dump({"format_version": FORMAT_VERSION, "machine": _machine_to_doc(machine)})
+    return _dump({"format_version": FORMAT_VERSION, "machine": _machine_to_doc(machine)}) + "\n"
 
 
 def _require_derived(got: Any, want: Any, path: str, source: str) -> None:
@@ -331,8 +333,7 @@ def _require_derived(got: Any, want: Any, path: str, source: str) -> None:
     if got != want:
         name = path.rsplit(".", 1)[-1]
         raise ValidationError(
-            f"{path}: {json.dumps(got, sort_keys=True)} is not the {name} "
-            f"{json.dumps(want, sort_keys=True)} {source}"
+            f"{path}: {_dump(got, indent=None)} is not the {name} {_dump(want, indent=None)} {source}"
         )
 
 
@@ -370,43 +371,36 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
     elif kind == "cw":
         b = _as_int(_get(obj, "b", path), f"{path}.b", low=0)
         sum_bound = _as_int(_get(obj, "sum_bound", path), f"{path}.sum_bound", low=0)
-        delta_sizes: dict[tuple[frozenset[str], frozenset[str]], int] = {}
-        lambda_caps: dict[tuple[frozenset[str], frozenset[str]], int] = {}
-        delta_empty: dict[frozenset[str], int] = {}
-        tail_rows: list[tuple[str, frozenset[str], int]] = []
+        rows: dict[TableKey, tuple[int, int]] = {}
         for i, entry in enumerate(_as_list(_get(obj, "tables", path), f"{path}.tables")):
             rpath = f"{path}.tables[{i}]"
             row = _as_object(entry, rpath)
             head = frozenset(_as_list_of(_get(row, "head", rpath), f"{rpath}.head", _as_str))
             tail = frozenset(_as_list_of(_get(row, "tail", rpath), f"{rpath}.tail", _as_str))
             count = _as_int(_get(row, "count", rpath), f"{rpath}.count", low=0)
+            if (head, tail) in rows:
+                raise ValidationError(f"{rpath}: duplicate table key")
+            cap = 0
             if tail:
-                key = (head, tail)
-                if key in delta_sizes:
-                    raise ValidationError(f"{rpath}: duplicate table key")
-                delta_sizes[key] = count
-                lambda_caps[key] = _as_int(
-                    _get(row, "max_positions", rpath), f"{rpath}.max_positions", low=0
-                )
-                tail_rows.append((rpath, head, count))
-            else:
-                if head in delta_empty:
-                    raise ValidationError(f"{rpath}: duplicate table key")
-                delta_empty[head] = count
+                cap = _as_int(_get(row, "max_positions", rpath), f"{rpath}.max_positions", low=0)
+            rows[head, tail] = (count, cap)
+        delta_empty = {head: count for (head, tail), (count, _) in rows.items() if not tail}
         # A tail row counts some of its head's constraints, so every partial sum
         # of CWChecker.check stays within max(delta_empty) times its term count.
-        for rpath, head, count in tail_rows:
+        # Rows are unique, so the i-th entry of ``rows`` is tables[i].
+        for i, ((head, tail), (count, _)) in enumerate(rows.items()):
             head_count = delta_empty.get(head, 0)
-            if count > head_count:
+            if tail and count > head_count:
                 raise ValidationError(
-                    f"{rpath}.count: {count} exceeds {head_count}, the count of its head's empty tail"
+                    f"{path}.tables[{i}].count: {count} exceeds {head_count}, the count of its head's empty tail"
                 )
-        terms = sum(comb(k0, j) for j in range(1, min(b, k0) + 1))
-        least = max(delta_empty.values(), default=0) * terms
+        least = max(delta_empty.values(), default=0) * _cw_terms(k0, b)
         if sum_bound < least:
             raise ValidationError(
                 f"{path}.sum_bound: {sum_bound} is below {least}, the least bound its tables allow"
             )
+        delta_sizes = {key: count for key, (count, _) in rows.items() if key[1]}
+        lambda_caps = {key: cap for key, (_, cap) in rows.items() if key[1]}
         checker = CWChecker(b, delta_sizes, lambda_caps, delta_empty, sum_bound)
         derived_budget = _cw_budget(k0, b)
     elif kind == "combined":

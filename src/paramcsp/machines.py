@@ -25,6 +25,7 @@ from typing import Union
 from ._sets import guesses
 from .errors import (
     BudgetExceededError,
+    CapacityError,
     DomainError,
     NotApplicableError,
     ParamCSPError,
@@ -43,7 +44,7 @@ from .instances import (
     param_t,
     satisfies,
 )
-from .partials import compute_partials
+from .partials import DEFAULT_CAPACITY, compute_partials
 from .relations import (
     CostModel,
     CWRelation,
@@ -291,6 +292,12 @@ def delta_set(inst: Instance, head_set: frozenset[str] | set[str], tail_set: fro
     return tuple(hits)
 
 
+def _cw_terms(k0: int, b: int) -> int:
+    """Nonempty tail sets of at most ``b`` out of ``k0`` guessed variables: the
+    terms of one head's inclusion-exclusion sum in :meth:`CWChecker.check`."""
+    return sum(comb(k0, j) for j in range(1, min(b, k0) + 1))
+
+
 def build_cw_tables(inst: Instance, k0: int) -> CWChecker:
     """Count head/tail image patterns of a conditional-weight body.
 
@@ -327,7 +334,7 @@ def build_cw_tables(inst: Instance, k0: int) -> CWChecker:
         raise ParamCSPError(f"{entries} stored table entries exceed the cap {cap}")
     if not all(len(bset) <= k0 and len(g) <= g_cap for bset, g in delta_sizes):
         raise ParamCSPError("oversized table key")
-    sum_bound = n_size * sum(comb(k0, j) for j in range(1, min(b, k0) + 1))
+    sum_bound = n_size * _cw_terms(k0, b)
     return CWChecker(
         b=b,
         delta_sizes=delta_sizes,
@@ -501,18 +508,20 @@ def completion_reduction(inst: Instance, d: int) -> CompletionReduction:
     conditional constraints in both directions, and each partial's constraint
     requires a true completion indicator whenever the partial's own indicator
     is true. The output weight is at most ``k0 + 2**k0``.
+    A bound ``d`` above ``DEFAULT_CAPACITY``, more than any member can reach,
+    raises :class:`CapacityError`, since the tail weights run to ``2**d``.
     """
     if inst.weight.kind is not WeightKind.EXACT:
         raise NotApplicableError("the completion reduction starts from an exact weight bound")
     require_int(d, "the member-size bound", UsageError, low=1)
+    if d > DEFAULT_CAPACITY:
+        raise CapacityError(f"the member-size bound {d} is above the exhaustive bound {DEFAULT_CAPACITY}")
     if not inst.variables:
         raise UsageError("the completion reduction needs at least one variable")
     _check_explicit_body(inst, d)
     k0 = inst.weight.k0
     tables = {}
-    keyset: set[frozenset[str]] = set()
-    partial_records: list[tuple[frozenset[str], tuple[frozenset[str], ...]]] = []
-    seen_records: set[tuple[frozenset[str], tuple[frozenset[str], ...]]] = set()
+    records: set[tuple[frozenset[str], tuple[frozenset[str], ...]]] = set()
     for c in inst.body:
         if c.relation not in tables:
             tables[c.relation] = compute_partials(c.relation)
@@ -520,15 +529,8 @@ def completion_reduction(inst: Instance, d: int) -> CompletionReduction:
         for t in table.partials:
             key = frozenset(c.scope[p - 1] for p in t)
             images = {frozenset(c.scope[p - 1] for p in u) for u in table.completions[t]}
-            comp_keys = tuple(sorted(images, key=sorted))
-            record = (key, comp_keys)
-            if record in seen_records:
-                continue
-            seen_records.add(record)
-            partial_records.append(record)
-            keyset.add(key)
-            keyset.update(comp_keys)
-    ordered_keys = sorted(keyset, key=sorted)
+            records.add((key, tuple(sorted(images, key=sorted))))
+    ordered_keys = sorted({k for key, comp_keys in records for k in (key, *comp_keys)}, key=sorted)
     prefix = _fresh_prefix(_INDICATOR_STEM, inst.variables)
     width = max(3, len(str(len(ordered_keys))))
     name_of = {key: f"{prefix}{i:0{width}d}" for i, key in enumerate(ordered_keys, start=1)}
@@ -540,8 +542,9 @@ def completion_reduction(inst: Instance, d: int) -> CompletionReduction:
             inst.variables,
         )
     ]
-    partial_records.sort(key=lambda rec: (name_of[rec[0]], tuple(name_of[u] for u in rec[1])))
-    for key, comp_keys in partial_records:
+    for key, comp_keys in sorted(
+        records, key=lambda rec: (name_of[rec[0]], tuple(name_of[u] for u in rec[1]))
+    ):
         scope = (name_of[key],) + tuple(name_of[u] for u in comp_keys)
         body.append(Constraint(CWRelation(tail_ws, head=1, tail=len(comp_keys)), scope))
     for key in ordered_keys:

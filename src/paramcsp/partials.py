@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from itertools import combinations
 
 from ._sets import canonical_sets
 from .errors import CapacityError, UsageError
@@ -44,9 +43,12 @@ def _set_to_mask(positions: Iterable[int]) -> int:
     return mask
 
 
-def _member_masks(rel: Relation) -> list[bool]:
-    q = rel.arity
-    return [rel._contains(_mask_to_set(m)) for m in range(1 << q)]
+def _member_masks(rel: Relation, capacity: int) -> list[bool]:
+    """Membership of every tuple set of ``rel``, indexed by mask; the arity must
+    stay within ``capacity``."""
+    if rel.arity > capacity:
+        raise CapacityError(f"arity {rel.arity} above the exhaustive bound {capacity}")
+    return [rel._contains(_mask_to_set(m)) for m in range(1 << rel.arity)]
 
 
 def _minimal_supersets(mask: int, members: Iterable[int]) -> list[int]:
@@ -76,11 +78,7 @@ def completions(rel: Relation, positions: Iterable[int], *, capacity: int = DEFA
     if isinstance(rel, ExplicitRelation):
         members: Iterable[int] = (_set_to_mask(m) for m in rel.members)
     else:
-        if rel.arity > capacity:
-            raise CapacityError(
-                f"arity {rel.arity} above the exhaustive bound {capacity}"
-            )
-        members = (m for m in range(1 << rel.arity) if rel._contains(_mask_to_set(m)))
+        members = (m for m, is_member in enumerate(_member_masks(rel, capacity)) if is_member)
     return canonical_sets(_mask_to_set(m) for m in _minimal_supersets(mask, list(members)))
 
 
@@ -91,33 +89,22 @@ def compute_partials(rel: Relation, *, capacity: int = DEFAULT_CAPACITY) -> Part
     the scan is ``2**arity`` memberships plus submask walks, and the table
     itself can be that large.
     """
-    q = rel.arity
-    if q > capacity:
-        raise CapacityError(f"arity {q} above the exhaustive bound {capacity}")
-    member = _member_masks(rel)
-    member_list = [m for m in range(1 << q) if member[m]]
+    member = _member_masks(rel, capacity)
+    member_list = [m for m, is_member in enumerate(member) if is_member]
     partial_comps: dict[int, list[int]] = {}
-    for size in range(q + 1):
-        for combo in combinations(range(q), size):
-            mask = 0
-            for p in combo:
-                mask |= 1 << p
-            if member[mask]:
-                continue
-            # Walk proper submasks; every one that is itself partial must
-            # have a completion inside this mask.
-            ok = True
-            sub = (mask - 1) & mask
-            while True:
-                comps = partial_comps.get(sub)
-                if comps is not None and not any(u & ~mask == 0 for u in comps):
-                    ok = False
-                    break
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            if ok:
-                partial_comps[mask] = _minimal_supersets(mask, member_list)
+    for mask, is_member in enumerate(member):
+        if is_member:
+            continue
+        # Walk proper submasks, each numerically smaller and so decided already;
+        # every one that is itself partial must have a completion inside this mask.
+        ok = True
+        sub = mask
+        while ok and sub:
+            sub = (sub - 1) & mask
+            comps = partial_comps.get(sub)
+            ok = comps is None or any(u & ~mask == 0 for u in comps)
+        if ok:
+            partial_comps[mask] = _minimal_supersets(mask, member_list)
     partials = canonical_sets(_mask_to_set(m) for m in partial_comps)
     table = {
         tuple(sorted(_mask_to_set(m))): canonical_sets(_mask_to_set(u) for u in comps)

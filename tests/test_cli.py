@@ -171,6 +171,28 @@ class TestSolve:
         _, err = capsys.readouterr()
         assert "cannot read" in err
 
+    def test_exact_k_beyond_the_index_range(self, tmp_path, capsys):
+        # combinations() cannot take k = 2**63; the guess enumeration must not reach it.
+        text = serialize_instance(Instance(("a", "b"), WeightParameter(WeightKind.EXACT, 2**63)))
+        path = tmp_path / "big.json"
+        path.write_text(text, encoding="utf-8")
+        assert run(["solve", str(path), "--method", "brute"]) == EXIT_UNSAT
+        machine_path = tmp_path / "m.json"
+        assert run(["reduce", str(path), "--to", "appearance", "--out", str(machine_path)]) == EXIT_SAT
+        assert run(["simulate", str(machine_path)]) == EXIT_UNSAT
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["UNSAT", "REJECT"]
+        assert err == ""
+
+    def test_pipeline_bound_above_the_partial_capacity(self, doc, capsys):
+        path = doc(CHOOSE_U)
+        solve = ["solve", path, "--method", "completion-pipeline", "--bound", "13"]
+        assert run(solve) == EXIT_NOT_APPLICABLE
+        assert run(["reduce", path, "--to", "w-cw", "--bound", "13"]) == EXIT_NOT_APPLICABLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the member-size bound 13 is above the exhaustive bound 12\n" * 2
+
     def test_reads_stdin(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(serialize_instance(POSITIVE_X)))
         assert run(["solve", "-"]) == EXIT_SAT
@@ -270,6 +292,18 @@ class TestReduceAndSimulate:
         assert out == ""
         assert err == "error: machine.sum_bound: 0 is below 2, the least bound its tables allow\n"
 
+    def test_integers_too_long_to_print_are_a_capacity_fault(self, tmp_path, capsys):
+        # The reduced weight bound k0 + 2**k0 has more than 4300 digits.
+        path = tmp_path / "wide.json"
+        path.write_text(
+            serialize_instance(Instance(("a",), WeightParameter(WeightKind.EXACT, 15_000))),
+            encoding="utf-8",
+        )
+        assert run(["reduce", str(path), "--to", "w-cw"]) == EXIT_NOT_APPLICABLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write the document: Exceeds the limit (4300 digits)")
+
     def test_cw_machine_round_trip_through_files(self, doc, tmp_path, capsys):
         machine_path = tmp_path / "cw.json"
         assert run(["reduce", doc(ONE_OF_TWO), "--to", "cw", "--out", str(machine_path)]) == EXIT_SAT
@@ -314,6 +348,13 @@ class TestPartials:
         _, err = capsys.readouterr()
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["-1", "two"])
+    def test_capacity_must_be_a_nonnegative_integer(self, value, capsys):
+        assert run(["partials", "--relation", ODD3, "--capacity", value]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --capacity: expected a nonnegative integer, got '{value}'" in err
+
     def test_capacity_override(self, capsys):
         wide = '{"type": "W", "weights": {"kind": "finite", "values": [13]}, "arity": 13}'
         assert run(["partials", "--relation", wide, "--capacity", "13"]) == EXIT_SAT
@@ -340,6 +381,15 @@ class TestStats:
         )
         assert run(["stats", doc(inst)]) == EXIT_SAT
         assert lines(capsys)[0] == "parameter: k <= 2 (at-most)"
+
+    def test_integer_too_long_to_read(self, tmp_path, capsys):
+        path = tmp_path / "digits.json"
+        text = serialize_instance(Instance(("x",), WeightParameter(WeightKind.EXACT, 1)))
+        path.write_text(text.replace('"k": 1', '"k": ' + "9" * 5001), encoding="utf-8")
+        assert run(["stats", str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: document is not valid JSON: Exceeds the limit (4300 digits)")
 
 
 GEN_ARGS = ["gen", "--n", "5", "--k0", "2", "--profile", "cw", "--body", "2"]
@@ -414,6 +464,12 @@ class TestVerify:
 
     def test_requires_a_method(self, capsys):
         assert run(["verify"]) == EXIT_USAGE
+
+    def test_negative_count_is_a_usage_error(self, capsys):
+        assert run(["verify", "--method", "fpt-kue", "--count", "-3"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --count: expected a nonnegative integer, got '-3'" in err
 
 
 class TestDecide:

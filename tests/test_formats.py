@@ -5,15 +5,23 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_helpers import atmost_config, instances, machine_config
 from paramcsp import (
+    ALWAYS_REJECT,
+    PROFILES,
     AffineCost,
+    CapacityError,
     Constraint,
     CostModel,
     CWRelation,
     ExplicitRelation,
+    GuessCheckMachine,
     Instance,
+    InstanceConfig,
+    NotApplicableError,
     ValidationError,
     WeightKind,
     WeightParameter,
@@ -25,11 +33,14 @@ from paramcsp import (
     reduce_appearance,
     reduce_cw,
     combine_machines,
+    lift_kle_to_k,
+    random_instance,
     serialize_instance,
     serialize_machine,
     simulate,
     weight_relation,
 )
+from paramcsp.formats import _require_derived
 
 WS1 = WeightSet.finite((1,))
 
@@ -126,6 +137,11 @@ class TestInstanceDocuments:
         "text,needle",
         [
             ("{", "not valid JSON"),
+            pytest.param(
+                '{"k": ' + "9" * 5001 + "}",
+                "not valid JSON: Exceeds the limit (4300 digits)",
+                id="too-many-digits",
+            ),
             ("[]", "document: expected an object"),
             ("{}", "document: missing required field 'format_version'"),
         ],
@@ -416,3 +432,47 @@ class TestMachineDocuments:
         m = reduce_appearance(POSITIVE_X, CostModel(1, lambda w: w + 2))
         with pytest.raises(ValidationError, match="only the default and affine"):
             serialize_machine(m)
+
+    def test_integers_too_long_to_print_are_a_capacity_fault(self):
+        huge = GuessCheckMachine(("a",), 1, True, 10**5000, ALWAYS_REJECT)
+        with pytest.raises(CapacityError, match="cannot write the document"):
+            serialize_machine(huge)
+        with pytest.raises(CapacityError, match="cannot write the document"):
+            _require_derived(0, 10**5000, "machine.budget", "its checker implies")
+
+
+def assert_round_trip(obj, serialize, parse):
+    text = serialize(obj)
+    back = parse(text)
+    assert back == obj
+    assert serialize(back) == text
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(PROFILES),
+        n=st.integers(1, 6),
+        k0=st.integers(0, 3),
+        body=st.integers(0, 4),
+        atmost=st.booleans(),
+        cw_bound=st.integers(0, 2),
+    )
+    def test_documents_round_trip(self, seed, profile, n, k0, body, atmost, cw_bound):
+        cfg = InstanceConfig(
+            n=n, k0=k0, profile=profile, body_len=body, atmost=atmost, cw_bound=cw_bound
+        )
+        inst = random_instance(seed, cfg)
+        assert_round_trip(inst, serialize_instance, parse_instance)
+        lifted = lift_kle_to_k(inst) if atmost else inst
+        appearance = reduce_appearance(lifted)
+        machines = [appearance, combine_machines(appearance, appearance)]
+        try:
+            cw = reduce_cw(lifted)
+        except NotApplicableError:
+            pass
+        else:
+            machines += [cw, combine_machines(appearance, cw)]
+        for machine in machines:
+            assert_round_trip(machine, serialize_machine, parse_machine)

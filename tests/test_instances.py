@@ -158,6 +158,9 @@ class TestBruteForce:
     def test_exact_bound_above_the_variable_count(self):
         assert brute_force_solve(Instance(("x",), WeightParameter(EXACT, 2))) is None
 
+    def test_exact_bound_beyond_the_index_range(self):
+        assert brute_force_solve(Instance(("x",), WeightParameter(EXACT, 2**63))) is None
+
     def test_atmost_prefers_the_empty_assignment(self):
         inst = Instance(("x", "y"), WeightParameter(ATMOST, 2))
         assert brute_force_solve(inst) == frozenset()

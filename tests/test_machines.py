@@ -32,6 +32,7 @@ from paramcsp import (
     ALWAYS_REJECT,
     AppearanceChecker,
     BudgetExceededError,
+    CapacityError,
     CombinedChecker,
     Constraint,
     CostModel,
@@ -127,6 +128,10 @@ class TestGuessCheckMachine:
 
     def test_exact_guess_larger_than_universe(self):
         m = GuessCheckMachine(("a",), 2, True, 5, trivial_cw_checker())
+        assert simulate(m) == SimulationResult(False, None, 0, 0)
+
+    def test_exact_guess_beyond_the_index_range(self):
+        m = GuessCheckMachine(("a",), 2**63, True, 5, trivial_cw_checker())
         assert simulate(m) == SimulationResult(False, None, 0, 0)
 
     def test_atmost_machine_tries_empty_guess_first(self):
@@ -651,6 +656,12 @@ class TestCompletionReduction:
     def test_rejects_bad_bounds(self, d):
         with pytest.raises(UsageError, match="positive integer"):
             completion_reduction(CHOOSE_U, d)
+
+    def test_bound_above_the_partial_capacity(self):
+        # Bounds up to the capacity still reduce; above it the 2**d tail weights are refused.
+        assert completion_reduction(CHOOSE_U, 12).bound == 4096
+        with pytest.raises(CapacityError, match="bound 13 is above the exhaustive bound 12"):
+            completion_reduction(CHOOSE_U, 13)
 
     def test_needs_a_variable(self):
         empty = Instance(
