@@ -50,8 +50,7 @@ from .instances import (
 )
 from .machines import (
     SimulationResult,
-    completion_reduction,
-    explicitize_w_body,
+    _completion_of_w_body,
     reduce_appearance,
     reduce_cw,
     simulate,
@@ -170,8 +169,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     lifted = _ensure_exact(inst)
     if args.to == "w-cw":
         bound = args.bound if args.bound is not None else _infer_bound(lifted)
-        explicit = explicitize_w_body(lifted, bound)
-        text = serialize_instance(completion_reduction(explicit, bound).instance)
+        text = serialize_instance(_completion_of_w_body(lifted, bound).instance)
     else:
         build = _MACHINE_BUILDERS["cw-machine" if args.to == "cw" else args.to]
         text = serialize_machine(build(lifted))

@@ -13,11 +13,16 @@ touched constraint accepts its selected positions and every empty-rejecting
 constraint is touched. The conditional-weight checker stores counting tables
 keyed by head-image and tail-image sets and accepts via an inclusion-exclusion
 identity, without ever looking at a concrete constraint during the branch.
+It scans only the heads of the guess that some table key stores: a head in
+no key reads zero everywhere, so it cannot fail, and it is charged the fixed
+cost of its scan in one addition. Steps therefore match the literal
+every-head scan, and an accepting branch costs exactly the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Union
@@ -44,7 +49,7 @@ from .instances import (
     param_t,
     satisfies,
 )
-from .partials import DEFAULT_CAPACITY, compute_partials
+from .partials import DEFAULT_CAPACITY, _require_arity, compute_partials
 from .relations import (
     CostModel,
     CWRelation,
@@ -132,6 +137,26 @@ class AppearanceChecker:
 TableKey = tuple[frozenset[str], frozenset[str]]
 
 
+@lru_cache(maxsize=256)
+def _tail_scans(k: int, b: int) -> tuple[int, int, int, int]:
+    """The two tail scans of one head over a guess of ``k`` names.
+
+    Returns ``(pairs, pair_scan, terms, term_scan)``: the number of tail sets
+    ``G`` of at most ``b + 1`` names and their summed ``|G| + 1``; the number
+    of nonempty ones of at most ``b`` names and their summed ``|G| + 2``, plus
+    the 2 that closes the sum. Subsets come in size order, so these tail sets
+    are the first ``pairs`` subsets and the ``terms`` after the empty one.
+    """
+    pair_sizes = [comb(k, j) for j in range(min(b + 1, k) + 1)]
+    term_sizes = pair_sizes[1 : min(b, k) + 1]
+    return (
+        sum(pair_sizes),
+        sum(count * (j + 1) for j, count in enumerate(pair_sizes)),
+        sum(term_sizes),
+        sum(count * (j + 2) for j, count in enumerate(term_sizes, start=1)) + 2,
+    )
+
+
 @dataclass(frozen=True)
 class CWChecker:
     """Counting tables for the conditional-weight checker.
@@ -142,6 +167,16 @@ class CWChecker:
     constraints maps into ``G`` (repeats counted); ``delta_empty`` is the
     ``G = {}`` column. Unstored keys read as zero. ``sum_bound`` bounds every
     inclusion-exclusion partial sum and is enforced during checking.
+
+    :meth:`check` scans the heads ``B`` of the guess in two loops, one over
+    the tail sets ``G`` of at most ``b + 1`` names (the lambda caps), one
+    over the nonempty tail sets of at most ``b`` names (the alternating sum
+    against ``delta_empty[B]``), charging ``|B| + |G| + 1`` and
+    ``|B| + |G| + 2`` steps per pair and ``|B| + 2`` per finished sum. A
+    head in no key of the three tables (``heads``) reads zero at every key:
+    its caps are 0 <= ``b``, its partial sums are 0 within ``sum_bound``, and
+    its sum 0 equals its ``delta_empty`` of 0. It can fail no test, so it is
+    skipped and charged the fixed cost of its two scans in one addition.
     """
 
     b: int
@@ -149,24 +184,42 @@ class CWChecker:
     lambda_caps: dict[TableKey, int]
     delta_empty: dict[frozenset[str], int]
     sum_bound: int
+    heads: frozenset[frozenset[str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        require_int(self.b, "the tail bound", ValidationError)
+        require_int(self.sum_bound, "the partial-sum bound", ValidationError)
+        heads = set(self.delta_empty)
+        heads.update(bset for bset, _ in self.delta_sizes)
+        heads.update(bset for bset, _ in self.lambda_caps)
+        object.__setattr__(self, "heads", frozenset(heads))
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
+        """Check one guess of distinct names; returns (accepted, steps charged)."""
         subs = [
             frozenset(c)
             for size in range(len(combo) + 1)
             for c in combinations(combo, size)
         ]
         b = self.b
-        pairs_g = [g for g in subs if len(g) <= b + 1]
-        terms_g = [g for g in subs if 1 <= len(g) <= b]
+        heads = self.heads
+        pairs, pair_scan, terms, term_scan = _tail_scans(len(combo), b)
+        pairs_g = subs[:pairs]
+        terms_g = subs[1 : 1 + terms]
         for bset in subs:
             lb = len(bset)
+            if bset not in heads:
+                steps += lb * pairs + pair_scan
+                continue
             for g in pairs_g:
                 steps += lb + len(g) + 1
                 if self.lambda_caps.get((bset, g), 0) > b:
                     return False, steps
         for bset in subs:
             lb = len(bset)
+            if bset not in heads:
+                steps += lb * (terms + 1) + term_scan
+                continue
             total = 0
             for g in terms_g:
                 steps += lb + len(g) + 2
@@ -366,18 +419,27 @@ def inclusion_exclusion_union(
     return total
 
 
+# Each conditional-weight branch scans all 2**k0 heads of its guess, so no
+# guess this large is ever checked; refusing it keeps the 2**k0 in the budget
+# from growing without bound.
+_CW_GUESS_CAP = 2**16
+
+
 def _cw_budget(k0: int, b: int) -> int:
-    """Exact cost of one full conditional-weight check at guess size ``k0``."""
-    pair_part = 0
-    term_part = 0
-    for i in range(k0 + 1):
-        heads = comb(k0, i)
-        for j in range(min(b + 1, k0) + 1):
-            pair_part += heads * comb(k0, j) * (i + j + 1)
-        for j in range(1, min(b, k0) + 1):
-            term_part += heads * comb(k0, j) * (i + j + 2)
-        term_part += heads * (i + 2)
-    return k0 + pair_part + term_part
+    """Exact cost of one full conditional-weight check at guess size ``k0``.
+
+    Writing the guess costs ``k0``; every head ``B`` then costs
+    ``|B| * (pairs + terms + 1) + pair_scan + term_scan`` (see
+    :func:`_tail_scans`). Summed over the heads, ``sum C(k0, i)`` is ``2**k0``
+    and ``sum i * C(k0, i)`` is ``k0 * 2**(k0 - 1)``.
+    """
+    if k0 > _CW_GUESS_CAP:
+        raise CapacityError(
+            f"guess size {k0} above the conditional-weight bound {_CW_GUESS_CAP}"
+        )
+    pairs, pair_scan, terms, term_scan = _tail_scans(k0, b)
+    heads = 2**k0
+    return k0 + k0 * heads // 2 * (pairs + terms + 1) + heads * (pair_scan + term_scan)
 
 
 def reduce_cw(inst: Instance) -> GuessCheckMachine:
@@ -458,18 +520,12 @@ class CompletionReduction:
 _INDICATOR_STEM = "lam"
 
 
-def explicitize_w_body(inst: Instance, d: int) -> Instance:
-    """Expand finite weight-set constraints into explicitly listed relations.
-
-    Every admissible weight must be at most ``d``; the member lists stay
-    polynomial because only tuples of weight up to ``d`` qualify. Constraints
-    that are already explicit pass through unchanged.
-    """
-    new_body: list[Constraint] = []
+def _check_w_body(inst: Instance, d: int) -> None:
+    """Refuse a body :func:`explicitize_w_body` cannot convert: a relation that is
+    neither explicit nor finite-weight, or an admissible weight above ``d``."""
     for i, c in enumerate(inst.body, start=1):
         rel = c.relation
         if isinstance(rel, ExplicitRelation):
-            new_body.append(c)
             continue
         if not isinstance(rel, WRelation) or rel.weights.kind is not WeightSetKind.FINITE:
             raise NotApplicableError(
@@ -478,14 +534,50 @@ def explicitize_w_body(inst: Instance, d: int) -> Instance:
         values = rel.weights.values
         if values and max(values) > d:
             raise UsageError(f"constraint {i}: weight {max(values)} above the bound {d}")
+
+
+def explicitize_w_body(inst: Instance, d: int) -> Instance:
+    """Expand finite weight-set constraints into explicitly listed relations.
+
+    Every admissible weight must be at most ``d``; the member lists stay
+    polynomial because only tuples of weight up to ``d`` qualify. Constraints
+    that are already explicit pass through unchanged.
+    """
+    _check_w_body(inst, d)
+    new_body: list[Constraint] = []
+    for c in inst.body:
+        rel = c.relation
+        if isinstance(rel, ExplicitRelation):
+            new_body.append(c)
+            continue
         members = tuple(
             chosen
-            for w in values
+            for w in rel.weights.values
             if w <= rel.arity
             for chosen in combinations(range(1, rel.arity + 1), w)
         )
         new_body.append(Constraint(ExplicitRelation(rel.arity, members), c.scope))
     return replace(inst, body=tuple(new_body))
+
+
+def _completion_of_w_body(inst: Instance, d: int) -> CompletionReduction:
+    """``completion_reduction(explicitize_w_body(inst, d), d)``, refusing a relation
+    too wide for the partial tables before any of its members is listed.
+
+    Explicitizing keeps every arity and lists no member above ``d``, so the
+    reduction's arity refusal is raised up front, with its own message, on
+    exactly the bodies that reach it: a valid bound ``1 <= d <=
+    DEFAULT_CAPACITY`` and no passed-through explicit member above ``d``.
+    An arity-20 ``W{10}`` is refused without listing its 184,756 members.
+    """
+    _check_w_body(inst, d)
+    if 1 <= d <= DEFAULT_CAPACITY and not any(
+        isinstance(c.relation, ExplicitRelation) and any(len(m) > d for m in c.relation.members)
+        for c in inst.body
+    ):
+        for c in inst.body:
+            _require_arity(c.relation.arity, DEFAULT_CAPACITY)
+    return completion_reduction(explicitize_w_body(inst, d), d)
 
 
 def _check_explicit_body(inst: Instance, d: int) -> None:
@@ -580,8 +672,8 @@ def solve_wd_pipeline(inst: Instance, d: int) -> frozenset[str] | None:
     if inst.weight.kind is not WeightKind.EXACT:
         raise NotApplicableError("the pipeline starts from an exact weight bound")
     require_int(d, "the member-size bound", UsageError)
-    explicit = explicitize_w_body(inst, d)
     if d == 0:
+        explicit = explicitize_w_body(inst, 0)
         _check_explicit_body(explicit, 0)
         if any(not c.relation.members for c in explicit.body):
             return None
@@ -591,7 +683,7 @@ def solve_wd_pipeline(inst: Instance, d: int) -> frozenset[str] | None:
             return None
         witness = frozenset(allowed[: inst.weight.k0])
     else:
-        reduction = completion_reduction(explicit, d)
+        reduction = _completion_of_w_body(inst, d)
         lifted = lift_kle_to_k(reduction.instance)
         w_part = replace(
             lifted,

@@ -8,8 +8,9 @@ variable subsets and propagating the forced indicator values.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
-from paramcsp import CompletionReduction, Constraint, Instance, satisfies
+from paramcsp import CompletionReduction, Constraint, Instance, ParamCSPError, satisfies
 
 
 def head_image(c: Constraint) -> frozenset[str]:
@@ -63,3 +64,51 @@ def binding_invariant_holds(red: CompletionReduction, witness: frozenset[str]) -
         if (name in witness) != (key <= chosen):
             return False
     return True
+
+
+def literal_cw_check(checker, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
+    """The conditional-weight check read literally: every head against every tail set.
+
+    ``checker`` is a :class:`paramcsp.CWChecker`; only its tables are read.
+    """
+    subs = [
+        frozenset(c)
+        for size in range(len(combo) + 1)
+        for c in combinations(combo, size)
+    ]
+    b = checker.b
+    pairs_g = [g for g in subs if len(g) <= b + 1]
+    terms_g = [g for g in subs if 1 <= len(g) <= b]
+    for bset in subs:
+        lb = len(bset)
+        for g in pairs_g:
+            steps += lb + len(g) + 1
+            if checker.lambda_caps.get((bset, g), 0) > b:
+                return False, steps
+    for bset in subs:
+        lb = len(bset)
+        total = 0
+        for g in terms_g:
+            steps += lb + len(g) + 2
+            d = checker.delta_sizes.get((bset, g), 0)
+            total += d if len(g) % 2 else -d
+            if not -checker.sum_bound <= total <= checker.sum_bound:
+                raise ParamCSPError("partial sum escaped its bound")
+        steps += lb + 2
+        if total != checker.delta_empty.get(bset, 0):
+            return False, steps
+    return True, steps
+
+
+def literal_cw_budget(k0: int, b: int) -> int:
+    """Cost of one full literal check at guess size ``k0``, summed head by head."""
+    pair_part = 0
+    term_part = 0
+    for i in range(k0 + 1):
+        heads = comb(k0, i)
+        for j in range(min(b + 1, k0) + 1):
+            pair_part += heads * comb(k0, j) * (i + j + 1)
+        for j in range(1, min(b, k0) + 1):
+            term_part += heads * comb(k0, j) * (i + j + 2)
+        term_part += heads * (i + 2)
+    return k0 + pair_part + term_part

@@ -193,6 +193,41 @@ class TestSolve:
         assert out == ""
         assert err == "error: the member-size bound 13 is above the exhaustive bound 12\n" * 2
 
+    def test_wide_relation_is_refused_before_its_members_are_listed(self, doc, capsys):
+        # W{10} of arity 20 has 184,756 members, none of which is built.
+        names = tuple(f"v{i:02d}" for i in range(20))
+        wide = Instance(names, WeightParameter(WeightKind.EXACT, 10),
+                        (Constraint(WRelation(WeightSet.finite((10,)), 20), names),))
+        path = doc(wide)
+        solve = ["solve", path, "--method", "completion-pipeline", "--bound", "10"]
+        assert run(solve) == EXIT_NOT_APPLICABLE
+        assert run(["reduce", path, "--to", "w-cw", "--bound", "10"]) == EXIT_NOT_APPLICABLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: arity 20 above the exhaustive bound 12\n" * 2
+
+    def test_cw_machine_refuses_a_guess_it_could_never_scan(self, tmp_path, capsys):
+        # 2**k0 heads per branch: a budget of 2**(2**63) is never computed.
+        path = tmp_path / "big.json"
+        path.write_text(
+            serialize_instance(Instance(("a", "b"), WeightParameter(WeightKind.EXACT, 2**63))),
+            encoding="utf-8",
+        )
+        assert run(["solve", str(path), "--method", "cw-machine"]) == EXIT_NOT_APPLICABLE
+        assert run(["reduce", str(path), "--to", "cw"]) == EXIT_NOT_APPLICABLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: guess size {2**63} above the conditional-weight bound 65536\n" * 2
+
+    def test_cw_budget_too_long_to_print_is_priced_at_once(self, tmp_path, capsys):
+        path = str(tmp_path / "wide.json")
+        gen = ["gen", "--n", "15000", "--k0", "15000", "--body", "0", "--profile", "cw"]
+        assert run(gen + ["--out", path]) == EXIT_SAT
+        assert run(["reduce", path, "--to", "cw"]) == EXIT_NOT_APPLICABLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write the document: Exceeds the limit (4300 digits)")
+
     def test_reads_stdin(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(serialize_instance(POSITIVE_X)))
         assert run(["solve", "-"]) == EXIT_SAT

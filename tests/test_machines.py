@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import islice
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_helpers import (
     cw_config,
@@ -25,6 +29,8 @@ from oracles import (
     completion_witness,
     direct_union_count,
     head_image,
+    literal_cw_budget,
+    literal_cw_check,
     tail_image,
     union_premise_holds,
 )
@@ -42,6 +48,7 @@ from paramcsp import (
     ExplicitRelation,
     GuessCheckMachine,
     Instance,
+    InstanceConfig,
     NotApplicableError,
     SimulationResult,
     UsageError,
@@ -57,7 +64,10 @@ from paramcsp import (
     delta_set,
     explicitize_w_body,
     inclusion_exclusion_union,
+    lift_kle_to_k,
     param_t,
+    parse_machine,
+    random_instance,
     reduce_appearance,
     reduce_cw,
     relation_membership,
@@ -66,7 +76,8 @@ from paramcsp import (
     solve_wd_pipeline,
 )
 import paramcsp
-from paramcsp._sets import lex_subsets
+from paramcsp._sets import guesses, lex_subsets
+from paramcsp.machines import _cw_budget
 
 WS1 = WeightSet.finite((1,))
 WS12 = WeightSet.finite((1, 2))
@@ -518,6 +529,130 @@ class TestReduceCw:
         assert accepted >= 30
 
 
+def assert_matches_literal_check(checker, combos):
+    """Every combo costs the same steps and gets the same verdict as the literal check."""
+    for combo in combos:
+        steps = len(combo)
+        assert checker.check(combo, steps) == literal_cw_check(checker, combo, steps), combo
+
+
+def pipeline_cw_part(inst):
+    """The conditional-weight half of the combined machine of ``solve_wd_pipeline(inst, 1)``."""
+    lifted = lift_kle_to_k(completion_reduction(explicitize_w_body(inst, 1), 1).instance)
+    return replace(
+        lifted, body=tuple(c for c in lifted.body if isinstance(c.relation, CWRelation))
+    )
+
+
+class TestCWCheckerSkipsUnstoredHeads:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 7),
+        k0=st.integers(0, 4),
+        bound=st.integers(1, 3),
+        body=st.integers(0, 6),
+        max_arity=st.integers(1, 4),
+    )
+    def test_cw_profile_every_branch_of_every_size(self, seed, n, k0, bound, body, max_arity):
+        cfg = InstanceConfig(
+            n=n, k0=k0, profile="cw", body_len=body, max_arity=max_arity, cw_bound=bound
+        )
+        inst = random_instance(seed, cfg)
+        checker = reduce_cw(inst).checker
+        assert_matches_literal_check(checker, guesses(inst.variables, k0, exact=False))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        k0=st.integers(0, 1),
+        body=st.integers(1, 3),
+        max_arity=st.integers(1, 3),
+    )
+    def test_pipeline_cw_part_every_branch(self, seed, n, k0, body, max_arity):
+        cfg = InstanceConfig(
+            n=n, k0=k0, profile="w-finite", body_len=body, max_arity=max_arity, finite_values=(1,)
+        )
+        part = pipeline_cw_part(random_instance(seed, cfg))
+        checker = reduce_cw(part).checker
+        assert_matches_literal_check(checker, guesses(part.variables, part.weight.k0, exact=False))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 6), data=st.data())
+    def test_pipeline_cw_part_sampled_size_six_branches(self, seed, n, data):
+        # k0 = 2 guesses 6 names out of about 17; every branch would take
+        # minutes of literal checking, so a sample of them is compared.
+        cfg = InstanceConfig(
+            n=n, k0=2, profile="w-finite", body_len=2, max_arity=2, finite_values=(1,)
+        )
+        part = pipeline_cw_part(random_instance(seed, cfg))
+        checker = reduce_cw(part).checker
+        names = st.lists(st.sampled_from(part.variables), max_size=6, unique=True)
+        combos = [tuple(sorted(data.draw(names))) for _ in range(8)]
+        assert_matches_literal_check(checker, combos)
+
+    def test_a_head_stored_only_in_a_tail_row_is_still_checked(self):
+        # The only row caps 2 positions of y under head x against a tail bound
+        # of 1. Head {x} has no empty-tail row, so a skip rule reading heads
+        # from delta_empty alone would accept {x, y}.
+        row = {"count": 0, "head": ["x"], "max_positions": 2, "tail": ["y"]}
+        machine = parse_machine(json.dumps({
+            "format_version": "1",
+            "machine": {
+                "b": 1, "budget": 94, "exact": True, "k0": 2, "kind": "cw",
+                "sum_bound": 0, "tables": [row], "universe": ["x", "y"],
+            },
+        }))
+        assert frozenset({"x"}) not in machine.checker.delta_empty
+        assert simulate(machine) == SimulationResult(False, None, 18, 1)
+        assert machine.checker.check(("x", "y"), 2) == literal_cw_check(machine.checker, ("x", "y"), 2)
+
+    @pytest.mark.parametrize("table", ["delta_sizes", "lambda_caps", "delta_empty"])
+    def test_each_table_alone_marks_its_heads_stored(self, table):
+        x, y = frozenset({"x"}), frozenset({"y"})
+        tables = {"delta_sizes": {}, "lambda_caps": {}, "delta_empty": {}}
+        if table == "delta_empty":
+            tables[table][x] = 1
+        else:
+            tables[table][(x, y)] = 2
+        checker = CWChecker(b=1, sum_bound=2, **tables)
+        assert checker.heads == {x}
+        assert_matches_literal_check(checker, lex_subsets(("x", "y", "z"), 3))
+        assert not checker.check(("x", "y"), 0)[0]
+
+    @pytest.mark.parametrize("field_name", ["b", "sum_bound"])
+    @pytest.mark.parametrize("value", [-1, True, 1.0])
+    def test_bounds_must_be_nonnegative_integers(self, field_name, value):
+        # A negative bound would fail a head that reads zero everywhere.
+        with pytest.raises(ValidationError):
+            replace(trivial_cw_checker(), **{field_name: value})
+
+
+class TestCwBudget:
+    def test_closed_form_equals_the_head_by_head_sum(self):
+        for k0 in range(40):
+            for b in range(12):
+                assert _cw_budget(k0, b) == literal_cw_budget(k0, b), (k0, b)
+
+    @pytest.mark.parametrize("k0", range(6))
+    @pytest.mark.parametrize("b", range(4))
+    def test_an_accepting_branch_charges_exactly_the_budget(self, k0, b):
+        names = tuple("abcdef"[:k0])
+        m = GuessCheckMachine(names, k0, True, _cw_budget(k0, b), replace(trivial_cw_checker(), b=b))
+        assert simulate(m) == SimulationResult(True, frozenset(names), m.budget, 1)
+
+    def test_large_guesses_are_priced_without_a_loop_over_heads(self):
+        # With b = 0 each head B meets G = {} and one singleton G per name:
+        # k + sum over B of (|B| + 1) + k * (|B| + 2) + (|B| + 2) in all. The
+        # head-by-head sum took tens of seconds at k = 15,000.
+        def tail_bound_zero(k):
+            return k + (k + 2) * k * 2**k // 2 + (2 * k + 3) * 2**k
+
+        assert all(tail_bound_zero(k) == literal_cw_budget(k, 0) for k in range(20))
+        assert _cw_budget(15_000, 0) == tail_bound_zero(15_000)
+
+
 class TestExplicitizeWBody:
     def test_weight_one_clause(self):
         out = explicitize_w_body(exact("xy", 1, Constraint(WRelation(WS1, 2), ("x", "y"))), 1)
@@ -796,6 +931,39 @@ class TestSolveWdPipeline:
         )
         assert solve_wd_pipeline(exact("xy", 1, *body), 1) is None
         assert solve_wd_pipeline(exact("xy", 2, *body), 1) == frozenset({"x", "y"})
+
+    def test_wide_relation_is_refused_before_its_members_are_listed(self):
+        # W{9} of arity 20 has C(20, 9) = 167,960 members; the partial tables
+        # refuse any arity above 12, so none of them is built.
+        names = tuple(f"v{i:02d}" for i in range(20))
+        inst = Instance(names, WeightParameter(WeightKind.EXACT, 9),
+                        (Constraint(WRelation(WeightSet.finite((9,)), 20), names),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="^arity 20 above the exhaustive bound 12$"):
+                solve_wd_pipeline(inst, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+    def test_wide_relation_refusal_keeps_the_error_order(self):
+        wide = Constraint(WRelation(WS1, 13), tuple(f"v{i:02d}" for i in range(13)))
+        names = wide.scope + ("x", "y")
+        pair = Constraint(ExplicitRelation(2, ((1, 2),)), ("x", "y"))
+        with pytest.raises(CapacityError, match="^arity 13 above"):
+            solve_wd_pipeline(exact(names, 1, pair, wide), 2)
+        # Checks the reduction makes before it looks at arities still come first.
+        with pytest.raises(UsageError, match="constraint 1 has a member of size 2"):
+            solve_wd_pipeline(exact(names, 1, pair, wide), 1)
+        conditional = Constraint(CWRelation(WS1, 1, 1), ("x", "y"))
+        with pytest.raises(NotApplicableError, match="constraint 2: only finite"):
+            solve_wd_pipeline(exact(names, 1, wide, conditional), 1)
+        with pytest.raises(CapacityError, match="member-size bound 13 is above"):
+            solve_wd_pipeline(exact(names, 1, wide), 13)
+        # The zero bound never reduces, so it never looks at arities.
+        forbid = Constraint(WRelation(WeightSet.finite((0,)), 13), wide.scope)
+        assert solve_wd_pipeline(exact(names, 1, forbid), 0) == {"x"}
 
     def test_agrees_with_brute_force(self):
         sat = 0
