@@ -50,7 +50,7 @@ from .instances import (
 )
 from .machines import (
     SimulationResult,
-    _completion_of_w_body,
+    completion_reduction,
     reduce_appearance,
     reduce_cw,
     simulate,
@@ -169,7 +169,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     lifted = _ensure_exact(inst)
     if args.to == "w-cw":
         bound = args.bound if args.bound is not None else _infer_bound(lifted)
-        text = serialize_instance(_completion_of_w_body(lifted, bound).instance)
+        text = serialize_instance(completion_reduction(lifted, bound).instance)
     else:
         build = _MACHINE_BUILDERS["cw-machine" if args.to == "cw" else args.to]
         text = serialize_machine(build(lifted))

@@ -26,7 +26,7 @@ from .machines import (
     GuessCheckMachine,
     TableKey,
     _cw_budget,
-    _cw_terms,
+    _tail_scans,
     combine_machines,
     reduce_appearance,
 )
@@ -394,7 +394,8 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
                 raise ValidationError(
                     f"{path}.tables[{i}].count: {count} exceeds {head_count}, the count of its head's empty tail"
                 )
-        least = max(delta_empty.values(), default=0) * _cw_terms(k0, b)
+        derived_budget = _cw_budget(k0, b)
+        least = max(delta_empty.values(), default=0) * _tail_scans(k0, b)[2]
         if sum_bound < least:
             raise ValidationError(
                 f"{path}.sum_bound: {sum_bound} is below {least}, the least bound its tables allow"
@@ -402,7 +403,6 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
         delta_sizes = {key: count for key, (count, _) in rows.items() if key[1]}
         lambda_caps = {key: cap for key, (_, cap) in rows.items() if key[1]}
         checker = CWChecker(b, delta_sizes, lambda_caps, delta_empty, sum_bound)
-        derived_budget = _cw_budget(k0, b)
     elif kind == "combined":
         first = _machine_from_doc(_get(obj, "first", path), f"{path}.first")
         second = _machine_from_doc(_get(obj, "second", path), f"{path}.second")

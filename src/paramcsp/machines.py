@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 from typing import Union
 
 from ._sets import guesses
@@ -49,14 +48,16 @@ from .instances import (
     param_t,
     satisfies,
 )
-from .partials import DEFAULT_CAPACITY, _require_arity, compute_partials
+from .partials import DEFAULT_CAPACITY, compute_partials
 from .relations import (
+    AffineCost,
     CostModel,
     CWRelation,
     ExplicitRelation,
     WeightSet,
     WeightSetKind,
     WRelation,
+    default_checker_cost,
 )
 
 
@@ -146,15 +147,18 @@ def _tail_scans(k: int, b: int) -> tuple[int, int, int, int]:
     of nonempty ones of at most ``b`` names and their summed ``|G| + 2``, plus
     the 2 that closes the sum. Subsets come in size order, so these tail sets
     are the first ``pairs`` subsets and the ``terms`` after the empty one.
+    Each binomial comes from the last, ``C(k, j + 1) = C(k, j) * (k - j) // (j + 1)``.
     """
-    pair_sizes = [comb(k, j) for j in range(min(b + 1, k) + 1)]
-    term_sizes = pair_sizes[1 : min(b, k) + 1]
-    return (
-        sum(pair_sizes),
-        sum(count * (j + 1) for j, count in enumerate(pair_sizes)),
-        sum(term_sizes),
-        sum(count * (j + 2) for j, count in enumerate(term_sizes, start=1)) + 2,
-    )
+    pairs = pair_scan = terms = term_scan = 0
+    count = 1
+    for j in range(min(b + 1, k) + 1):
+        pairs += count
+        pair_scan += count * (j + 1)
+        if 1 <= j <= b:
+            terms += count
+            term_scan += count * (j + 2)
+        count = count * (k - j) // (j + 1)
+    return pairs, pair_scan, terms, term_scan + 2
 
 
 @dataclass(frozen=True)
@@ -299,10 +303,15 @@ def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> Gu
     if len(checker.d_set) > k0 * t0:
         return GuessCheckMachine(universe, k0, True, 0, ALWAYS_REJECT)
     weight_cap = k0 * e0
+    # A check costs base(w) * log-factor(index), both at least 0 and the second
+    # nondecreasing in the index, so the largest index bounds every constraint;
+    # the default and affine bases are nondecreasing too, so weight_cap bounds w.
     check_cap = 0
-    for c in inst.body:
-        for w in range(weight_cap + 1):
-            check_cap = max(check_cap, cm.cost(c.relation.index, w))
+    if inst.body:
+        top = max(c.relation.index for c in inst.body)
+        monotone = cm.checker_cost is default_checker_cost or isinstance(cm.checker_cost, AffineCost)
+        weights = (weight_cap,) if monotone else range(weight_cap + 1)
+        check_cap = max(cm.cost(top, w) for w in weights)
     budget = k0 + k0 * t0 + (k0 * t0) * (weight_cap + check_cap) + k0 * t0
     return GuessCheckMachine(universe, k0, True, budget, checker)
 
@@ -325,30 +334,6 @@ def _cw_shared_bound(inst: Instance) -> int:
         elif bound != cb:
             raise NotApplicableError("tail bounds differ across the body")
     return 0 if bound is None else bound
-
-
-def delta_set(inst: Instance, head_set: frozenset[str] | set[str], tail_set: frozenset[str] | set[str]) -> tuple[int, ...]:
-    """1-based indices of body constraints with head image exactly ``head_set``
-    and tail image containing ``tail_set``."""
-    _cw_shared_bound(inst)
-    bset = frozenset(head_set)
-    gset = frozenset(tail_set)
-    for label, s in (("head", bset), ("tail", gset)):
-        extra = s - inst.variable_set
-        if extra:
-            raise DomainError(f"{label} set uses undeclared variables: {sorted(extra)}")
-    hits: list[int] = []
-    for i, c in enumerate(inst.body, start=1):
-        d = c.relation.head
-        if frozenset(c.scope[:d]) == bset and gset <= frozenset(c.scope[d:]):
-            hits.append(i)
-    return tuple(hits)
-
-
-def _cw_terms(k0: int, b: int) -> int:
-    """Nonempty tail sets of at most ``b`` out of ``k0`` guessed variables: the
-    terms of one head's inclusion-exclusion sum in :meth:`CWChecker.check`."""
-    return sum(comb(k0, j) for j in range(1, min(b, k0) + 1))
 
 
 def build_cw_tables(inst: Instance, k0: int) -> CWChecker:
@@ -382,12 +367,12 @@ def build_cw_tables(inst: Instance, k0: int) -> CWChecker:
                 if hits > lambda_caps.get(key, 0):
                     lambda_caps[key] = hits
     entries = len(delta_empty) + len(delta_sizes)
-    cap = n_size * sum(comb(n_size, i) for i in range(b + 2))
+    cap = n_size * _tail_scans(n_size, b)[0]
     if entries > cap:
         raise ParamCSPError(f"{entries} stored table entries exceed the cap {cap}")
     if not all(len(bset) <= k0 and len(g) <= g_cap for bset, g in delta_sizes):
         raise ParamCSPError("oversized table key")
-    sum_bound = n_size * _cw_terms(k0, b)
+    sum_bound = n_size * _tail_scans(k0, b)[2]
     return CWChecker(
         b=b,
         delta_sizes=delta_sizes,
@@ -520,98 +505,76 @@ class CompletionReduction:
 _INDICATOR_STEM = "lam"
 
 
-def _check_w_body(inst: Instance, d: int) -> None:
-    """Refuse a body :func:`explicitize_w_body` cannot convert: a relation that is
-    neither explicit nor finite-weight, or an admissible weight above ``d``."""
+def _check_body(inst: Instance, d: int) -> None:
+    """Refuse a body the completion reduction cannot take: a relation that is
+    neither explicit nor finite-weight, or one with a member larger than ``d``."""
     for i, c in enumerate(inst.body, start=1):
         rel = c.relation
         if isinstance(rel, ExplicitRelation):
-            continue
-        if not isinstance(rel, WRelation) or rel.weights.kind is not WeightSetKind.FINITE:
-            raise NotApplicableError(
-                f"constraint {i}: only finite weight-set constraints convert"
-            )
-        values = rel.weights.values
-        if values and max(values) > d:
-            raise UsageError(f"constraint {i}: weight {max(values)} above the bound {d}")
+            size = next((len(m) for m in rel.members if len(m) > d), None)
+            if size is not None:
+                raise UsageError(f"constraint {i} has a member of size {size}, above the bound {d}")
+        elif isinstance(rel, WRelation) and rel.weights.kind is WeightSetKind.FINITE:
+            values = rel.weights.values
+            if values and max(values) > d:
+                raise UsageError(f"constraint {i}: weight {max(values)} above the bound {d}")
+        else:
+            raise NotApplicableError(f"constraint {i}: only finite weight-set constraints convert")
 
 
 def explicitize_w_body(inst: Instance, d: int) -> Instance:
     """Expand finite weight-set constraints into explicitly listed relations.
 
-    Every admissible weight must be at most ``d``; the member lists stay
-    polynomial because only tuples of weight up to ``d`` qualify. Constraints
-    that are already explicit pass through unchanged.
+    The body must pass the check :func:`completion_reduction` makes: every
+    relation explicit or finite-weight, no member above ``d``. The member
+    lists stay polynomial because only tuples of weight up to ``d`` qualify.
+    Constraints that are already explicit pass through unchanged.
     """
-    _check_w_body(inst, d)
+    _check_body(inst, d)
     new_body: list[Constraint] = []
     for c in inst.body:
         rel = c.relation
-        if isinstance(rel, ExplicitRelation):
-            new_body.append(c)
-            continue
-        members = tuple(
-            chosen
-            for w in rel.weights.values
-            if w <= rel.arity
-            for chosen in combinations(range(1, rel.arity + 1), w)
-        )
-        new_body.append(Constraint(ExplicitRelation(rel.arity, members), c.scope))
+        if isinstance(rel, WRelation):
+            members = tuple(
+                chosen
+                for w in rel.weights.values
+                if w <= rel.arity
+                for chosen in combinations(range(1, rel.arity + 1), w)
+            )
+            c = Constraint(ExplicitRelation(rel.arity, members), c.scope)
+        new_body.append(c)
     return replace(inst, body=tuple(new_body))
 
 
-def _completion_of_w_body(inst: Instance, d: int) -> CompletionReduction:
-    """``completion_reduction(explicitize_w_body(inst, d), d)``, refusing a relation
-    too wide for the partial tables before any of its members is listed.
-
-    Explicitizing keeps every arity and lists no member above ``d``, so the
-    reduction's arity refusal is raised up front, with its own message, on
-    exactly the bodies that reach it: a valid bound ``1 <= d <=
-    DEFAULT_CAPACITY`` and no passed-through explicit member above ``d``.
-    An arity-20 ``W{10}`` is refused without listing its 184,756 members.
-    """
-    _check_w_body(inst, d)
-    if 1 <= d <= DEFAULT_CAPACITY and not any(
-        isinstance(c.relation, ExplicitRelation) and any(len(m) > d for m in c.relation.members)
-        for c in inst.body
-    ):
-        for c in inst.body:
-            _require_arity(c.relation.arity, DEFAULT_CAPACITY)
-    return completion_reduction(explicitize_w_body(inst, d), d)
-
-
-def _check_explicit_body(inst: Instance, d: int) -> None:
-    """Require every body relation to be explicit with members of size at most ``d``."""
-    for i, c in enumerate(inst.body, start=1):
-        if not isinstance(c.relation, ExplicitRelation):
-            raise NotApplicableError(f"constraint {i} is not an explicit relation")
-        oversized = [m for m in c.relation.members if len(m) > d]
-        if oversized:
-            raise UsageError(
-                f"constraint {i} has a member of size {len(oversized[0])}, above the bound {d}"
-            )
-
-
 def completion_reduction(inst: Instance, d: int) -> CompletionReduction:
-    """Reduce an explicit-relation instance to the weight-plus-conditional language.
+    """Reduce an instance of explicit and finite-weight relations to the
+    weight-plus-conditional language.
 
     One indicator variable is minted per distinct variable-set image of a
     partial tuple or completion; indicators are bound to their key sets by
     conditional constraints in both directions, and each partial's constraint
     requires a true completion indicator whenever the partial's own indicator
-    is true. The output weight is at most ``k0 + 2**k0``.
+    is true. The records depend only on membership, so a finite-weight
+    relation reduces exactly as its listed members would, without listing them.
+    The output weight is at most ``k0 + 2**k0``.
     A bound ``d`` above ``DEFAULT_CAPACITY``, more than any member can reach,
-    raises :class:`CapacityError`, since the tail weights run to ``2**d``.
+    raises :class:`CapacityError`, since the tail weights run to ``2**d``;
+    so does a ``k0`` whose reduced guess the conditional-weight machine
+    refuses, before ``2**k0`` is computed.
     """
     if inst.weight.kind is not WeightKind.EXACT:
         raise NotApplicableError("the completion reduction starts from an exact weight bound")
     require_int(d, "the member-size bound", UsageError, low=1)
+    _check_body(inst, d)
     if d > DEFAULT_CAPACITY:
         raise CapacityError(f"the member-size bound {d} is above the exhaustive bound {DEFAULT_CAPACITY}")
     if not inst.variables:
         raise UsageError("the completion reduction needs at least one variable")
-    _check_explicit_body(inst, d)
     k0 = inst.weight.k0
+    if k0 > _CW_GUESS_CAP or k0 + 2**k0 > _CW_GUESS_CAP:
+        raise CapacityError(
+            f"reduced guess size {k0} + 2**{k0} above the conditional-weight bound {_CW_GUESS_CAP}"
+        )
     tables = {}
     records: set[tuple[frozenset[str], tuple[frozenset[str], ...]]] = set()
     for c in inst.body:
@@ -661,10 +624,10 @@ def completion_reduction(inst: Instance, d: int) -> CompletionReduction:
 def solve_wd_pipeline(inst: Instance, d: int) -> frozenset[str] | None:
     """End-to-end solver for exact-weight instances with finite weights in [0, d].
 
-    The body is first made explicit. For ``d = 0`` the answer is then
-    immediate: constraints admitting only the empty tuple forbid their
-    scopes, constraints admitting nothing are contradictions. Otherwise the
-    explicit body is reduced through indicator variables, lifted to an exact
+    For ``d = 0`` the answer is immediate: constraints admitting only the
+    empty tuple forbid their scopes, constraints admitting nothing are
+    contradictions. Otherwise the body is reduced through indicator
+    variables (:func:`completion_reduction`), lifted to an exact
     weight, split into its weight and conditional parts, compiled into a
     combined machine, and simulated; an accepting witness is projected back
     onto the original variables.
@@ -673,17 +636,16 @@ def solve_wd_pipeline(inst: Instance, d: int) -> frozenset[str] | None:
         raise NotApplicableError("the pipeline starts from an exact weight bound")
     require_int(d, "the member-size bound", UsageError)
     if d == 0:
-        explicit = explicitize_w_body(inst, 0)
-        _check_explicit_body(explicit, 0)
-        if any(not c.relation.members for c in explicit.body):
+        _check_body(inst, 0)
+        if not all(c.relation._contains(frozenset()) for c in inst.body):
             return None
-        forbidden = {v for c in explicit.body for v in c.scope}
+        forbidden = {v for c in inst.body for v in c.scope}
         allowed = sorted(set(inst.variables) - forbidden)
         if inst.weight.k0 > len(allowed):
             return None
         witness = frozenset(allowed[: inst.weight.k0])
     else:
-        reduction = _completion_of_w_body(inst, d)
+        reduction = completion_reduction(inst, d)
         lifted = lift_kle_to_k(reduction.instance)
         w_part = replace(
             lifted,

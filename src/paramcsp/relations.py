@@ -10,7 +10,7 @@ a subset of ``{1..r}``. Three relation families cover everything here:
 
 Every relation carries a positive ``index`` (its position in some fixed
 enumeration of the language; defaults to the arity) which only matters for
-:func:`membership_cost`.
+:meth:`CostModel.cost`.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def relation_membership(rel: Relation, positions: Iterable[int]) -> bool:
     return rel._contains(_check_positions(rel, positions))
 
 
-def ceil_log2(x: int) -> int:
+def _ceil_log2(x: int) -> int:
     """Smallest ``k`` with ``2**k >= x``, for positive ``x``."""
     require_int(x, "ceil_log2 argument", DomainError, low=1)
     return (x - 1).bit_length()
@@ -225,10 +225,5 @@ class CostModel:
         require_int(index, "relation index", DomainError, low=1)
         require_int(weight, "tuple weight", DomainError)
         base = require_int(self.checker_cost(weight), "checker_cost result", ValidationError)
-        return base * ceil_log2(index + 1) ** self.exponent
+        return base * _ceil_log2(index + 1) ** self.exponent
 
-
-def membership_cost(cost_model: CostModel, rel: Relation, positions: Iterable[int]) -> int:
-    """Charge for checking the tuple with the given 1-positions against ``rel``."""
-    pset = _check_positions(rel, positions)
-    return cost_model.cost(rel.index, len(pset))

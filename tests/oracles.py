@@ -1,8 +1,9 @@
 """Independent reference computations used by the machine and acceptance tests.
 
 Nothing here calls the code paths under test: unions are counted by direct
-scan over the body, and reduced instances are decided by enumerating original
-variable subsets and propagating the forced indicator values.
+scan over the body, reduced instances are decided by enumerating original
+variable subsets and propagating the forced indicator values, and costs and
+budgets are summed term by term.
 """
 
 from __future__ import annotations
@@ -10,7 +11,16 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from paramcsp import CompletionReduction, Constraint, Instance, ParamCSPError, satisfies
+from paramcsp import (
+    CompletionReduction,
+    Constraint,
+    CostModel,
+    DomainError,
+    Instance,
+    ParamCSPError,
+    satisfies,
+)
+from paramcsp.machines import _cw_shared_bound
 
 
 def head_image(c: Constraint) -> frozenset[str]:
@@ -26,6 +36,23 @@ def union_premise_holds(inst: Instance, head: frozenset[str], cands: frozenset[s
         len(tail_image(c) & cands) <= b
         for c in inst.body
         if head_image(c) == head
+    )
+
+
+def delta_set(inst: Instance, head_set: frozenset[str] | set[str], tail_set: frozenset[str] | set[str]) -> tuple[int, ...]:
+    """The paper's Delta(B, G): 1-based indices of body constraints with head
+    image exactly ``head_set`` and tail image containing ``tail_set``."""
+    _cw_shared_bound(inst)
+    bset = frozenset(head_set)
+    gset = frozenset(tail_set)
+    for label, s in (("head", bset), ("tail", gset)):
+        extra = s - inst.variable_set
+        if extra:
+            raise DomainError(f"{label} set uses undeclared variables: {sorted(extra)}")
+    return tuple(
+        i
+        for i, c in enumerate(inst.body, start=1)
+        if head_image(c) == bset and gset <= tail_image(c)
     )
 
 
@@ -112,3 +139,13 @@ def literal_cw_budget(k0: int, b: int) -> int:
             term_part += heads * comb(k0, j) * (i + j + 2)
         term_part += heads * (i + 2)
     return k0 + pair_part + term_part
+
+
+def literal_check_cap(inst: Instance, cost_model: CostModel, weight_cap: int) -> int:
+    """The appearance machine's costliest single membership check, read
+    literally: every body constraint at every weight up to ``weight_cap``."""
+    check_cap = 0
+    for c in inst.body:
+        for w in range(weight_cap + 1):
+            check_cap = max(check_cap, cost_model.cost(c.relation.index, w))
+    return check_cap

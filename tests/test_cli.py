@@ -234,6 +234,50 @@ class TestSolve:
         assert lines(capsys) == ["WITNESS x"]
 
 
+def cli_child(args, timeout=60):
+    """Run the console script in a child process, so a command that hangs
+    fails its test after ``timeout`` seconds instead of stalling the run."""
+    return subprocess.run(
+        [sys.executable, "-m", "paramcsp.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__))},
+    )
+
+
+# Exactly 2**63 of two variables, one of which must be chosen.
+HUGE_K = Instance(("a", "b"), WeightParameter(WeightKind.EXACT, 2**63), (Constraint(WRelation(WS1, 1), ("a",)),))
+
+
+class TestHugeGuessesFinish:
+    """Each command on a k = 2**63 input answers from closed forms or refuses
+    before any loop or power that grows with k."""
+
+    def test_completion_refuses_the_reduced_guess(self, doc):
+        path = doc(HUGE_K)
+        want = f"error: reduced guess size {2**63} + 2**{2**63} above the conditional-weight bound 65536\n"
+        for args in (["reduce", path, "--to", "w-cw"], ["solve", path, "--method", "completion-pipeline"]):
+            done = cli_child(args)
+            assert (done.returncode, done.stdout, done.stderr) == (EXIT_NOT_APPLICABLE, "", want)
+
+    def test_appearance_machine_is_priced_at_once(self, doc, tmp_path):
+        machine = str(tmp_path / "m.json")
+        done = cli_child(["reduce", doc(HUGE_K), "--to", "appearance", "--out", machine])
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_SAT, "", "")
+        done = cli_child(["simulate", machine])
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_UNSAT, "REJECT\n", "")
+
+    def test_cw_document_with_a_huge_tail_bound_is_refused(self, tmp_path):
+        machine = json.loads(serialize_machine(reduce_cw(ONE_OF_TWO)))
+        machine["machine"].update(k0=2**63, b=10**6)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(machine), encoding="utf-8")
+        done = cli_child(["simulate", str(path)])
+        want = f"error: guess size {2**63} above the conditional-weight bound 65536\n"
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_NOT_APPLICABLE, "", want)
+
+
 class TestReduceAndSimulate:
     def test_reduce_appearance_to_stdout(self, doc, capsys):
         assert run(["reduce", doc(POSITIVE_X), "--to", "appearance"]) == EXIT_SAT
@@ -328,13 +372,15 @@ class TestReduceAndSimulate:
         assert err == "error: machine.sum_bound: 0 is below 2, the least bound its tables allow\n"
 
     def test_integers_too_long_to_print_are_a_capacity_fault(self, tmp_path, capsys):
-        # The reduced weight bound k0 + 2**k0 has more than 4300 digits.
+        # A 4,001-digit k0 reads, but the appearance budget, about k0**2, has
+        # more than 4300 digits.
         path = tmp_path / "wide.json"
         path.write_text(
-            serialize_instance(Instance(("a",), WeightParameter(WeightKind.EXACT, 15_000))),
+            serialize_instance(Instance(("a",), WeightParameter(WeightKind.EXACT, 10**4000),
+                                        (Constraint(WRelation(WS1, 1), ("a",)),))),
             encoding="utf-8",
         )
-        assert run(["reduce", str(path), "--to", "w-cw"]) == EXIT_NOT_APPLICABLE
+        assert run(["reduce", str(path), "--to", "appearance"]) == EXIT_NOT_APPLICABLE
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: cannot write the document: Exceeds the limit (4300 digits)")

@@ -27,8 +27,10 @@ from corpus_helpers import (
 from oracles import (
     binding_invariant_holds,
     completion_witness,
+    delta_set,
     direct_union_count,
     head_image,
+    literal_check_cap,
     literal_cw_budget,
     literal_cw_check,
     tail_image,
@@ -36,6 +38,7 @@ from oracles import (
 )
 from paramcsp import (
     ALWAYS_REJECT,
+    AffineCost,
     AppearanceChecker,
     BudgetExceededError,
     CapacityError,
@@ -50,6 +53,7 @@ from paramcsp import (
     Instance,
     InstanceConfig,
     NotApplicableError,
+    ParamCSPError,
     SimulationResult,
     UsageError,
     ValidationError,
@@ -61,10 +65,10 @@ from paramcsp import (
     build_cw_tables,
     combine_machines,
     completion_reduction,
-    delta_set,
     explicitize_w_body,
     inclusion_exclusion_union,
     lift_kle_to_k,
+    param_e,
     param_t,
     parse_machine,
     random_instance,
@@ -72,12 +76,13 @@ from paramcsp import (
     reduce_cw,
     relation_membership,
     satisfies,
+    serialize_instance,
     simulate,
     solve_wd_pipeline,
 )
 import paramcsp
 from paramcsp._sets import guesses, lex_subsets
-from paramcsp.machines import _cw_budget
+from paramcsp.machines import _cw_budget, _tail_scans
 
 WS1 = WeightSet.finite((1,))
 WS12 = WeightSet.finite((1, 2))
@@ -89,6 +94,46 @@ def exact(names, k0, *body):
         weight=WeightParameter(WeightKind.EXACT, k0),
         body=tuple(body),
     )
+
+
+@st.composite
+def finite_bodies(draw, kinds=("W", "explicit")):
+    """Exact instances over at most five variables whose relations of arity at
+    most 4 are drawn from ``kinds``: finite-weight, explicit, or any other
+    (cofinite-weight or conditional-weight, which the completion reduction
+    refuses). Scopes may repeat variables; indices run to 300."""
+    names = tuple(f"v{i}" for i in range(draw(st.integers(1, 5))))
+    body = []
+    for _ in range(draw(st.integers(0, 4))):
+        arity = draw(st.integers(1, 4))
+        index = draw(st.integers(1, 300))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "W":
+            values = draw(st.sets(st.integers(0, 4), max_size=3))
+            rel = WRelation(WeightSet.finite(values), arity, index)
+        elif kind == "explicit":
+            member = st.sets(st.integers(1, arity), max_size=3)
+            rel = ExplicitRelation(arity, tuple(tuple(m) for m in draw(st.lists(member, max_size=5))), index)
+        else:
+            rel = draw(st.sampled_from([
+                WRelation(WeightSet.cofinite((1,)), arity, index),
+                CWRelation(WS1, 1, arity - 1, index),
+            ]))
+        body.append(Constraint(rel, tuple(draw(st.sampled_from(names)) for _ in range(arity))))
+    return exact(names, draw(st.integers(0, 3)), *body)
+
+
+@st.composite
+def cost_models(draw):
+    """The default and affine cost models, and arbitrary (non-monotone) ones."""
+    exponent = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["default", "affine", "arbitrary"]))
+    if kind == "default":
+        return CostModel(exponent)
+    if kind == "affine":
+        return CostModel(exponent, AffineCost(draw(st.integers(0, 5)), draw(st.integers(0, 5))))
+    costs = draw(st.lists(st.integers(0, 50), min_size=1, max_size=8))
+    return CostModel(exponent, lambda w: costs[w % len(costs)])
 
 
 def trivial_cw_checker():
@@ -230,6 +275,20 @@ class TestReduceAppearance:
         assert ck == reduce_appearance(exact("xy", 1, *body)).checker
         with pytest.raises(TypeError):
             AppearanceChecker(body, CostModel(), e_v={}, d_set=())
+
+    @settings(max_examples=300, deadline=None)
+    @given(inst=finite_bodies(), cm=cost_models(), k0=st.integers(1, 4))
+    def test_budget_matches_the_literal_check_cap(self, inst, cm, k0):
+        # The budget reads the costliest check at the largest index (and, for
+        # the default and affine costs, at weight_cap alone); the oracle scans
+        # every constraint at every weight.
+        inst = replace(inst, weight=WeightParameter(WeightKind.EXACT, k0))
+        m = reduce_appearance(inst, cm)
+        if m.checker is ALWAYS_REJECT:
+            return
+        kt = k0 * param_t(inst)
+        weight_cap = k0 * param_e(inst)
+        assert m.budget == k0 + 2 * kt + kt * (weight_cap + literal_check_cap(inst, cm, weight_cap))
 
     def test_cost_model_is_threaded_through(self):
         cm = CostModel(exponent=2)
@@ -642,6 +701,18 @@ class TestCwBudget:
         m = GuessCheckMachine(names, k0, True, _cw_budget(k0, b), replace(trivial_cw_checker(), b=b))
         assert simulate(m) == SimulationResult(True, frozenset(names), m.budget, 1)
 
+    def test_tail_scans_sum_the_binomials(self):
+        for k in range(25):
+            for b in range(25):
+                pair_sizes = [comb(k, j) for j in range(min(b + 1, k) + 1)]
+                term_sizes = pair_sizes[1 : min(b, k) + 1]
+                assert _tail_scans(k, b) == (
+                    sum(pair_sizes),
+                    sum(count * (j + 1) for j, count in enumerate(pair_sizes)),
+                    sum(term_sizes),
+                    sum(count * (j + 2) for j, count in enumerate(term_sizes, start=1)) + 2,
+                ), (k, b)
+
     def test_large_guesses_are_priced_without_a_loop_over_heads(self):
         # With b = 0 each head B meets G = {} and one singleton G per name:
         # k + sum over B of (|B| + 1) + k * (|B| + 2) + (|B| + 2) in all. The
@@ -778,9 +849,39 @@ class TestCompletionReduction:
 
     @pytest.mark.parametrize("rel", [WRelation(WS1, 1), CWRelation(WS1, 0, 1)])
     def test_requires_explicit_relations(self, rel):
+        # Explicit and finite-weight relations reduce; every other one is refused.
         inst = exact("x", 1, Constraint(rel, ("x",)))
-        with pytest.raises(NotApplicableError, match="not an explicit relation"):
-            completion_reduction(inst, 1)
+        if isinstance(rel, WRelation):
+            assert completion_reduction(inst, 1) == completion_reduction(explicitize_w_body(inst, 1), 1)
+        else:
+            with pytest.raises(NotApplicableError, match="constraint 1: only finite"):
+                completion_reduction(inst, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        inst=finite_bodies(kinds=("W", "explicit", "explicit", "W", "other")),
+        d=st.integers(1, 3),
+    )
+    def test_finite_weight_bodies_reduce_as_their_listed_members(self, inst, d):
+        def outcome(reduce):
+            try:
+                red = reduce()
+            except ParamCSPError as exc:
+                return type(exc), str(exc)
+            return serialize_instance(red.instance), red.indicator_keys, red.bound
+
+        direct = outcome(lambda: completion_reduction(inst, d))
+        listed = outcome(lambda: completion_reduction(explicitize_w_body(inst, d), d))
+        assert direct == listed
+
+    def test_guess_the_cw_machine_would_refuse_is_refused_first(self):
+        at_cap = replace(CHOOSE_U, weight=WeightParameter(WeightKind.EXACT, 15))
+        assert completion_reduction(at_cap, 1).instance.weight.k0 == 15 + 2**15
+        for k0 in (16, 2**63):
+            big = replace(CHOOSE_U, weight=WeightParameter(WeightKind.EXACT, k0))
+            want = rf"^reduced guess size {k0} \+ 2\*\*{k0} above the conditional-weight bound 65536$"
+            with pytest.raises(CapacityError, match=want):
+                completion_reduction(big, 1)
 
     def test_member_above_bound(self):
         inst = exact("xy", 1, Constraint(ExplicitRelation(2, ((1, 2),)), ("x", "y")))
@@ -942,6 +1043,22 @@ class TestSolveWdPipeline:
         try:
             with pytest.raises(CapacityError, match="^arity 20 above the exhaustive bound 12$"):
                 solve_wd_pipeline(inst, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+    def test_bound_above_the_partial_capacity_lists_no_member(self):
+        # W{13} of arity 24 has C(24, 13) = 2,496,144 members; the bound 13 is
+        # refused before any of them is listed.
+        names = tuple(f"v{i:02d}" for i in range(24))
+        inst = Instance(names, WeightParameter(WeightKind.EXACT, 13),
+                        (Constraint(WRelation(WeightSet.finite((13,)), 24), names),))
+        tracemalloc.start()
+        try:
+            for solve in (completion_reduction, solve_wd_pipeline):
+                with pytest.raises(CapacityError, match="^the member-size bound 13 is above the exhaustive bound 12$"):
+                    solve(inst, 13)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -17,11 +17,10 @@ from paramcsp import (
     WeightSet,
     WeightSetKind,
     WRelation,
-    ceil_log2,
     default_checker_cost,
-    membership_cost,
     relation_membership,
 )
+from paramcsp.relations import _ceil_log2
 
 finite_values = st.sets(st.integers(0, 30), max_size=8)
 
@@ -164,28 +163,28 @@ class TestRelationConstruction:
 
 class TestCostModel:
     def test_ceil_log2_values(self):
-        assert [ceil_log2(x) for x in (1, 2, 3, 4, 5, 8, 9, 1024)] == [
+        assert [_ceil_log2(x) for x in (1, 2, 3, 4, 5, 8, 9, 1024)] == [
             0, 1, 2, 2, 3, 3, 4, 10,
         ]
         with pytest.raises(DomainError):
-            ceil_log2(0)
+            _ceil_log2(0)
 
     def test_exponent_zero_kills_the_index_factor(self):
         cm = CostModel(exponent=0)
         rel = WRelation(WeightSet.even(), 4, index=1000)
-        assert membership_cost(cm, rel, set()) == default_checker_cost(0)
+        assert cm.cost(rel.index, 0) == default_checker_cost(0)
 
     def test_exponent_one_small_index(self):
         cm = CostModel(exponent=1)
         rel = WRelation(WeightSet.even(), 2, index=1)
-        assert membership_cost(cm, rel, {1, 2}) == default_checker_cost(2)
+        assert cm.cost(rel.index, 2) == default_checker_cost(2)
 
     def test_quadratic_exponent_example(self):
-        # ceil_log2(7 + 1) = 3, squared is 9; default base cost of a
+        # _ceil_log2(7 + 1) = 3, squared is 9; default base cost of a
         # three-position tuple is 4.
         cm = CostModel(exponent=2)
         rel = WRelation(WeightSet.even(), 3, index=7)
-        assert membership_cost(cm, rel, {1, 2, 3}) == 36
+        assert cm.cost(rel.index, 3) == 36
 
     def test_affine_checker_cost(self):
         assert AffineCost(slope=2, offset=3)(5) == 13
