@@ -6,6 +6,11 @@ interchangeable, so only the number chosen from each profile class matters.
 The solver enumerates count vectors over profile classes instead of variable
 subsets, which is what makes it parameterized rather than exponential in n.
 
+Profiles are counted from the constraint scopes: building them costs
+O(sum of arities + touched * |body|) plus one sort of the variable names,
+where ``touched`` is the number of variables in some scope. Every untouched
+variable has the all-zero profile, so they form one class together.
+
 Capping is sound because a count can only exceed ``h`` when ``h`` came from
 the weight set rather than from the instance: for a finite set the constraint
 sum then necessarily overshoots every admissible weight (infeasible), for a
@@ -15,7 +20,6 @@ sets never cap, since there ``h`` equals the instance's own bound.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotApplicableError, ParamCSPError
@@ -69,13 +73,22 @@ def compute_h(inst: Instance, weights: WeightSet) -> int:
 
 
 def profile_classes(inst: Instance, h: int) -> tuple[ProfileClass, ...]:
-    """Group variables by their occurrence profiles, capped at ``h + 1``."""
+    """Group variables by their occurrence profiles, capped at ``h + 1`` (``h >= 0``)."""
     over = h + 1
-    per_constraint = [Counter(c.scope) for c in inst.body]
+    width = len(inst.body)
+    rows: dict[str, list[int]] = {}
+    for i, c in enumerate(inst.body):
+        for v in c.scope:
+            row = rows.get(v)
+            if row is None:
+                row = rows[v] = [0] * width
+            if row[i] < over:
+                row[i] += 1
+    untouched = (0,) * width
     groups: dict[tuple[int, ...], list[str]] = {}
     for v in sorted(inst.variables):
-        prof = tuple(min(counts.get(v, 0), over) for counts in per_constraint)
-        groups.setdefault(prof, []).append(v)
+        row = rows.get(v)
+        groups.setdefault(untouched if row is None else tuple(row), []).append(v)
     return tuple(
         ProfileClass(prof, len(names), tuple(names))
         for prof, names in sorted(groups.items())

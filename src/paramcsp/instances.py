@@ -9,6 +9,7 @@ body constraint, though it can be materialized as one for interop.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
@@ -101,7 +102,11 @@ def _check_assignment(inst: Instance, assignment: Iterable[str]) -> frozenset[st
 
 def satisfies(inst: Instance, assignment: Iterable[str]) -> bool:
     """Decide whether the assignment meets the weight bound and every body constraint."""
-    aset = _check_assignment(inst, assignment)
+    return _meets(inst, _check_assignment(inst, assignment))
+
+
+def _meets(inst: Instance, aset: frozenset[str]) -> bool:
+    """:func:`satisfies` for a set already known to hold only declared variables."""
     if inst.weight.kind is WeightKind.EXACT:
         if len(aset) != inst.weight.k0:
             return False
@@ -145,7 +150,7 @@ def brute_force_solve(inst: Instance) -> frozenset[str] | None:
     exact = inst.weight.kind is WeightKind.EXACT
     for combo in guesses(sorted(inst.variables), inst.weight.k0, exact):
         aset = frozenset(combo)
-        if satisfies(inst, aset):
+        if _meets(inst, aset):
             return aset
     return None
 
@@ -339,7 +344,8 @@ def random_instance(seed: int, cfg: InstanceConfig) -> Instance:
     """Generate a pseudorandom instance; identical (seed, cfg) give identical output."""
     rng = random.Random(seed)
     width = max(3, len(str(cfg.n)))
-    names = tuple(f"x{i:0{width}d}" for i in range(1, cfg.n + 1))
+    # Interned, so generated instances share one copy of each name.
+    names = tuple(sys.intern(f"x{i:0{width}d}") for i in range(1, cfg.n + 1))
     shared: WeightSet | None = None
     if cfg.profile in ("w-finite", "w-cofinite", "w-even", "w-odd"):
         shared = _random_weight_set(rng, cfg, cfg.profile.removeprefix("w-"))

@@ -285,12 +285,19 @@ class GuessCheckMachine:
         return ck.check(combo, steps)
 
 
+# An arbitrary ``checker_cost`` callable is read at every weight up to
+# ``k0 * e0``; a longer scan is refused, at the scale of ``_CW_GUESS_CAP``.
+_COST_SCAN_CAP = 2**16
+
+
 def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> GuessCheckMachine:
     """Compile an exact-weight instance into an appearance-checking machine.
 
     When more constraints reject the empty tuple than k0 guessed variables
     can touch, no assignment of weight k0 exists and the machine degenerates
-    to an immediate reject with budget 0.
+    to an immediate reject with budget 0. A ``checker_cost`` other than the
+    default or an :class:`AffineCost` raises :class:`CapacityError` when
+    ``k0 * e0`` exceeds ``_COST_SCAN_CAP`` (2**16), before it is called.
     """
     if inst.weight.kind is not WeightKind.EXACT:
         raise NotApplicableError("appearance machines need an exact weight bound; lift first")
@@ -310,6 +317,10 @@ def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> Gu
     if inst.body:
         top = max(c.relation.index for c in inst.body)
         monotone = cm.checker_cost is default_checker_cost or isinstance(cm.checker_cost, AffineCost)
+        if not monotone and weight_cap > _COST_SCAN_CAP:
+            raise CapacityError(
+                f"weight bound {weight_cap} above the cost-scan bound {_COST_SCAN_CAP}"
+            )
         weights = (weight_cap,) if monotone else range(weight_cap + 1)
         check_cap = max(cm.cost(top, w) for w in weights)
     budget = k0 + k0 * t0 + (k0 * t0) * (weight_cap + check_cap) + k0 * t0
@@ -659,7 +670,7 @@ def solve_wd_pipeline(inst: Instance, d: int) -> frozenset[str] | None:
         result = simulate(machine)
         if result.witness is None:
             return None
-        witness = frozenset(v for v in result.witness if v in inst.variable_set)
+        witness = result.witness & inst.variable_set
     if not satisfies(inst, witness):
         raise ParamCSPError("pipeline produced an invalid witness")
     return witness

@@ -1,13 +1,15 @@
-"""Independent reference computations used by the machine and acceptance tests.
+"""Independent reference computations used by the solver, machine and acceptance tests.
 
 Nothing here calls the code paths under test: unions are counted by direct
 scan over the body, reduced instances are decided by enumerating original
-variable subsets and propagating the forced indicator values, and costs and
-budgets are summed term by term.
+variable subsets and propagating the forced indicator values, costs and
+budgets are summed term by term, and occurrence profiles are read for every
+variable against every constraint.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -18,6 +20,7 @@ from paramcsp import (
     DomainError,
     Instance,
     ParamCSPError,
+    ProfileClass,
     satisfies,
 )
 from paramcsp.machines import _cw_shared_bound
@@ -149,3 +152,17 @@ def literal_check_cap(inst: Instance, cost_model: CostModel, weight_cap: int) ->
         for w in range(weight_cap + 1):
             check_cap = max(check_cap, cost_model.cost(c.relation.index, w))
     return check_cap
+
+
+def dense_profile_classes(inst: Instance, h: int) -> tuple[ProfileClass, ...]:
+    """Profile classes read densely: every variable against every constraint."""
+    over = h + 1
+    per_constraint = [Counter(c.scope) for c in inst.body]
+    groups: dict[tuple[int, ...], list[str]] = {}
+    for v in sorted(inst.variables):
+        prof = tuple(min(counts.get(v, 0), over) for counts in per_constraint)
+        groups.setdefault(prof, []).append(v)
+    return tuple(
+        ProfileClass(prof, len(names), tuple(names))
+        for prof, names in sorted(groups.items())
+    )

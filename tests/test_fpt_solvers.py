@@ -8,6 +8,8 @@ import sys
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paramcsp
 from paramcsp import (
@@ -32,6 +34,7 @@ from paramcsp import (
     solve_w_kue_with_stats,
 )
 from corpus_helpers import SOLVER_PROFILES, instances, solver_config
+from oracles import dense_profile_classes
 
 EXACT = WeightKind.EXACT
 ATMOST = WeightKind.ATMOST
@@ -137,6 +140,26 @@ class TestProfileClasses:
         # Three occurrences cap to the sentinel h + 1 = 3.
         assert profiles == {(0,): ("c", "d"), (1,): ("b",), (3,): ("a",)}
         assert sum(cls.count for cls in classes) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), h=st.integers(0, 3))
+    def test_matches_the_dense_profiles(self, data, h):
+        # Names are declared in drawn order, scopes repeat entries and leave
+        # variables untouched, and bodies may be empty.
+        names = data.draw(st.lists(
+            st.text(alphabet="abcxyz", min_size=1, max_size=3),
+            min_size=1, max_size=10, unique=True,
+        ))
+        pool = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4))
+        scopes = data.draw(st.lists(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=6), max_size=5,
+        ))
+        inst = Instance(
+            tuple(names),
+            WeightParameter(EXACT, 1),
+            tuple(Constraint(WRelation(WeightSet.even(), len(s)), tuple(s)) for s in scopes),
+        )
+        assert profile_classes(inst, h) == dense_profile_classes(inst, h)
 
 
 class TestSolveKue:

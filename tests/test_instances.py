@@ -165,6 +165,23 @@ class TestBruteForce:
         inst = Instance(("x", "y"), WeightParameter(ATMOST, 2))
         assert brute_force_solve(inst) == frozenset()
 
+    def test_reads_the_variable_set_at_most_once(self, monkeypatch):
+        reads = []
+
+        def counting(inst):
+            reads.append(inst)
+            return frozenset(inst.variables)
+
+        monkeypatch.setattr(Instance, "variable_set", property(counting))
+        names = tuple(f"v{i:02d}" for i in range(30))
+        unsat = Instance(names, WeightParameter(EXACT, 2), (Constraint(w([1], 2), ("v00", "v00")),))
+        assert brute_force_solve(unsat) is None
+        assert len(reads) <= 1
+        reads.clear()
+        sat = Instance(names, WeightParameter(EXACT, 1), (Constraint(w([1], 1), ("v29",)),))
+        assert brute_force_solve(sat) == frozenset({"v29"})
+        assert len(reads) <= 1
+
     def test_every_witness_satisfies(self):
         sat = 0
         for _, inst in instances(150, atmost_config, salt=6):
@@ -276,6 +293,13 @@ class TestRandomInstance:
     def test_same_seed_same_instance(self):
         cfg = InstanceConfig(n=6, k0=2, profile="mixed", body_len=3)
         assert random_instance(41, cfg) == random_instance(41, cfg)
+
+    def test_instances_share_their_name_objects(self):
+        first = random_instance(1, InstanceConfig(n=12, k0=1, profile="w-odd", body_len=3))
+        second = random_instance(2, InstanceConfig(n=12, k0=2, profile="cw", body_len=3))
+        assert all(a is b for a, b in zip(first.variables, second.variables, strict=True))
+        declared = {id(v) for v in second.variables}
+        assert all(id(v) in declared for c in second.body for v in c.scope)
 
     def test_different_seeds_differ(self):
         cfg = InstanceConfig(n=6, k0=2, profile="mixed", body_len=3)

@@ -290,6 +290,23 @@ class TestReduceAppearance:
         weight_cap = k0 * param_e(inst)
         assert m.budget == k0 + 2 * kt + kt * (weight_cap + literal_check_cap(inst, cm, weight_cap))
 
+    def test_arbitrary_cost_scan_is_refused_past_its_cap(self):
+        calls = []
+
+        def cost(w):
+            calls.append(w)
+            return w + 1
+
+        body = (Constraint(WRelation(WS1, 1), ("x",)),)
+        with pytest.raises(CapacityError, match="cost-scan bound 65536"):
+            reduce_appearance(exact("xy", 2**63, *body), CostModel(checker_cost=cost))
+        assert calls == []
+        at_cap = reduce_appearance(exact("xy", 2**16, *body), CostModel(checker_cost=cost))
+        assert len(calls) == 2**16 + 1
+        affine = CostModel(checker_cost=AffineCost(1, 1))
+        assert at_cap.budget == reduce_appearance(exact("xy", 2**16, *body), affine).budget
+        assert reduce_appearance(exact("xy", 2**63, *body), affine).budget > 0
+
     def test_cost_model_is_threaded_through(self):
         cm = CostModel(exponent=2)
         m = reduce_appearance(POSITIVE_X, cm)
