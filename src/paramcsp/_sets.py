@@ -51,6 +51,13 @@ def lex_subsets(items: Sequence[T], max_size: int) -> Iterator[tuple[T, ...]]:
         prefix[-1] = items[chosen[-1]]
 
 
+def subsets_by_size(items: Sequence[T], max_size: int) -> list[frozenset[T]]:
+    """The subsets of ``items`` with at most ``max_size`` elements, smallest
+    first, each size in :func:`itertools.combinations` order over ``items``."""
+    sizes = range(min(max_size, len(items)) + 1)
+    return [frozenset(c) for size in sizes for c in combinations(items, size)]
+
+
 def guesses(names: Sequence[T], k0: int, exact: bool) -> Iterator[tuple[T, ...]]:
     """Enumerate candidate sets of ``names`` in the one fixed witness order.
 

@@ -96,14 +96,13 @@ def profile_classes(inst: Instance, h: int) -> tuple[ProfileClass, ...]:
 
 
 def _feasible(
-    weights: WeightSet | None,
+    weights: WeightSet,
     h: int,
     classes: tuple[ProfileClass, ...],
     vector: tuple[int, ...],
     body_len: int,
 ) -> bool:
     for i in range(body_len):
-        assert weights is not None
         total = 0
         capped = False
         for cls, n in zip(classes, vector):
@@ -120,7 +119,7 @@ def _feasible(
             if weights.kind is not WeightSetKind.COFINITE:
                 raise ParamCSPError("parity sets cannot hit the cap")
             continue
-        if not weights.contains(total):
+        if not weights._contains(total):
             return False
     return True
 

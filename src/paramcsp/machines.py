@@ -13,10 +13,11 @@ touched constraint accepts its selected positions and every empty-rejecting
 constraint is touched. The conditional-weight checker stores counting tables
 keyed by head-image and tail-image sets and accepts via an inclusion-exclusion
 identity, without ever looking at a concrete constraint during the branch.
-It scans only the heads of the guess that some table key stores: a head in
-no key reads zero everywhere, so it cannot fail, and it is charged the fixed
-cost of its scan in one addition. Steps therefore match the literal
-every-head scan, and an accepting branch costs exactly the budget.
+Every head of the guess is charged the fixed cost of its tail scans in one
+addition, and only the heads some table key stores are looked up: a head in
+no key reads zero everywhere, so it cannot fail. A head that fails is charged
+up to the pair it fails at. Steps therefore match the literal every-head,
+every-pair scan, and an accepting branch costs exactly the budget.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Union
 
-from ._sets import guesses
+from ._sets import guesses, subsets_by_size
 from .errors import (
     BudgetExceededError,
     CapacityError,
@@ -145,8 +146,9 @@ def _tail_scans(k: int, b: int) -> tuple[int, int, int, int]:
     Returns ``(pairs, pair_scan, terms, term_scan)``: the number of tail sets
     ``G`` of at most ``b + 1`` names and their summed ``|G| + 1``; the number
     of nonempty ones of at most ``b`` names and their summed ``|G| + 2``, plus
-    the 2 that closes the sum. Subsets come in size order, so these tail sets
-    are the first ``pairs`` subsets and the ``terms`` after the empty one.
+    the 2 that closes the sum. The counts index the subset order of
+    :func:`~paramcsp._sets.subsets_by_size`: these tail sets are its first
+    ``pairs`` subsets and the ``terms`` after the empty one.
     Each binomial comes from the last, ``C(k, j + 1) = C(k, j) * (k - j) // (j + 1)``.
     """
     pairs = pair_scan = terms = term_scan = 0
@@ -175,12 +177,15 @@ class CWChecker:
     :meth:`check` scans the heads ``B`` of the guess in two loops, one over
     the tail sets ``G`` of at most ``b + 1`` names (the lambda caps), one
     over the nonempty tail sets of at most ``b`` names (the alternating sum
-    against ``delta_empty[B]``), charging ``|B| + |G| + 1`` and
-    ``|B| + |G| + 2`` steps per pair and ``|B| + 2`` per finished sum. A
-    head in no key of the three tables (``heads``) reads zero at every key:
-    its caps are 0 <= ``b``, its partial sums are 0 within ``sum_bound``, and
-    its sum 0 equals its ``delta_empty`` of 0. It can fail no test, so it is
-    skipped and charged the fixed cost of its two scans in one addition.
+    of :meth:`_tail_sum` against ``delta_empty[B]``). Read literally, a pair
+    costs ``|B| + |G| + 1`` and ``|B| + |G| + 2`` steps and a finished sum
+    ``|B| + 2``, so each head is charged ``|B| * pairs + pair_scan`` and
+    ``|B| * (terms + 1) + term_scan`` in one addition each (see
+    :func:`_tail_scans`); a head whose ``j``-th cap fails is charged its
+    first ``j`` pairs instead. Only heads in some key of the three tables
+    (``heads``) are looked up. Any other head reads zero at every key: its
+    caps are 0 <= ``b``, its partial sums are 0 within ``sum_bound``, and its
+    sum 0 equals its ``delta_empty`` of 0, so it can fail no test.
     """
 
     b: int
@@ -200,41 +205,34 @@ class CWChecker:
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
         """Check one guess of distinct names; returns (accepted, steps charged)."""
-        subs = [
-            frozenset(c)
-            for size in range(len(combo) + 1)
-            for c in combinations(combo, size)
-        ]
+        subs = subsets_by_size(combo, len(combo))
         b = self.b
         heads = self.heads
         pairs, pair_scan, terms, term_scan = _tail_scans(len(combo), b)
         pairs_g = subs[:pairs]
         terms_g = subs[1 : 1 + terms]
         for bset in subs:
-            lb = len(bset)
-            if bset not in heads:
-                steps += lb * pairs + pair_scan
-                continue
-            for g in pairs_g:
-                steps += lb + len(g) + 1
-                if self.lambda_caps.get((bset, g), 0) > b:
-                    return False, steps
+            if bset in heads:
+                for j, g in enumerate(pairs_g, start=1):
+                    if self.lambda_caps.get((bset, g), 0) > b:
+                        return False, steps + (len(bset) + 1) * j + sum(map(len, pairs_g[:j]))
+            steps += len(bset) * pairs + pair_scan
         for bset in subs:
-            lb = len(bset)
-            if bset not in heads:
-                steps += lb * (terms + 1) + term_scan
-                continue
-            total = 0
-            for g in terms_g:
-                steps += lb + len(g) + 2
-                d = self.delta_sizes.get((bset, g), 0)
-                total += d if len(g) % 2 else -d
-                if not -self.sum_bound <= total <= self.sum_bound:
-                    raise ParamCSPError("partial sum escaped its bound")
-            steps += lb + 2
-            if total != self.delta_empty.get(bset, 0):
+            steps += len(bset) * (terms + 1) + term_scan
+            if bset in heads and self._tail_sum(bset, terms_g) != self.delta_empty.get(bset, 0):
                 return False, steps
         return True, steps
+
+    def _tail_sum(self, bset: frozenset[str], tails: list[frozenset[str]]) -> int:
+        """Alternating sum of the counts at ``(bset, G)``, odd ``|G|`` added, over
+        ``tails``; a partial sum outside ``sum_bound`` raises :class:`ParamCSPError`."""
+        total = 0
+        for g in tails:
+            d = self.delta_sizes.get((bset, g), 0)
+            total += d if len(g) % 2 else -d
+            if not -self.sum_bound <= total <= self.sum_bound:
+                raise ParamCSPError("partial sum escaped its bound")
+        return total
 
 
 @dataclass(frozen=True)
@@ -368,15 +366,12 @@ def build_cw_tables(inst: Instance, k0: int) -> CWChecker:
             continue
         delta_empty[head_img] = delta_empty.get(head_img, 0) + 1
         tail_vars = c.scope[d:]
-        tail_img = sorted(set(tail_vars))
-        for size in range(1, min(g_cap, len(tail_img)) + 1):
-            for chosen in combinations(tail_img, size):
-                g = frozenset(chosen)
-                key = (head_img, g)
-                delta_sizes[key] = delta_sizes.get(key, 0) + 1
-                hits = sum(1 for v in tail_vars if v in g)
-                if hits > lambda_caps.get(key, 0):
-                    lambda_caps[key] = hits
+        for g in subsets_by_size(sorted(set(tail_vars)), g_cap)[1:]:
+            key = (head_img, g)
+            delta_sizes[key] = delta_sizes.get(key, 0) + 1
+            hits = sum(1 for v in tail_vars if v in g)
+            if hits > lambda_caps.get(key, 0):
+                lambda_caps[key] = hits
     entries = len(delta_empty) + len(delta_sizes)
     cap = n_size * _tail_scans(n_size, b)[0]
     if entries > cap:
@@ -403,16 +398,12 @@ def inclusion_exclusion_union(
 
     With all tail images inside ``candidates`` no larger than ``bound``, this
     equals the number of constraints with head image ``head_set`` whose tail
-    image meets ``candidates`` at all.
+    image meets ``candidates`` at all. It is the sum :meth:`CWChecker.check`
+    takes, so a partial sum outside the tables' ``sum_bound`` raises
+    :class:`ParamCSPError` (``partial sum escaped its bound``) here too.
     """
-    bset = frozenset(head_set)
-    elems = sorted(candidates)
-    total = 0
-    for size in range(1, min(bound, len(elems)) + 1):
-        sign = 1 if size % 2 else -1
-        for chosen in combinations(elems, size):
-            total += sign * tables.delta_sizes.get((bset, frozenset(chosen)), 0)
-    return total
+    tails = subsets_by_size(sorted(candidates), bound)[1:]
+    return tables._tail_sum(frozenset(head_set), tails)
 
 
 # Each conditional-weight branch scans all 2**k0 heads of its guess, so no

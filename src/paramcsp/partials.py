@@ -43,16 +43,11 @@ def _set_to_mask(positions: Iterable[int]) -> int:
     return mask
 
 
-def _require_arity(arity: int, capacity: int) -> None:
-    """Refuse an arity whose ``2**arity`` tuple sets exceed the exhaustive scan."""
-    if arity > capacity:
-        raise CapacityError(f"arity {arity} above the exhaustive bound {capacity}")
-
-
 def _member_masks(rel: Relation, capacity: int) -> list[bool]:
     """Membership of every tuple set of ``rel``, indexed by mask; the arity must
-    stay within ``capacity``."""
-    _require_arity(rel.arity, capacity)
+    stay within ``capacity``, since ``2**arity`` tuple sets are scanned."""
+    if rel.arity > capacity:
+        raise CapacityError(f"arity {rel.arity} above the exhaustive bound {capacity}")
     return [rel._contains(_mask_to_set(m)) for m in range(1 << rel.arity)]
 
 

@@ -70,6 +70,9 @@ class WeightSet:
 
     def contains(self, weight: int) -> bool:
         require_int(weight, "weight", DomainError)
+        return self._contains(weight)
+
+    def _contains(self, weight: int) -> bool:
         if self.kind is WeightSetKind.FINITE:
             return weight in self.values
         if self.kind is WeightSetKind.COFINITE:
@@ -98,7 +101,7 @@ class WRelation:
         _normalize_index(self, self.arity, self.index)
 
     def _contains(self, positions: frozenset[int]) -> bool:
-        return self.weights.contains(len(positions))
+        return self.weights._contains(len(positions))
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,7 @@ class CWRelation:
             if p not in positions:
                 return True
         tail_weight = sum(1 for p in positions if p > self.head)
-        return self.weights.contains(tail_weight)
+        return self.weights._contains(tail_weight)
 
 
 @dataclass(frozen=True)

@@ -514,6 +514,13 @@ class TestGen:
         cfg = InstanceConfig(n=5, k0=2, profile=profile, body_len=2, finite_values=())
         assert gen("--finite-values", ",") == random_instance(3, cfg)
 
+    def test_output_into_a_missing_directory_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "g.json"
+        assert run(GEN_ARGS + ["--seed", "3", "--out", str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+
     def test_bad_finite_values(self, capsys):
         args = ["gen", "--n", "4", "--k0", "1", "--finite-values", "a,b"]
         assert run(args) == EXIT_USAGE
@@ -542,6 +549,26 @@ class TestVerify:
         assert rows[0] == "case,seed,profile,n,k0,expected,got,agree"
         assert len(rows) == 9
         assert all(row.endswith(",1") for row in rows[1:])
+
+    def test_report_into_a_missing_directory_is_a_usage_error(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "report.csv"
+        args = ["verify", "--method", "fpt-kue", "--count", "2", "--report", str(report)]
+        assert run(args) == EXIT_USAGE
+        _, err = capsys.readouterr()
+        assert err.startswith(f"error: cannot write {report}: ")
+
+    def test_invalid_witnesses_are_mismatches(self, monkeypatch, capsys):
+        # One name over the weight bound fails every instance, satisfiable or not.
+        def overweight(method, inst, bound=None):
+            return frozenset(sorted(inst.variables)[: inst.weight.k0 + 1]), None
+
+        monkeypatch.setattr("paramcsp.cli._decide", overweight)
+        assert run(["verify", "--method", "appearance", "--count", "2", "--seed", "1"]) == EXIT_UNSAT
+        assert lines(capsys) == [
+            "mismatch case=0 seed=1000003: expected unsat, got sat",
+            "mismatch case=1 seed=1000004: expected sat, got sat",
+            "verify appearance: 0/2 agree",
+        ]
 
     def test_requires_a_method(self, capsys):
         assert run(["verify"]) == EXIT_USAGE

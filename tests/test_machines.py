@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
-from itertools import islice
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -81,7 +81,7 @@ from paramcsp import (
     solve_wd_pipeline,
 )
 import paramcsp
-from paramcsp._sets import guesses, lex_subsets
+from paramcsp._sets import guesses, lex_subsets, subsets_by_size
 from paramcsp.machines import _cw_budget, _tail_scans
 
 WS1 = WeightSet.finite((1,))
@@ -190,6 +190,10 @@ class TestGuessCheckMachine:
         m = GuessCheckMachine(("a",), 2**63, True, 5, trivial_cw_checker())
         assert simulate(m) == SimulationResult(False, None, 0, 0)
 
+    def test_atmost_branch_rejects_a_guess_above_the_bound(self):
+        m = GuessCheckMachine(("a", "b", "c"), 1, False, 10, trivial_cw_checker())
+        assert m.run_branch(("a", "b")) == (False, 2)
+
     def test_atmost_machine_tries_empty_guess_first(self):
         m = GuessCheckMachine(("a", "b"), 1, False, 3, trivial_cw_checker())
         assert simulate(m) == SimulationResult(True, frozenset(), 3, 1)
@@ -198,6 +202,16 @@ class TestGuessCheckMachine:
         deep = list(islice(lex_subsets(range(2000), 2000), 1500))
         assert deep[0] == ()
         assert deep[-1] == tuple(range(1499))
+
+
+class TestSubsetsBySize:
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_the_nested_combinations(self, n):
+        items = tuple("dbca"[:n])
+        every = [frozenset(c) for size in range(n + 1) for c in combinations(items, size)]
+        for max_size in range(-1, n + 2):
+            want = [s for s in every if len(s) <= max_size]
+            assert subsets_by_size(items, max_size) == want, (n, max_size)
 
 
 class TestCheckerInvariants:
@@ -531,6 +545,13 @@ class TestInclusionExclusionUnion:
         t = build_cw_tables(ONE_OF_TWO, 2)
         assert inclusion_exclusion_union(t, head, cands, 1) == want
 
+    def test_partial_sums_escaping_the_bound_raise(self):
+        # The union takes the check's sum, so it refuses the same escape.
+        key = (frozenset({"x"}), frozenset({"y"}))
+        tables = CWChecker(b=1, delta_sizes={key: 1}, lambda_caps={key: 1}, delta_empty={}, sum_bound=0)
+        with pytest.raises(ParamCSPError, match="partial sum escaped its bound"):
+            inclusion_exclusion_union(tables, {"x"}, {"y"}, 1)
+
     def test_matches_direct_counts_under_premise(self):
         """Whenever no tail image meets the candidate set more than b times,
         the alternating sum counts exactly the constraints whose tail meets
@@ -683,6 +704,24 @@ class TestCWCheckerSkipsUnstoredHeads:
         assert frozenset({"x"}) not in machine.checker.delta_empty
         assert simulate(machine) == SimulationResult(False, None, 18, 1)
         assert machine.checker.check(("x", "y"), 2) == literal_cw_check(machine.checker, ("x", "y"), 2)
+
+    def test_a_head_failing_past_its_first_pair_is_charged_up_to_that_pair(self):
+        # Head {x} is stored and passes; head {y} first exceeds its cap at
+        # G = {x, z}, the sixth of the seven tail sets of at most b + 1 names.
+        inst = exact(
+            "xyz",
+            3,
+            Constraint(CWRelation(WS1, head=1, tail=1), ("x", "y")),
+            Constraint(CWRelation(WS1, head=1, tail=2), ("y", "x", "z")),
+        )
+        checker = reduce_cw(inst).checker
+        assert checker.heads == {frozenset("x"), frozenset("y")}
+        assert checker.lambda_caps[(frozenset("y"), frozenset("xz"))] == 2
+        # 3 to write the guess, 16 for head {}, 1 * 7 + 16 for head {x}, and
+        # six pairs of head {y} at |B| + |G| + 1 = 2 * 6 + (0 + 1 + 1 + 1 + 2 + 2).
+        assert checker.check(("x", "y", "z"), 3) == (False, 61)
+        assert literal_cw_check(checker, ("x", "y", "z"), 3) == (False, 61)
+        assert simulate(reduce_cw(inst)) == SimulationResult(False, None, 61, 1)
 
     @pytest.mark.parametrize("table", ["delta_sizes", "lambda_caps", "delta_empty"])
     def test_each_table_alone_marks_its_heads_stored(self, table):
