@@ -316,10 +316,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         expected = brute_force_solve(inst)
         got = _decide(args.method, inst)[0]
         agree = (expected is None) == (got is None)
-        if agree and got is not None and not satisfies(inst, got):
-            agree = False
         expected_word = "unsat" if expected is None else "sat"
         got_word = "unsat" if got is None else "sat"
+        if agree and got is not None and not satisfies(inst, got):
+            agree = False
+            got_word = "invalid"
         if agree:
             agree_count += 1
         else:

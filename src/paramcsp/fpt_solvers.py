@@ -7,9 +7,10 @@ The solver enumerates count vectors over profile classes instead of variable
 subsets, which is what makes it parameterized rather than exponential in n.
 
 Profiles are counted from the constraint scopes: building them costs
-O(sum of arities + touched * |body|) plus one sort of the variable names,
-where ``touched`` is the number of variables in some scope. Every untouched
-variable has the all-zero profile, so they form one class together.
+O(sum of arities + touched * |body|) in Python, where ``touched`` is the
+number of variables in some scope. Every untouched variable has the all-zero
+profile, so they form one class together, built by one sort of the names and
+one filter against the touched ones, both C-level passes.
 
 Capping is sound because a count can only exceed ``h`` when ``h`` came from
 the weight set rather than from the instance: for a finite set the constraint
@@ -21,6 +22,7 @@ sets never cap, since there ``h`` equals the instance's own bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from .errors import NotApplicableError, ParamCSPError
 from .instances import Instance, WeightKind, param_e, param_t, satisfies
@@ -73,7 +75,12 @@ def compute_h(inst: Instance, weights: WeightSet) -> int:
 
 
 def profile_classes(inst: Instance, h: int) -> tuple[ProfileClass, ...]:
-    """Group variables by their occurrence profiles, capped at ``h + 1`` (``h >= 0``)."""
+    """Group variables by their occurrence profiles, capped at ``h + 1`` (``h >= 0``).
+
+    Classes come in profile order, each listing its names sorted. Rows are
+    counted per scope for the touched variables only; the all-zero class is
+    the sorted names filtered by the rows in one C-level pass.
+    """
     over = h + 1
     width = len(inst.body)
     rows: dict[str, list[int]] = {}
@@ -84,11 +91,15 @@ def profile_classes(inst: Instance, h: int) -> tuple[ProfileClass, ...]:
                 row = rows[v] = [0] * width
             if row[i] < over:
                 row[i] += 1
-    untouched = (0,) * width
     groups: dict[tuple[int, ...], list[str]] = {}
-    for v in sorted(inst.variables):
-        row = rows.get(v)
-        groups.setdefault(untouched if row is None else tuple(row), []).append(v)
+    # Every touched row counts at least one occurrence, so only untouched
+    # variables have the all-zero profile. Sorting the declared tuple, not a
+    # set, keeps the sort linear when the names are declared in order.
+    untouched = list(filterfalse(rows.__contains__, sorted(inst.variables)))
+    if untouched:
+        groups[(0,) * width] = untouched
+    for v in sorted(rows):
+        groups.setdefault(tuple(rows[v]), []).append(v)
     return tuple(
         ProfileClass(prof, len(names), tuple(names))
         for prof, names in sorted(groups.items())

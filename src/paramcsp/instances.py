@@ -14,6 +14,8 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
+from itertools import chain
 
 from ._sets import guesses
 from .errors import DomainError, NotApplicableError, UsageError, ValidationError, require_int
@@ -73,16 +75,32 @@ class Instance:
     body: tuple[Constraint, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "body", tuple(self.body))
+        variables = tuple(self.variables)
+        body = tuple(self.body)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "body", body)
+        try:
+            # C-level passes: join refuses exactly the names isinstance(v, str)
+            # refuses, and does so before any name is hashed.
+            "".join(variables)
+            declared = set(variables)
+            if (
+                len(declared) == len(variables)
+                and "" not in declared
+                and declared.issuperset(chain.from_iterable(c.scope for c in body))
+            ):
+                return
+        except (TypeError, AttributeError):
+            pass
+        # Some check failed: walk the names in order to report the first fault.
         seen: set[str] = set()
-        for v in self.variables:
+        for v in variables:
             if not isinstance(v, str) or not v:
                 raise ValidationError(f"variable names must be nonempty strings, got {v!r}")
             if v in seen:
                 raise ValidationError(f"duplicate variable {v!r}")
             seen.add(v)
-        for i, c in enumerate(self.body):
+        for i, c in enumerate(body):
             for v in c.scope:
                 if v not in seen:
                     raise ValidationError(f"constraint {i + 1} uses undeclared variable {v!r}")
@@ -340,12 +358,23 @@ def _random_relation(
     return ExplicitRelation(arity=arity, members=tuple(members))
 
 
+@lru_cache(maxsize=64)
+def _generated_names(n: int) -> tuple[str, ...]:
+    """The names ``x001``.. of an ``n``-variable generated instance, zero-padded
+    to at least three digits. Interned, so names of equal width are one object
+    across name counts too."""
+    width = max(3, len(str(n)))
+    return tuple(sys.intern(f"x{i:0{width}d}") for i in range(1, n + 1))
+
+
 def random_instance(seed: int, cfg: InstanceConfig) -> Instance:
-    """Generate a pseudorandom instance; identical (seed, cfg) give identical output."""
+    """Generate a pseudorandom instance; identical (seed, cfg) give identical output.
+
+    Every instance with the same ``cfg.n`` shares one ``variables`` tuple, built
+    once per name count by a bounded cache, so generation costs no per-name work.
+    """
     rng = random.Random(seed)
-    width = max(3, len(str(cfg.n)))
-    # Interned, so generated instances share one copy of each name.
-    names = tuple(sys.intern(f"x{i:0{width}d}") for i in range(1, cfg.n + 1))
+    names = _generated_names(cfg.n)
     shared: WeightSet | None = None
     if cfg.profile in ("w-finite", "w-cofinite", "w-even", "w-odd"):
         shared = _random_weight_set(rng, cfg, cfg.profile.removeprefix("w-"))

@@ -21,6 +21,9 @@ from .errors import CapacityError, UsageError
 from .relations import ExplicitRelation, Relation, _check_positions
 
 DEFAULT_CAPACITY = 12
+# No capacity lifts the scan above this arity: the table build costs about
+# 4**arity, some ten seconds at 14 and minutes at 16.
+_ARITY_CEILING = 14
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,11 @@ def _set_to_mask(positions: Iterable[int]) -> int:
 
 def _member_masks(rel: Relation, capacity: int) -> list[bool]:
     """Membership of every tuple set of ``rel``, indexed by mask; the arity must
-    stay within ``capacity``, since ``2**arity`` tuple sets are scanned."""
-    if rel.arity > capacity:
-        raise CapacityError(f"arity {rel.arity} above the exhaustive bound {capacity}")
+    stay within ``capacity`` and the fixed ceiling of 14, since ``2**arity``
+    tuple sets are scanned."""
+    bound = min(capacity, _ARITY_CEILING)
+    if rel.arity > bound:
+        raise CapacityError(f"arity {rel.arity} above the exhaustive bound {bound}")
     return [rel._contains(_mask_to_set(m)) for m in range(1 << rel.arity)]
 
 
@@ -85,9 +90,10 @@ def completions(rel: Relation, positions: Iterable[int], *, capacity: int = DEFA
 def compute_partials(rel: Relation, *, capacity: int = DEFAULT_CAPACITY) -> PartialsTable:
     """Build the full partial-tuple table of ``rel`` by exhaustive scan.
 
-    Any relation with arity above ``capacity`` raises :class:`CapacityError`;
-    the scan is ``2**arity`` memberships plus submask walks, and the table
-    itself can be that large.
+    Any relation with arity above ``capacity``, or above 14 whatever
+    ``capacity`` says, raises :class:`CapacityError`; the scan is
+    ``2**arity`` memberships plus submask walks, and the table itself can be
+    that large.
     """
     member = _member_masks(rel, capacity)
     member_list = [m for m, is_member in enumerate(member) if is_member]

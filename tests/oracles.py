@@ -3,8 +3,9 @@
 Nothing here calls the code paths under test: unions are counted by direct
 scan over the body, reduced instances are decided by enumerating original
 variable subsets and propagating the forced indicator values, costs and
-budgets are summed term by term, and occurrence profiles are read for every
-variable against every constraint.
+budgets are summed term by term, occurrence profiles are read for every
+variable against every constraint, and instance declarations are checked one
+name at a time in order.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from paramcsp import (
     Instance,
     ParamCSPError,
     ProfileClass,
+    ValidationError,
     satisfies,
 )
 from paramcsp.machines import _cw_shared_bound
@@ -166,3 +168,19 @@ def dense_profile_classes(inst: Instance, h: int) -> tuple[ProfileClass, ...]:
         ProfileClass(prof, len(names), tuple(names))
         for prof, names in sorted(groups.items())
     )
+
+
+def validate_in_order(variables, body) -> None:
+    """Instance validation one name at a time: raises what the first fault in
+    declaration order raises, and returns for a valid declaration."""
+    seen: set[str] = set()
+    for v in variables:
+        if not isinstance(v, str) or not v:
+            raise ValidationError(f"variable names must be nonempty strings, got {v!r}")
+        if v in seen:
+            raise ValidationError(f"duplicate variable {v!r}")
+        seen.add(v)
+    for i, c in enumerate(body):
+        for v in c.scope:
+            if v not in seen:
+                raise ValidationError(f"constraint {i + 1} uses undeclared variable {v!r}")

@@ -440,6 +440,13 @@ class TestPartials:
         wide = '{"type": "W", "weights": {"kind": "finite", "values": [13]}, "arity": 13}'
         assert run(["partials", "--relation", wide, "--capacity", "13"]) == EXIT_SAT
 
+    def test_capacity_cannot_lift_the_ceiling(self):
+        # Arity 16 ran for about two minutes before the ceiling; it must now be refused at once.
+        wide = '{"type": "W", "weights": {"kind": "odd"}, "arity": 16}'
+        done = cli_child(["partials", "--relation", wide, "--capacity", "16"], timeout=20)
+        want = "error: arity 16 above the exhaustive bound 14\n"
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_NOT_APPLICABLE, "", want)
+
 
 class TestStats:
     def test_exact_parameters(self, doc, capsys):
@@ -566,7 +573,7 @@ class TestVerify:
         assert run(["verify", "--method", "appearance", "--count", "2", "--seed", "1"]) == EXIT_UNSAT
         assert lines(capsys) == [
             "mismatch case=0 seed=1000003: expected unsat, got sat",
-            "mismatch case=1 seed=1000004: expected sat, got sat",
+            "mismatch case=1 seed=1000004: expected sat, got invalid",
             "verify appearance: 0/2 agree",
         ]
 

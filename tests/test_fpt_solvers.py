@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from math import comb
@@ -160,6 +161,21 @@ class TestProfileClasses:
             tuple(Constraint(WRelation(WeightSet.even(), len(s)), tuple(s)) for s in scopes),
         )
         assert profile_classes(inst, h) == dense_profile_classes(inst, h)
+
+    def test_many_untouched_variables_declared_out_of_order(self):
+        names = [f"v{i:03d}" for i in range(600)]
+        random.Random(7).shuffle(names)
+        scopes = (("v599", "v010", "v599"), ("v010", "v300"), ("v000",))
+        inst = Instance(
+            tuple(names),
+            WeightParameter(EXACT, 2),
+            tuple(Constraint(WRelation(WeightSet.odd(), len(s)), s) for s in scopes),
+        )
+        classes = profile_classes(inst, 1)
+        assert classes == dense_profile_classes(inst, 1)
+        untouched = classes[0]
+        assert untouched.profile == (0, 0, 0) and untouched.count == 596
+        assert untouched.representatives == tuple(sorted(set(names) - {"v000", "v010", "v300", "v599"}))
 
 
 class TestSolveKue:

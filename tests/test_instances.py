@@ -4,6 +4,8 @@ and the seeded generator."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paramcsp import (
     Constraint,
@@ -30,6 +32,7 @@ from paramcsp import (
     weight_relation,
 )
 from corpus_helpers import atmost_config, instances, parity_config
+from oracles import validate_in_order
 
 EXACT = WeightKind.EXACT
 ATMOST = WeightKind.ATMOST
@@ -45,6 +48,35 @@ def xyz_instance():
         WeightParameter(EXACT, 1),
         (Constraint(w([1], 3), ("x", "y", "z")),),
     )
+
+
+class Name(str):
+    pass
+
+
+class UnhashableName(str):
+    __hash__ = None
+
+
+NAME = st.text(alphabet="xyz", min_size=1, max_size=2)
+ODD_NAME = st.one_of(
+    st.just(""),
+    NAME.map(Name),
+    NAME.map(UnhashableName),
+    st.integers(0, 2),
+    st.none(),
+    st.binary(max_size=1),
+    st.lists(NAME, max_size=1),
+)
+
+
+def outcome(check):
+    """The exception class and message ``check`` raises, or None."""
+    try:
+        check()
+    except (TypeError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return None
 
 
 class TestValidation:
@@ -63,6 +95,21 @@ class TestValidation:
                 WeightParameter(EXACT, 0),
                 (Constraint(w([0], 1), ("y",)),),
             )
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_reports_the_first_fault_in_declaration_order(self, data):
+        # Names may be empty, duplicated, non-str, unhashable or str subclasses,
+        # and scopes may use undeclared names, several faults per input.
+        names = data.draw(st.lists(NAME, max_size=6))
+        for _ in range(data.draw(st.integers(0, 2))):
+            names.insert(data.draw(st.integers(0, len(names))), data.draw(ODD_NAME))
+        declared = [st.sampled_from(names)] * 4 if names else []
+        element = st.one_of(*declared, NAME, ODD_NAME)
+        scopes = data.draw(st.lists(st.lists(element, min_size=1, max_size=3), max_size=3))
+        body = tuple(Constraint(WRelation(WeightSet.even(), len(s)), tuple(s)) for s in scopes)
+        got = outcome(lambda: Instance(tuple(names), WeightParameter(EXACT, 0), body))
+        assert got == outcome(lambda: validate_in_order(names, body))
 
     def test_scope_length_must_match_arity(self):
         with pytest.raises(ValidationError):
@@ -297,9 +344,12 @@ class TestRandomInstance:
     def test_instances_share_their_name_objects(self):
         first = random_instance(1, InstanceConfig(n=12, k0=1, profile="w-odd", body_len=3))
         second = random_instance(2, InstanceConfig(n=12, k0=2, profile="cw", body_len=3))
-        assert all(a is b for a, b in zip(first.variables, second.variables, strict=True))
+        assert first.variables is second.variables
         declared = {id(v) for v in second.variables}
         assert all(id(v) in declared for c in second.body for v in c.scope)
+        other = random_instance(1, InstanceConfig(n=13, k0=1, profile="w-odd", body_len=3))
+        assert other.variables is not first.variables
+        assert other.variables[:12] == first.variables
 
     def test_different_seeds_differ(self):
         cfg = InstanceConfig(n=6, k0=2, profile="mixed", body_len=3)

@@ -91,6 +91,8 @@ class TestCompletions:
         wide = WRelation(WeightSet.odd(), 13)
         with pytest.raises(CapacityError):
             completions(wide, ())
+        with pytest.raises(CapacityError):
+            completions(WRelation(WeightSet.odd(), 15), (), capacity=40)
         # Explicit relations scan their member list, no cap needed.
         sparse = ExplicitRelation(40, ((7,),))
         assert completions(sparse, ()) == ((7,),)
@@ -153,6 +155,8 @@ class TestComputePartials:
             compute_partials(ExplicitRelation(13, ((1,),)))
         with pytest.raises(CapacityError):
             compute_partials(WRelation(WeightSet.even(), 4), capacity=3)
+        with pytest.raises(CapacityError, match="arity 15 above the exhaustive bound 14"):
+            compute_partials(WRelation(WeightSet.even(), 15), capacity=40)
 
 
 class TestCharacterization:
