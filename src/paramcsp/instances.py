@@ -112,7 +112,7 @@ class Instance:
 
 def _check_assignment(inst: Instance, assignment: Iterable[str]) -> frozenset[str]:
     aset = frozenset(assignment)
-    extra = aset - inst.variable_set
+    extra = aset.difference(inst.variables)
     if extra:
         raise DomainError(f"assignment uses undeclared variables: {sorted(extra)}")
     return aset

@@ -13,19 +13,23 @@ touched constraint accepts its selected positions and every empty-rejecting
 constraint is touched. The conditional-weight checker stores counting tables
 keyed by head-image and tail-image sets and accepts via an inclusion-exclusion
 identity, without ever looking at a concrete constraint during the branch.
-Every head of the guess is charged the fixed cost of its tail scans in one
-addition, and only the heads some table key stores are looked up: a head in
-no key reads zero everywhere, so it cannot fail. A head that fails is charged
-up to the pair it fails at. Steps therefore match the literal every-head,
-every-pair scan, and an accepting branch costs exactly the budget.
+It runs on integer masks: each name in a table key owns one bit, and each
+stored head keeps a row (tail mask -> signed count) and its set of tail
+masks over the cap. A branch lists the ``2**k`` subset masks of its guess in
+scan order and looks up only the heads it holds: a head in no key reads zero
+everywhere, so it cannot fail. Every head and pair up to the first failure is
+charged in closed form from its rank in that order. Steps therefore match the
+literal every-head, every-pair scan, and an accepting branch costs exactly
+the budget.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations
-from typing import Union
+from operator import itemgetter
 
 from ._sets import guesses, subsets_by_size
 from .errors import (
@@ -163,6 +167,35 @@ def _tail_scans(k: int, b: int) -> tuple[int, int, int, int]:
     return pairs, pair_scan, terms, term_scan + 2
 
 
+@lru_cache(maxsize=32)
+def _scan_plan(k: int, b: int) -> tuple[Callable[[list[int]], tuple[int, ...]], int, int, int, int]:
+    """The scans of a guess of ``k`` names: a function reordering its ``2**k``
+    subset masks, listed with the subset holding position ``p`` at an index
+    with bit ``p`` set, into :func:`~paramcsp._sets.subsets_by_size` order,
+    followed by :func:`_tail_scans` of ``k`` and ``b``."""
+    order = (
+        sum(1 << p for p in chosen)
+        for size in range(k + 1)
+        for chosen in combinations(range(k), size)
+    )
+    reorder = itemgetter(*order) if k else tuple  # one index would return a bare item
+    return (reorder, *_tail_scans(k, b))
+
+
+def _sizes_before(k: int, rank: int) -> int:
+    """Summed sizes of the first ``rank`` subsets of ``k`` names in
+    :func:`~paramcsp._sets.subsets_by_size` order, taken a block of ``C(k, j)``
+    sets of size ``j`` at a time."""
+    total = size = 0
+    count = 1
+    while rank > count:
+        total += size * count
+        rank -= count
+        count = count * (k - size) // (size + 1)
+        size += 1
+    return total + size * rank
+
+
 @dataclass(frozen=True)
 class CWChecker:
     """Counting tables for the conditional-weight checker.
@@ -174,18 +207,24 @@ class CWChecker:
     ``G = {}`` column. Unstored keys read as zero. ``sum_bound`` bounds every
     inclusion-exclusion partial sum and is enforced during checking.
 
-    :meth:`check` scans the heads ``B`` of the guess in two loops, one over
-    the tail sets ``G`` of at most ``b + 1`` names (the lambda caps), one
-    over the nonempty tail sets of at most ``b`` names (the alternating sum
-    of :meth:`_tail_sum` against ``delta_empty[B]``). Read literally, a pair
-    costs ``|B| + |G| + 1`` and ``|B| + |G| + 2`` steps and a finished sum
-    ``|B| + 2``, so each head is charged ``|B| * pairs + pair_scan`` and
-    ``|B| * (terms + 1) + term_scan`` in one addition each (see
-    :func:`_tail_scans`); a head whose ``j``-th cap fails is charged its
-    first ``j`` pairs instead. Only heads in some key of the three tables
-    (``heads``) are looked up. Any other head reads zero at every key: its
-    caps are 0 <= ``b``, its partial sums are 0 within ``sum_bound``, and its
-    sum 0 equals its ``delta_empty`` of 0, so it can fail no test.
+    Read literally, :meth:`check` scans every head ``B`` of the guess twice,
+    in :func:`~paramcsp._sets.subsets_by_size` order: once over the tail sets
+    ``G`` of at most ``b + 1`` names (the lambda caps), once over the nonempty
+    tail sets of at most ``b`` names (the alternating sum of :meth:`_tail_sum`
+    against ``delta_empty[B]``). A pair costs ``|B| + |G| + 1`` and
+    ``|B| + |G| + 2`` steps and a finished sum ``|B| + 2``, so a head costs
+    ``|B| * pairs + pair_scan`` and ``|B| * (terms + 1) + term_scan`` (see
+    :func:`_tail_scans`), and a head whose ``j``-th cap fails costs its first
+    ``j`` pairs instead.
+
+    ``heads`` lists the ``B`` of every stored key. The check runs on integer
+    masks: each name in a key owns one bit of ``bits``. ``rows`` maps a head
+    mask to its row, tail mask -> nonzero count, added for odd ``|G|`` and
+    subtracted for even, with ``delta_empty[B]`` at tail 0: a head passes
+    when its row sums to zero over the guess's tail sets of at most ``b`` names.
+    ``over_cap`` maps a head mask to the tail masks whose cap exceeds ``b``.
+    A branch looks up only the heads it holds; any other head reads zero at
+    every key, so it can fail no test.
     """
 
     b: int
@@ -194,6 +233,9 @@ class CWChecker:
     delta_empty: dict[frozenset[str], int]
     sum_bound: int
     heads: frozenset[frozenset[str]] = field(init=False, repr=False, compare=False)
+    bits: dict[str, int] = field(init=False, repr=False, compare=False)
+    rows: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
+    over_cap: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_int(self.b, "the tail bound", ValidationError)
@@ -201,38 +243,78 @@ class CWChecker:
         heads = set(self.delta_empty)
         heads.update(bset for bset, _ in self.delta_sizes)
         heads.update(bset for bset, _ in self.lambda_caps)
+        bits: dict[str, int] = {}
+
+        def mask(names: frozenset[str]) -> int:
+            m = 0
+            for v in names:
+                m |= bits.setdefault(v, 1 << len(bits))
+            return m
+
+        rows: dict[int, dict[int, int]] = {}
+        for bset, count in self.delta_empty.items():
+            if count:
+                rows.setdefault(mask(bset), {})[0] = -count
+        for (bset, g), count in self.delta_sizes.items():
+            if g and count:
+                rows.setdefault(mask(bset), {})[mask(g)] = count if len(g) % 2 else -count
+        over_cap: dict[int, set[int]] = {}
+        for (bset, g), cap in self.lambda_caps.items():
+            if cap > self.b:
+                over_cap.setdefault(mask(bset), set()).add(mask(g))
         object.__setattr__(self, "heads", frozenset(heads))
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "over_cap", {h: frozenset(gs) for h, gs in over_cap.items()})
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
         """Check one guess of distinct names; returns (accepted, steps charged)."""
-        subs = subsets_by_size(combo, len(combo))
-        b = self.b
-        heads = self.heads
-        pairs, pair_scan, terms, term_scan = _tail_scans(len(combo), b)
-        pairs_g = subs[:pairs]
-        terms_g = subs[1 : 1 + terms]
-        for bset in subs:
-            if bset in heads:
-                for j, g in enumerate(pairs_g, start=1):
-                    if self.lambda_caps.get((bset, g), 0) > b:
-                        return False, steps + (len(bset) + 1) * j + sum(map(len, pairs_g[:j]))
-            steps += len(bset) * pairs + pair_scan
-        for bset in subs:
-            steps += len(bset) * (terms + 1) + term_scan
-            if bset in heads and self._tail_sum(bset, terms_g) != self.delta_empty.get(bset, 0):
-                return False, steps
-        return True, steps
+        k = len(combo)
+        bits = list(map(self.bits.get, combo))
+        if None in bits:  # names in no key get bits no key holds
+            fresh = 1 << len(self.bits)
+            bits = [bit or fresh << p for p, bit in enumerate(bits)]
+        masks = [0]
+        for bit in bits:
+            masks += [bit | m for m in masks]
+        reorder, pairs, pair_scan, terms, term_scan = _scan_plan(k, self.b)
+        masks = reorder(masks)
+        pair_masks = masks[:pairs]
+        over_cap = self.over_cap
+        for head in filter(over_cap.__contains__, masks):
+            capped = over_cap[head]
+            if not capped.isdisjoint(pair_masks):
+                rank = masks.index(head)
+                for j, g in enumerate(pair_masks, start=1):
+                    if g in capped:
+                        break
+                steps += pairs * _sizes_before(k, rank) + rank * pair_scan
+                return False, steps + (head.bit_count() + 1) * j + _sizes_before(k, j)
+        head_sizes = k * 2**k // 2
+        steps += pairs * head_sizes + pair_scan * 2**k
+        rows = self.rows
+        term_masks = masks[1 : 1 + terms]
+        for head in filter(rows.__contains__, masks):
+            row = rows[head]
+            if self._tail_sum(row, term_masks) != -row.get(0, 0):
+                rank = masks.index(head) + 1
+                return False, steps + (terms + 1) * _sizes_before(k, rank) + rank * term_scan
+        return True, steps + (terms + 1) * head_sizes + term_scan * 2**k
 
-    def _tail_sum(self, bset: frozenset[str], tails: list[frozenset[str]]) -> int:
-        """Alternating sum of the counts at ``(bset, G)``, odd ``|G|`` added, over
-        ``tails``; a partial sum outside ``sum_bound`` raises :class:`ParamCSPError`."""
-        total = 0
-        for g in tails:
-            d = self.delta_sizes.get((bset, g), 0)
-            total += d if len(g) % 2 else -d
-            if not -self.sum_bound <= total <= self.sum_bound:
-                raise ParamCSPError("partial sum escaped its bound")
-        return total
+    def _tail_sum(self, row: dict[int, int], tails: Iterable[int]) -> int:
+        """Sum of ``row`` over ``tails``, absent tails read as zero; a partial
+        sum outside ``sum_bound``, in the order of ``tails``, raises
+        :class:`ParamCSPError`. No partial sum exceeds the absolute counts'
+        sum, so the partial sums are walked only when that sum is past the bound."""
+        counts = list(filter(None, map(row.get, tails)))
+        bound = self.sum_bound
+        if sum(map(abs, counts)) > bound:
+            partial = 0
+            for d in counts:
+                partial += d
+                if not -bound <= partial <= bound:
+                    raise ParamCSPError("partial sum escaped its bound")
+        return sum(counts)
 
 
 @dataclass(frozen=True)
@@ -241,7 +323,7 @@ class CombinedChecker:
     second: "GuessCheckMachine"
 
 
-Checker = Union[AlwaysReject, AppearanceChecker, CWChecker, CombinedChecker]
+Checker = AlwaysReject | AppearanceChecker | CWChecker | CombinedChecker
 
 
 @dataclass(frozen=True)
@@ -398,12 +480,27 @@ def inclusion_exclusion_union(
 
     With all tail images inside ``candidates`` no larger than ``bound``, this
     equals the number of constraints with head image ``head_set`` whose tail
-    image meets ``candidates`` at all. It is the sum :meth:`CWChecker.check`
-    takes, so a partial sum outside the tables' ``sum_bound`` raises
-    :class:`ParamCSPError` (``partial sum escaped its bound``) here too.
+    image meets ``candidates`` at all. Only the head's stored row is read: its
+    tails inside ``candidates`` of 1 to ``bound`` names, in the order
+    :func:`~paramcsp._sets.subsets_by_size` lists them over the sorted
+    candidates. It is the sum :meth:`CWChecker.check` takes, so a partial sum
+    outside the tables' ``sum_bound`` raises :class:`ParamCSPError`
+    (``partial sum escaped its bound``) here too.
     """
-    tails = subsets_by_size(sorted(candidates), bound)[1:]
-    return tables._tail_sum(frozenset(head_set), tails)
+    bits = tables.bits
+    head = frozenset(head_set)
+    if not head.issubset(bits):
+        return 0
+    row = tables.rows.get(sum(bits[v] for v in head), {})
+    ranked = [bits[v] for v in sorted(candidates) if v in bits]
+    inside = sum(ranked)
+
+    def scan_order(g: int) -> tuple[int, list[int]]:
+        positions = [i for i, bit in enumerate(ranked) if g & bit]
+        return len(positions), positions
+
+    tails = [g for g in row if g and not g & ~inside and g.bit_count() <= bound]
+    return tables._tail_sum(row, sorted(tails, key=scan_order))
 
 
 # Each conditional-weight branch scans all 2**k0 heads of its guess, so no
@@ -661,7 +758,7 @@ def solve_wd_pipeline(inst: Instance, d: int) -> frozenset[str] | None:
         result = simulate(machine)
         if result.witness is None:
             return None
-        witness = result.witness & inst.variable_set
+        witness = result.witness.intersection(inst.variables)
     if not satisfies(inst, witness):
         raise ParamCSPError("pipeline produced an invalid witness")
     return witness

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
 
 from ._sets import canonical_set, canonical_sets
 from .errors import DomainError, ValidationError, require_int
@@ -166,7 +165,7 @@ class ExplicitRelation:
         return positions in self._member_sets
 
 
-Relation = Union[WRelation, CWRelation, ExplicitRelation]
+Relation = WRelation | CWRelation | ExplicitRelation
 
 
 def _check_positions(rel: Relation, positions: Iterable[int]) -> frozenset[int]:

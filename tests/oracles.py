@@ -132,6 +132,21 @@ def literal_cw_check(checker, combo: tuple[str, ...], steps: int) -> tuple[bool,
     return True, steps
 
 
+def literal_union(checker, head_set, candidates, bound: int) -> int:
+    """The inclusion-exclusion union read literally: every nonempty subset of
+    the sorted candidates of at most ``bound`` names, smallest first."""
+    names = sorted(candidates)
+    head = frozenset(head_set)
+    total = 0
+    for size in range(1, min(bound, len(names)) + 1):
+        for g in combinations(names, size):
+            d = checker.delta_sizes.get((head, frozenset(g)), 0)
+            total += d if size % 2 else -d
+            if not -checker.sum_bound <= total <= checker.sum_bound:
+                raise ParamCSPError("partial sum escaped its bound")
+    return total
+
+
 def literal_cw_budget(k0: int, b: int) -> int:
     """Cost of one full literal check at guess size ``k0``, summed head by head."""
     pair_part = 0

@@ -150,6 +150,16 @@ class TestSatisfies:
         with pytest.raises(DomainError):
             satisfies(xyz_instance(), {"nope"})
 
+    def test_the_variable_set_is_never_built(self, monkeypatch):
+        reads = []
+        built = Instance.variable_set.fget
+        monkeypatch.setattr(Instance, "variable_set", property(lambda inst: reads.append(1) or built(inst)))
+        inst = xyz_instance()
+        assert satisfies(inst, {"y"}) is True
+        with pytest.raises(DomainError, match=r"assignment uses undeclared variables: \['a', 'nope'\]"):
+            satisfies(inst, {"y", "nope", "a"})
+        assert reads == []
+
 
 class TestParameters:
     def test_double_occurrences_in_two_constraints(self):

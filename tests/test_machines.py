@@ -33,6 +33,7 @@ from oracles import (
     literal_check_cap,
     literal_cw_budget,
     literal_cw_check,
+    literal_union,
     tail_image,
     union_premise_holds,
 )
@@ -141,6 +142,43 @@ def trivial_cw_checker():
     return CWChecker(b=0, delta_sizes={}, lambda_caps={}, delta_empty={}, sum_bound=0)
 
 
+NAMES = "abcdefgh"
+name_sets = st.frozensets(st.sampled_from(NAMES), max_size=4)
+
+
+@st.composite
+def hand_built_tables(draw):
+    """Checkers over the names a-h with arbitrary stored keys: heads stored in
+    any one table, tails of up to four names whatever ``b`` is, zero counts,
+    caps on either side of ``b``, and a ``sum_bound`` small enough to escape.
+    Heads come from few names, so that rows fill up."""
+    b = draw(st.integers(0, 3))
+    heads = st.frozensets(st.sampled_from("abh"), max_size=2)
+    keys = st.tuples(heads, name_sets)
+    counts = st.sampled_from(range(5))
+    return CWChecker(
+        b=b,
+        delta_sizes=draw(st.dictionaries(keys, counts, min_size=2, max_size=16)),
+        lambda_caps=draw(st.dictionaries(keys, st.sampled_from(range(b + 3)), max_size=4)),
+        delta_empty=draw(st.dictionaries(heads, counts, max_size=4)),
+        sum_bound=draw(st.sampled_from(range(5))),
+    )
+
+
+def guesses_of(names):
+    """Sorted guesses of distinct ``names``, each name in about half of them."""
+    picks = st.lists(st.booleans(), min_size=len(names), max_size=len(names))
+    return picks.map(lambda chosen: tuple(n for n, pick in zip(names, chosen) if pick))
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the class and message it raises."""
+    try:
+        return fn(*args)
+    except ParamCSPError as exc:
+        return type(exc), str(exc)
+
+
 # One positive clause on x over universe {x, y}. Budget works out to
 # 1 (guess) + 1 (occurrence list) + 1*(1 + 2) (positions and check) + 1 (d walk).
 POSITIVE_X = exact("xy", 1, Constraint(WRelation(WS1, 1), ("x",)))
@@ -233,6 +271,29 @@ class TestCheckerInvariants:
         )
         assert done.returncode != 0, done.stdout
         assert "ParamCSPError: partial sum escaped its bound" in done.stderr
+
+    def test_a_reimport_frees_the_previous_classes(self):
+        # The benchmark imports the package afresh several times in one
+        # process; no module-level alias may keep the old classes alive.
+        code = (
+            "import gc, importlib, sys, weakref\n"
+            "import paramcsp\n"
+            "old = [weakref.ref(paramcsp.CWChecker), weakref.ref(paramcsp.WRelation)]\n"
+            "for name in [m for m in sys.modules if m.split('.')[0] == 'paramcsp']:\n"
+            "    del sys.modules[name]\n"
+            "del paramcsp\n"
+            "importlib.import_module('paramcsp')\n"
+            "gc.collect()\n"
+            "print([ref() is None for ref in old])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__))},
+        )
+        assert (done.returncode, done.stdout) == (0, "[True, True]\n"), done.stderr
 
 
 class TestReduceAppearance:
@@ -552,6 +613,68 @@ class TestInclusionExclusionUnion:
         with pytest.raises(ParamCSPError, match="partial sum escaped its bound"):
             inclusion_exclusion_union(tables, {"x"}, {"y"}, 1)
 
+    def test_only_the_stored_row_is_read(self):
+        # The subsets of 40 candidates of at most 40 names are 2**40 sets; the
+        # head's row holds three tails. A child process under a 30 s time-out
+        # and a 1 GiB address-space cap runs it, so a scan of every subset
+        # fails instead of filling memory.
+        code = (
+            "import resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from paramcsp import *\n"
+            "names = tuple(f'c{i:02d}' for i in range(40))\n"
+            "rel = CWRelation(WeightSet.finite((1,)), 1, 2)\n"
+            "inst = Instance(('h',) + names, WeightParameter(WeightKind.EXACT, 2),"
+            " (Constraint(rel, ('h', 'c00', 'c01')),))\n"
+            "tables = build_cw_tables(inst, 2)\n"
+            "started = time.monotonic()\n"
+            "print(inclusion_exclusion_union(tables, {'h'}, set(names), 40),"
+            " inclusion_exclusion_union(tables, {'h'}, set(names[1:]), 40),"
+            " inclusion_exclusion_union(tables, {'h', 'c05'}, set(names), 40),"
+            " time.monotonic() - started < 1)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__))},
+        )
+        assert (done.returncode, done.stdout) == (0, "1 1 0 True\n"), done.stderr
+
+    def test_tails_are_summed_in_scan_order(self):
+        # Scan order is {a}, {c}, {a, b}: the partial sums run 3, 6 and escape
+        # a bound of 4. In the order of the masks a, b, c get as the keys are
+        # read ({a}, {a, b}, {c}), they would run 3, 0, 3 and stay inside.
+        a, ab, c = frozenset("a"), frozenset("ab"), frozenset("c")
+        tables = CWChecker(
+            b=2,
+            delta_sizes={(frozenset(), a): 3, (frozenset(), ab): 3, (frozenset(), c): 3},
+            lambda_caps={},
+            delta_empty={frozenset(): 3},
+            sum_bound=4,
+        )
+        with pytest.raises(ParamCSPError, match="partial sum escaped its bound"):
+            inclusion_exclusion_union(tables, set(), {"a", "b", "c"}, 2)
+        with pytest.raises(ParamCSPError, match="partial sum escaped its bound"):
+            literal_union(tables, set(), {"a", "b", "c"}, 2)
+        assert_matches_literal_check(tables, [("a", "b")])
+        with pytest.raises(ParamCSPError, match="partial sum escaped its bound"):
+            tables.check(("a", "b", "c"), 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables=hand_built_tables(), data=st.data())
+    def test_matches_the_literal_union(self, tables, data):
+        # The head is mostly a stored one, and the candidates cover some of
+        # its stored tails, plus other names.
+        head = data.draw(st.sampled_from([h for h, _ in tables.delta_sizes] + [frozenset("bh")]))
+        tails = [g for h, g in tables.delta_sizes if h == head]
+        covered = data.draw(st.lists(st.sampled_from(tails), max_size=3)) if tails else []
+        cands = set(data.draw(guesses_of(NAMES))).union(*covered)
+        bound = data.draw(st.sampled_from(range(-1, 9)))
+        want = outcome(literal_union, tables, head, cands, bound)
+        assert outcome(inclusion_exclusion_union, tables, head, cands, bound) == want
+
     def test_matches_direct_counts_under_premise(self):
         """Whenever no tail image meets the candidate set more than b times,
         the alternating sum counts exactly the constraints whose tail meets
@@ -742,6 +865,35 @@ class TestCWCheckerSkipsUnstoredHeads:
         # A negative bound would fail a head that reads zero everywhere.
         with pytest.raises(ValidationError):
             replace(trivial_cw_checker(), **{field_name: value})
+
+
+class TestMaskCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(tables=hand_built_tables(), combo=guesses_of(NAMES[:6]))
+    def test_hand_built_tables_match_the_literal_check(self, tables, combo):
+        # Guesses draw from a-f, so keys naming g or h lie partly outside.
+        want = outcome(literal_cw_check, tables, combo, len(combo))
+        assert outcome(tables.check, combo, len(combo)) == want
+
+    def test_check_lists_no_subsets(self, monkeypatch):
+        checker = reduce_cw(ONE_OF_TWO).checker
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return subsets_by_size(*args)
+
+        monkeypatch.setattr(paramcsp.machines, "subsets_by_size", counting)
+        monkeypatch.setattr(paramcsp._sets, "subsets_by_size", counting)
+        assert_matches_literal_check(checker, lex_subsets(("x", "y", "z"), 3))
+        assert calls == []
+
+    def test_names_in_no_key_get_bits_of_their_own(self):
+        # A name in no key must not fold into the mask of a stored head: with
+        # w unstored, {x, w} is not the head {x} and {w} is not the tail {y}.
+        checker = reduce_cw(ONE_OF_TWO).checker
+        assert "w" not in checker.bits
+        assert_matches_literal_check(checker, lex_subsets(("w", "x", "y", "z"), 4))
 
 
 class TestCwBudget:
@@ -1037,6 +1189,14 @@ def _tiny_explicit(case):
 
 
 class TestSolveWdPipeline:
+    def test_the_witness_is_projected_without_the_variable_set(self, monkeypatch):
+        reads = []
+        built = Instance.variable_set.fget
+        monkeypatch.setattr(Instance, "variable_set", property(lambda inst: reads.append(1) or built(inst)))
+        inst = exact("xyz", 1, Constraint(WRelation(WS1, 2), ("x", "y")))
+        assert solve_wd_pipeline(inst, 1) == brute_force_solve(inst) == frozenset({"x"})
+        assert reads == []
+
     def test_zero_bound_picks_outside_forbidden_scopes(self):
         inst = exact(
             "xyz", 1, Constraint(WRelation(WeightSet.finite((0,)), 2), ("x", "y"))
