@@ -21,6 +21,14 @@ everywhere, so it cannot fail. Every head and pair up to the first failure is
 charged in closed form from its rank in that order. Steps therefore match the
 literal every-head, every-pair scan, and an accepting branch costs exactly
 the budget.
+
+Guesses come in lex order, so consecutive branches share all names but the
+last, and most of them fail at the empty head. The checker keeps one state
+for the last such shared prefix: its subset masks, the empty head's row sum
+over its tails, and the last names that would close an over-cap pair. From
+it, a branch that fails the empty head's cap at a prefix name, or passes the
+cap scan and misses the empty head's row, is charged in closed form without
+listing its own subsets; every other branch runs the scan above.
 """
 
 from __future__ import annotations
@@ -28,8 +36,9 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from operator import itemgetter
+from typing import NamedTuple
 
 from ._sets import guesses, subsets_by_size
 from .errors import (
@@ -62,6 +71,7 @@ from .relations import (
     WeightSet,
     WeightSetKind,
     WRelation,
+    _ceil_log2,
     default_checker_cost,
 )
 
@@ -78,6 +88,9 @@ class SimulationResult:
 class AlwaysReject:
     """Checker for machines whose build already proved unsatisfiability."""
 
+    def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
+        return False, steps
+
 
 ALWAYS_REJECT = AlwaysReject()
 
@@ -88,7 +101,9 @@ class AppearanceChecker:
 
     ``e_v`` maps each variable to the 1-based body indices it appears in;
     ``d_set`` lists the indices rejecting the empty tuple; ``positions`` maps
-    index -> variable -> scope positions.
+    index -> variable -> scope positions. ``index_factors`` holds each
+    constraint's ``ceil_log2(index + 1) ** exponent`` of :meth:`CostModel.cost`,
+    so a check calls and validates only ``checker_cost`` per touched constraint.
     """
 
     constraints: tuple[Constraint, ...]
@@ -96,6 +111,7 @@ class AppearanceChecker:
     e_v: dict[str, tuple[int, ...]] = field(init=False)
     d_set: tuple[int, ...] = field(init=False)
     positions: dict[int, dict[str, tuple[int, ...]]] = field(init=False, repr=False, compare=False)
+    index_factors: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         occurrences: dict[str, list[int]] = {}
@@ -113,8 +129,12 @@ class AppearanceChecker:
         object.__setattr__(self, "e_v", {v: tuple(ix) for v, ix in sorted(occurrences.items())})
         object.__setattr__(self, "d_set", tuple(empty_rejecting))
         object.__setattr__(self, "positions", pos)
+        exponent = self.cost_model.exponent
+        factors = tuple(_ceil_log2(c.relation.index + 1) ** exponent for c in self.constraints)
+        object.__setattr__(self, "index_factors", factors)
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
+        checker_cost = self.cost_model.checker_cost
         touched: set[int] = set()
         for v in combo:
             ev = self.e_v.get(v)
@@ -130,7 +150,8 @@ class AppearanceChecker:
                 if ps:
                     sel.extend(ps)
             steps += len(sel)
-            steps += self.cost_model.cost(c.relation.index, len(sel))
+            base = require_int(checker_cost(len(sel)), "checker_cost result", ValidationError)
+            steps += base * self.index_factors[i - 1]
             if not c.relation._contains(frozenset(sel)):
                 return False, steps
         steps += len(self.d_set)
@@ -182,6 +203,22 @@ def _scan_plan(k: int, b: int) -> tuple[Callable[[list[int]], tuple[int, ...]], 
     return (reorder, *_tail_scans(k, b))
 
 
+@lru_cache(maxsize=32)
+def _prefix_plan(k: int, b: int) -> tuple[tuple[bool, ...], tuple[bool, ...], int]:
+    """What a guess of ``k`` names reads from the ``2**(k - 1)`` subset masks
+    of its first ``k - 1`` names, listed in doubling order: selectors of the
+    masks of at most ``b - 1`` names and of 1 to ``b`` names, and the charge
+    of a branch that passes the cap scan and fails the empty head's row,
+    every head's pairs and the empty head's terms."""
+    sizes = [i.bit_count() for i in range(2 ** (k - 1))]
+    _, pairs, pair_scan, _, term_scan = _scan_plan(k, b)
+    return (
+        tuple(size < b for size in sizes),
+        tuple(0 < size <= b for size in sizes),
+        pairs * (k * 2**k // 2) + pair_scan * 2**k + term_scan,
+    )
+
+
 def _sizes_before(k: int, rank: int) -> int:
     """Summed sizes of the first ``rank`` subsets of ``k`` names in
     :func:`~paramcsp._sets.subsets_by_size` order, taken a block of ``C(k, j)``
@@ -194,6 +231,25 @@ def _sizes_before(k: int, rank: int) -> int:
         count = count * (k - size) // (size + 1)
         size += 1
     return total + size * rank
+
+
+class _Prefix(NamedTuple):
+    """What :meth:`CWChecker.check` keeps for the guesses that extend ``key``
+    by one last name: the subset masks of ``key`` in doubling order; the
+    charge of an empty-head cap failure inside ``key``, if any; and, when the
+    empty head's row may decide, that row, the last-name bits that close an
+    over-cap pair, the masks of ``key`` of at most ``b - 1`` names, the sum
+    those masks joined with the last bit must reach, and the charge of
+    missing it."""
+
+    key: tuple[str, ...]
+    masks: list[int]
+    cap_charge: int | None
+    row: dict[int, int] | None
+    closers: set[int]
+    ext: list[int]
+    missing: int
+    miss_charge: int
 
 
 @dataclass(frozen=True)
@@ -225,6 +281,20 @@ class CWChecker:
     ``over_cap`` maps a head mask to the tail masks whose cap exceeds ``b``.
     A branch looks up only the heads it holds; any other head reads zero at
     every key, so it can fail no test.
+
+    Guesses arrive in lex order, so consecutive ones share all names but the
+    last. ``prefix`` keeps a :class:`_Prefix` for the last such shared
+    prefix, built from the first half of the guess's subset masks.
+    ``cap_closers`` maps each mask ``S`` to the bits ``x`` outside it that
+    make ``S | x`` the union ``B | G`` of an over-cap pair (``G`` of at most
+    ``b + 1`` names), and to 0 when ``S`` is one itself: the cap scan fails
+    exactly when a subset of the guess is such a union. ``empty_row`` is the
+    empty head's row when the absolute values of its counts on tails of at
+    most ``b`` names sum to at most ``sum_bound``, so no partial sum can
+    escape. The empty head comes first in both scans, so a branch failing its
+    cap at ``G = {}`` or at a prefix name, or passing the cap scan and
+    missing its row, is charged in closed form from the prefix; every other
+    branch extends the prefix's masks by its last name and scans.
     """
 
     b: int
@@ -236,6 +306,9 @@ class CWChecker:
     bits: dict[str, int] = field(init=False, repr=False, compare=False)
     rows: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
     over_cap: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
+    cap_closers: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
+    empty_row: dict[int, int] | None = field(init=False, repr=False, compare=False)
+    prefix: _Prefix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_int(self.b, "the tail bound", ValidationError)
@@ -259,24 +332,55 @@ class CWChecker:
             if g and count:
                 rows.setdefault(mask(bset), {})[mask(g)] = count if len(g) % 2 else -count
         over_cap: dict[int, set[int]] = {}
+        cap_closers: dict[int, set[int]] = {}
         for (bset, g), cap in self.lambda_caps.items():
             if cap > self.b:
                 over_cap.setdefault(mask(bset), set()).add(mask(g))
+                if len(g) <= self.b + 1:
+                    union = mask(bset | g)
+                    cap_closers.setdefault(union, set()).add(0)
+                    for v in bset | g:
+                        cap_closers.setdefault(union ^ bits[v], set()).add(bits[v])
+        empty_row = rows.get(0)
+        if empty_row is not None:
+            spread = sum(abs(d) for g, d in empty_row.items() if 0 < g.bit_count() <= self.b)
+            if spread > self.sum_bound:
+                empty_row = None
         object.__setattr__(self, "heads", frozenset(heads))
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "over_cap", {h: frozenset(gs) for h, gs in over_cap.items()})
+        object.__setattr__(self, "cap_closers", {s: frozenset(xs) for s, xs in cap_closers.items()})
+        object.__setattr__(self, "empty_row", empty_row)
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
         """Check one guess of distinct names; returns (accepted, steps charged)."""
         k = len(combo)
-        bits = list(map(self.bits.get, combo))
-        if None in bits:  # names in no key get bits no key holds
-            fresh = 1 << len(self.bits)
-            bits = [bit or fresh << p for p, bit in enumerate(bits)]
-        masks = [0]
-        for bit in bits:
-            masks += [bit | m for m in masks]
+        prefix = self.prefix
+        if k and prefix is not None and prefix[0] == combo[:-1]:
+            last = self.bits.get(combo[-1]) or 1 << (len(self.bits) + k - 1)
+            masks = None
+        else:
+            bits = list(map(self.bits.get, combo))
+            if None in bits:  # names in no key get bits no key holds
+                fresh = 1 << len(self.bits)
+                bits = [bit or fresh << p for p, bit in enumerate(bits)]
+            masks = [0]
+            for bit in bits:
+                masks += [bit | m for m in masks]
+            if k:
+                prefix = self._prefix(combo[:-1], masks[: len(masks) // 2])
+                object.__setattr__(self, "prefix", prefix)
+                last = bits[-1]
+        if k:
+            _, prefix_masks, cap_charge, row, closers, ext, missing, miss_charge = prefix
+            if cap_charge is not None:
+                return False, steps + cap_charge
+            if row is not None and last not in closers:
+                if sum(filter(None, map(row.get, map(last.__or__, ext)))) != missing:
+                    return False, steps + miss_charge
+            if masks is None:
+                masks = prefix_masks + [last | m for m in prefix_masks]
         reorder, pairs, pair_scan, terms, term_scan = _scan_plan(k, self.b)
         masks = reorder(masks)
         pair_masks = masks[:pairs]
@@ -301,6 +405,29 @@ class CWChecker:
                 return False, steps + (terms + 1) * _sizes_before(k, rank) + rank * term_scan
         return True, steps + (terms + 1) * head_sizes + term_scan * 2**k
 
+    def _prefix(self, key: tuple[str, ...], masks: list[int]) -> _Prefix:
+        """The :class:`_Prefix` of the guesses extending ``key``, whose subset
+        masks ``masks`` lists in doubling order: the subset of the positions
+        set in ``i`` sits at index ``i``."""
+        k = len(key) + 1
+        closers: set[int] = set()
+        closers.update(*filter(None, map(self.cap_closers.get, masks)))
+        cap_charge = row = None
+        ext: list[int] = []
+        missing = miss_charge = 0
+        if 0 in closers:  # a subset of the prefix is the union of an over-cap pair
+            capped = self.over_cap.get(0, frozenset())
+            firsts = [0] + [masks[1 << p] for p in range(k - 1)]
+            j = next((j for j, g in enumerate(firsts, start=1) if g in capped), None)
+            if j is not None:
+                cap_charge = j + _sizes_before(k, j)
+        elif self.empty_row is not None:
+            row = self.empty_row
+            short, tails, miss_charge = _prefix_plan(k, self.b)
+            ext = list(compress(masks, short))
+            missing = -row.get(0, 0) - sum(filter(None, map(row.get, compress(masks, tails))))
+        return _Prefix(key, masks, cap_charge, row, closers, ext, missing, miss_charge)
+
     def _tail_sum(self, row: dict[int, int], tails: Iterable[int]) -> int:
         """Sum of ``row`` over ``tails``, absent tails read as zero; a partial
         sum outside ``sum_bound``, in the order of ``tails``, raises
@@ -319,8 +446,18 @@ class CWChecker:
 
 @dataclass(frozen=True)
 class CombinedChecker:
+    """Two machines run in turn on one guess; the second only if the first accepts."""
+
     first: "GuessCheckMachine"
     second: "GuessCheckMachine"
+
+    def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
+        first_ok, first_steps = self.first.run_branch(combo)
+        steps += first_steps
+        if not first_ok:
+            return False, steps
+        second_ok, second_steps = self.second.run_branch(combo)
+        return second_ok, steps + second_steps
 
 
 Checker = AlwaysReject | AppearanceChecker | CWChecker | CombinedChecker
@@ -347,22 +484,9 @@ class GuessCheckMachine:
     def run_branch(self, combo: tuple[str, ...]) -> tuple[bool, int]:
         """Run one guess; returns (accepted, steps charged). ``combo`` must be sorted."""
         steps = len(combo)
-        if self.exact:
-            if len(combo) != self.k0:
-                return False, steps
-        elif len(combo) > self.k0:
+        if (steps != self.k0) if self.exact else (steps > self.k0):
             return False, steps
-        ck = self.checker
-        if isinstance(ck, AlwaysReject):
-            return False, steps
-        if isinstance(ck, CombinedChecker):
-            first_ok, first_steps = ck.first.run_branch(combo)
-            steps += first_steps
-            if not first_ok:
-                return False, steps
-            second_ok, second_steps = ck.second.run_branch(combo)
-            return second_ok, steps + second_steps
-        return ck.check(combo, steps)
+        return self.checker.check(combo, steps)
 
 
 # An arbitrary ``checker_cost`` callable is read at every weight up to

@@ -78,6 +78,7 @@ from paramcsp import (
     relation_membership,
     satisfies,
     serialize_instance,
+    serialize_machine,
     simulate,
     solve_wd_pipeline,
 )
@@ -894,6 +895,136 @@ class TestMaskCheck:
         checker = reduce_cw(ONE_OF_TWO).checker
         assert "w" not in checker.bits
         assert_matches_literal_check(checker, lex_subsets(("w", "x", "y", "z"), 4))
+
+
+@st.composite
+def prefix_tables(draw):
+    """Checkers over the names a-h whose empty head is often stored: caps of
+    the empty head on singletons, empty-head rows on either side of
+    ``sum_bound`` (up to 40), or no empty head at all."""
+    b = draw(st.integers(0, 3))
+    heads = st.sampled_from([frozenset(), frozenset(), frozenset("a"), frozenset("bh")])
+    keys = st.tuples(heads, name_sets)
+    counts = st.sampled_from(range(5))
+    delta_empty = draw(st.dictionaries(heads, st.integers(1, 6), max_size=3))
+    if draw(st.booleans()):
+        delta_empty.pop(frozenset(), None)
+    return CWChecker(
+        b=b,
+        delta_sizes=draw(st.dictionaries(keys, counts, max_size=16)),
+        lambda_caps=draw(st.dictionaries(keys, st.sampled_from(range(b + 3)), max_size=4)),
+        delta_empty=delta_empty,
+        sum_bound=draw(st.sampled_from([0, 1, 3, 8, 40])),
+    )
+
+
+@st.composite
+def guess_sequences(draw):
+    """Sorted guesses over a-f in the orders a checker may meet them: a lex
+    run of one size, the at-most order of changing sizes, and either one
+    shuffled, with repeats."""
+    names = tuple(sorted(draw(st.sets(st.sampled_from(NAMES[:6]), max_size=6))))
+    k = draw(st.integers(0, 4))
+    combos = list(combinations(names, k) if draw(st.booleans()) else lex_subsets(names, k))
+    order = draw(st.sampled_from(["as listed", "shuffled", "repeated"]))
+    if order == "shuffled":
+        combos = draw(st.permutations(combos))
+    elif order == "repeated":
+        combos = [c for c in combos for _ in range(draw(st.integers(1, 2)))]
+    return combos
+
+
+class TestPrefixCache:
+    @settings(max_examples=300, deadline=None)
+    @given(tables=prefix_tables(), combos=guess_sequences())
+    def test_a_sequence_through_one_checker_matches_fresh_literal_checks(self, tables, combos):
+        # One checker sees every guess in turn, so each branch may be decided
+        # by the prefix state an earlier one left; the literal check of a
+        # fresh copy of the tables is the reference.
+        for combo in combos:
+            want = outcome(literal_cw_check, replace(tables), combo, len(combo))
+            assert outcome(tables.check, combo, len(combo)) == want, combo
+
+    def test_a_lex_run_builds_one_state_per_prefix(self, monkeypatch):
+        checker = reduce_cw(_counting_unsat(6)).checker
+        built = []
+        real = CWChecker._prefix
+
+        def counting(self, key, masks):
+            built.append(key)
+            return real(self, key, masks)
+
+        monkeypatch.setattr(CWChecker, "_prefix", counting)
+        combos = list(combinations(sorted(checker.bits), 3))
+        assert_matches_literal_check(checker, combos)
+        assert built == sorted({combo[:-1] for combo in combos})
+
+    @pytest.mark.parametrize("build", ["cap", "row"])
+    def test_decided_branches_skip_the_scan(self, build, monkeypatch):
+        # Every guess of the counting-unsat family fails the empty head's cap
+        # at its first name. With x the one tail of ``CW(d=0){1}``, {a, c}
+        # and {a, d} pass the cap scan and fail the empty head's row. Past
+        # the first branch of a prefix, none of them reads the scan plan.
+        if build == "cap":
+            inst = _counting_unsat(5)
+        else:
+            inst = exact("abcdx", 2, Constraint(CWRelation(WS1, head=0, tail=1), ("x",)))
+        checker = reduce_cw(inst).checker
+        first, *rest = combinations(inst.variables, inst.weight.k0)
+        assert_matches_literal_check(checker, [first])
+        plans = []
+        monkeypatch.setattr(paramcsp.machines, "_scan_plan", lambda *args: plans.append(args))
+        for combo in rest[:2]:
+            assert checker.check(combo, 2) == literal_cw_check(checker, combo, 2)
+        assert plans == []
+
+    @pytest.mark.parametrize("head", ["", "a"])
+    def test_a_last_name_completing_an_over_cap_pair_keeps_the_scan(self, head):
+        # The empty head's row misses on every guess, but ``head`` over c is
+        # over its cap: {a, c} must fail the cap scan, not the row, while
+        # {a, b} and {a, d} fail the row.
+        e, c = frozenset(), frozenset("c")
+        checker = CWChecker(
+            b=1, delta_sizes={}, lambda_caps={(frozenset(head), c): 2}, delta_empty={e: 1}, sum_bound=2
+        )
+        combos = [("a", "b"), ("a", "c"), ("a", "d")]
+        assert_matches_literal_check(checker, combos)
+        assert literal_cw_check(checker, ("a", "c"), 2) != literal_cw_check(checker, ("a", "b"), 2)
+
+    def test_rows_whose_counts_could_escape_keep_the_scan(self):
+        # The empty head's counts sum to 5 in absolute value against a bound
+        # of 4, so only the scan may judge the row, and it raises at {a, c}.
+        e, a, c = frozenset(), frozenset("a"), frozenset("c")
+        checker = CWChecker(
+            b=1, delta_sizes={(e, a): 1, (e, c): 4}, lambda_caps={}, delta_empty={e: 1}, sum_bound=4
+        )
+        assert checker.empty_row is None
+        assert checker.check(("a", "b"), 2) == literal_cw_check(checker, ("a", "b"), 2)
+        with pytest.raises(ParamCSPError, match="partial sum escaped its bound"):
+            checker.check(("a", "c"), 2)
+
+    @pytest.mark.parametrize("build", ["counting", "pipeline"])
+    def test_simulation_leaves_equality_and_bytes_unchanged(self, build):
+        if build == "counting":
+            machine = reduce_cw(_counting_unsat(8))
+        else:
+            cfg = InstanceConfig(n=5, k0=1, profile="w-finite", body_len=3, max_arity=2, finite_values=(1,))
+            machine = reduce_cw(pipeline_cw_part(random_instance(3, cfg)))
+        fresh = replace(machine.checker)
+        text = serialize_machine(machine)
+        simulate(machine)
+        assert machine.checker.prefix is not None
+        assert machine.checker == fresh
+        assert machine == replace(machine, checker=fresh)
+        assert serialize_machine(machine) == text
+        assert repr(machine.checker) == repr(fresh)
+
+
+def _counting_unsat(n):
+    """``n`` copies of ``CW(d=0){1}`` on ``(v, v)``: every name is over its cap."""
+    names = tuple(f"v{i}" for i in range(n))
+    body = tuple(Constraint(CWRelation(WS1, 0, 2), (v, v)) for v in names)
+    return exact(names, 3, *body)
 
 
 class TestCwBudget:
