@@ -22,25 +22,39 @@ charged in closed form from its rank in that order. Steps therefore match the
 literal every-head, every-pair scan, and an accepting branch costs exactly
 the budget.
 
-Guesses come in lex order, so consecutive branches share all names but the
-last, and most of them fail at the empty head. The checker keeps one state
-for the last such shared prefix: its subset masks, the empty head's row sum
-over its tails, and the last names that would close an over-cap pair. From
-it, a branch that fails the empty head's cap at a prefix name, or passes the
-cap scan and misses the empty head's row, is charged in closed form without
-listing its own subsets; every other branch runs the scan above.
+Every checker also answers ``check_block(prefix, lasts, steps)``: it checks
+``prefix + (x,)`` for each ``x`` in the nonempty ``lasts`` in order, each
+from ``steps`` as ``check`` would, stops at the first accept, and returns
+the accepting index or None, the branches explored and their largest step
+count. :func:`simulate` walks the guesses as such sibling blocks
+(:func:`~paramcsp._sets.sibling_blocks`): for each ``(k0 - 1)``-name prefix
+in lex order, the lasts are the names after its final name. The combined
+and always-rejecting checkers answer a block with the per-last loop over
+``check``; the appearance checker judges the prefix once and gives its
+verdict to every last in no constraint.
+
+Most conditional-weight branches fail at the empty head. The checker keeps a
+state per guess prefix, grown from its parent's: its subset masks, the last
+names that would close an over-cap pair, the sum the empty head's row must
+still reach, and each last name's share of that row. From it, a branch that
+fails the empty head's cap at a prefix name, or passes the cap scan and
+misses the empty head's row, is charged in closed form without listing its
+own subsets; every other branch runs the scan above. A block reads that state
+once: a cap failure decides all its lasts, and a row index built with the
+tables picks the few lasts whose share reaches the sum, so only those and the
+over-cap closers run the scan.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations, compress
-from operator import itemgetter
+from itertools import chain, combinations, compress, repeat
+from operator import itemgetter, or_
 from typing import NamedTuple
 
-from ._sets import guesses, subsets_by_size
+from ._sets import sibling_blocks, subsets_by_size
 from .errors import (
     BudgetExceededError,
     CapacityError,
@@ -84,8 +98,49 @@ class SimulationResult:
     branches_explored: int
 
 
+def _run_block(
+    check: Callable[[tuple[str, ...], int], tuple[bool, int]],
+    prefix: tuple[str, ...],
+    lasts: Sequence[str],
+    steps: int,
+    scan: Iterable[int],
+    other: tuple[bool, int] = (False, 0),
+) -> tuple[int | None, int, int]:
+    """The result of ``check_block`` when only the positions of ``lasts``
+    listed in ``scan``, ascending, need ``check``, and every other last gets
+    the verdict ``other``, an (accepted, steps charged) pair."""
+    other_accepts, other_steps = other
+    top = 0
+    start = 0  # the first position not yet judged
+    end = len(lasts)
+    for i in chain(scan, (end,)):
+        if i > start:
+            if other_accepts:
+                return start, start + 1, max(top, other_steps)
+            top = max(top, other_steps)
+        if i == end:
+            break
+        accepted, charged = check(prefix + (lasts[i],), steps)
+        if charged > top:
+            top = charged
+        if accepted:
+            return i, i + 1, top
+        start = i + 1
+    return None, end, top
+
+
+class _PerBranch:
+    """``check_block`` as the per-last loop over ``check``."""
+
+    def check_block(
+        self, prefix: tuple[str, ...], lasts: Sequence[str], steps: int
+    ) -> tuple[int | None, int, int]:
+        check = self.check  # type: ignore[attr-defined]
+        return _run_block(check, prefix, lasts, steps, range(len(lasts)))
+
+
 @dataclass(frozen=True)
-class AlwaysReject:
+class AlwaysReject(_PerBranch):
     """Checker for machines whose build already proved unsatisfiability."""
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
@@ -160,6 +215,15 @@ class AppearanceChecker:
                 return False, steps
         return True, steps
 
+    def check_block(
+        self, prefix: tuple[str, ...], lasts: Sequence[str], steps: int
+    ) -> tuple[int | None, int, int]:
+        """Check ``prefix + (x,)`` for each ``x`` in ``lasts``. A last in no
+        constraint adds no occurrence, position or constraint to the walk, so
+        it gets the verdict and charge of ``prefix`` itself, judged once."""
+        scan = compress(range(len(lasts)), map(self.e_v.__contains__, lasts))
+        return _run_block(self.check, prefix, lasts, steps, scan, self.check(prefix, steps))
+
 
 TableKey = tuple[frozenset[str], frozenset[str]]
 
@@ -204,19 +268,11 @@ def _scan_plan(k: int, b: int) -> tuple[Callable[[list[int]], tuple[int, ...]], 
 
 
 @lru_cache(maxsize=32)
-def _prefix_plan(k: int, b: int) -> tuple[tuple[bool, ...], tuple[bool, ...], int]:
-    """What a guess of ``k`` names reads from the ``2**(k - 1)`` subset masks
-    of its first ``k - 1`` names, listed in doubling order: selectors of the
-    masks of at most ``b - 1`` names and of 1 to ``b`` names, and the charge
-    of a branch that passes the cap scan and fails the empty head's row,
-    every head's pairs and the empty head's terms."""
-    sizes = [i.bit_count() for i in range(2 ** (k - 1))]
+def _miss_charge(k: int, b: int) -> int:
+    """The charge of a guess of ``k`` names that passes the cap scan and
+    fails the empty head's row: every head's pairs and the empty head's terms."""
     _, pairs, pair_scan, _, term_scan = _scan_plan(k, b)
-    return (
-        tuple(size < b for size in sizes),
-        tuple(0 < size <= b for size in sizes),
-        pairs * (k * 2**k // 2) + pair_scan * 2**k + term_scan,
-    )
+    return pairs * (k * 2**k // 2) + pair_scan * 2**k + term_scan
 
 
 def _sizes_before(k: int, rank: int) -> int:
@@ -236,20 +292,22 @@ def _sizes_before(k: int, rank: int) -> int:
 class _Prefix(NamedTuple):
     """What :meth:`CWChecker.check` keeps for the guesses that extend ``key``
     by one last name: the subset masks of ``key`` in doubling order; the
-    charge of an empty-head cap failure inside ``key``, if any; and, when the
-    empty head's row may decide, that row, the last-name bits that close an
-    over-cap pair, the masks of ``key`` of at most ``b - 1`` names, the sum
-    those masks joined with the last bit must reach, and the charge of
-    missing it."""
+    charge of an empty-head cap failure inside ``key``, if any; the last-name
+    bits that close an over-cap pair; and, when the empty head's row may
+    decide, each last bit's extended row sum (``sums``: the row over the
+    masks of ``key`` of at most ``b - 1`` names joined with the bit, absent
+    bits reading zero; else None), the sum a last bit must reach, and the
+    charge of missing it. ``parent`` is the state of ``key[:-1]``, which this
+    one grew from."""
 
     key: tuple[str, ...]
     masks: list[int]
     cap_charge: int | None
-    row: dict[int, int] | None
-    closers: set[int]
-    ext: list[int]
+    sums: dict[int, int] | None
+    closers: frozenset[int]
     missing: int
     miss_charge: int
+    parent: _Prefix | None
 
 
 @dataclass(frozen=True)
@@ -283,8 +341,9 @@ class CWChecker:
     every key, so it can fail no test.
 
     Guesses arrive in lex order, so consecutive ones share all names but the
-    last. ``prefix`` keeps a :class:`_Prefix` for the last such shared
-    prefix, built from the first half of the guess's subset masks.
+    last. ``prefix`` keeps the :class:`_Prefix` of the last such shared
+    prefix, linked to the states of its own prefixes: a sibling prefix grows
+    from their parent's masks, closers and remainder by one name.
     ``cap_closers`` maps each mask ``S`` to the bits ``x`` outside it that
     make ``S | x`` the union ``B | G`` of an over-cap pair (``G`` of at most
     ``b + 1`` names), and to 0 when ``S`` is one itself: the cap scan fails
@@ -295,6 +354,13 @@ class CWChecker:
     cap at ``G = {}`` or at a prefix name, or passing the cap scan and
     missing its row, is charged in closed form from the prefix; every other
     branch extends the prefix's masks by its last name and scans.
+
+    ``row_index`` maps each mask ``m`` of fewer than ``b`` names to
+    ``{bit x: empty_row[m | x]}``, the counts a last name ``x`` adds to the
+    row over ``m``. A prefix sums the columns of its masks into each last
+    bit's extended row sum, so :meth:`check_block` finds the lasts whose sum
+    reaches the prefix's remainder by lookups, and charges every other last
+    without calling :meth:`check`.
     """
 
     b: int
@@ -308,6 +374,7 @@ class CWChecker:
     over_cap: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
     cap_closers: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
     empty_row: dict[int, int] | None = field(init=False, repr=False, compare=False)
+    row_index: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
     prefix: _Prefix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -352,35 +419,31 @@ class CWChecker:
         object.__setattr__(self, "over_cap", {h: frozenset(gs) for h, gs in over_cap.items()})
         object.__setattr__(self, "cap_closers", {s: frozenset(xs) for s, xs in cap_closers.items()})
         object.__setattr__(self, "empty_row", empty_row)
+        row_index: dict[int, dict[int, int]] = {}
+        for g, d in (empty_row or {}).items():
+            if 0 < g.bit_count() <= self.b:
+                rest = g
+                while rest:
+                    x = rest & -rest
+                    row_index.setdefault(g ^ x, {})[x] = d
+                    rest ^= x
+        object.__setattr__(self, "row_index", row_index)
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
         """Check one guess of distinct names; returns (accepted, steps charged)."""
         k = len(combo)
-        prefix = self.prefix
-        if k and prefix is not None and prefix[0] == combo[:-1]:
-            last = self.bits.get(combo[-1]) or 1 << (len(self.bits) + k - 1)
-            masks = None
-        else:
-            bits = list(map(self.bits.get, combo))
-            if None in bits:  # names in no key get bits no key holds
-                fresh = 1 << len(self.bits)
-                bits = [bit or fresh << p for p, bit in enumerate(bits)]
-            masks = [0]
-            for bit in bits:
-                masks += [bit | m for m in masks]
-            if k:
-                prefix = self._prefix(combo[:-1], masks[: len(masks) // 2])
-                object.__setattr__(self, "prefix", prefix)
-                last = bits[-1]
+        masks = [0]
         if k:
-            _, prefix_masks, cap_charge, row, closers, ext, missing, miss_charge = prefix
+            prefix = self.prefix
+            if prefix is None or prefix[0] != combo[:-1]:
+                prefix = self._state(combo[:-1])
+            _, prefix_masks, cap_charge, sums, closers, missing, miss_charge, _ = prefix
             if cap_charge is not None:
                 return False, steps + cap_charge
-            if row is not None and last not in closers:
-                if sum(filter(None, map(row.get, map(last.__or__, ext)))) != missing:
-                    return False, steps + miss_charge
-            if masks is None:
-                masks = prefix_masks + [last | m for m in prefix_masks]
+            last = self.bits.get(combo[-1]) or 1 << (len(self.bits) + k - 1)
+            if sums is not None and last not in closers and sums.get(last, 0) != missing:
+                return False, steps + miss_charge
+            masks = prefix_masks + [last | m for m in prefix_masks]
         reorder, pairs, pair_scan, terms, term_scan = _scan_plan(k, self.b)
         masks = reorder(masks)
         pair_masks = masks[:pairs]
@@ -405,15 +468,61 @@ class CWChecker:
                 return False, steps + (terms + 1) * _sizes_before(k, rank) + rank * term_scan
         return True, steps + (terms + 1) * head_sizes + term_scan * 2**k
 
-    def _prefix(self, key: tuple[str, ...], masks: list[int]) -> _Prefix:
-        """The :class:`_Prefix` of the guesses extending ``key``, whose subset
-        masks ``masks`` lists in doubling order: the subset of the positions
-        set in ``i`` sits at index ``i``."""
+    def check_block(
+        self, prefix: tuple[str, ...], lasts: Sequence[str], steps: int
+    ) -> tuple[int | None, int, int]:
+        """Check ``prefix + (x,)`` for each ``x`` in ``lasts``, names outside
+        ``prefix``, as :meth:`check` would, from one :class:`_Prefix`.
+        A cap failure inside ``prefix`` decides the block. Otherwise, when
+        the empty head's row may decide, only the lasts whose extended row
+        sum reaches the prefix's remainder and the over-cap closers run
+        :meth:`check`; every other last misses the row and is charged
+        without a call. Any other block runs :meth:`check` on every last."""
+        state = self._state(prefix)
+        _, _, cap_charge, sums, closers, missing, miss_charge, _ = state
+        if cap_charge is not None:
+            return None, len(lasts), steps + cap_charge
+        if sums is None:
+            return _run_block(self.check, prefix, lasts, steps, range(len(lasts)))
+        last_bits = list(map(self.bits.get, lasts))  # None for names in no key: they read zero
+        reach = map(missing.__eq__, map(sums.get, last_bits, repeat(0)))
+        if closers:
+            reach = map(or_, reach, map(closers.__contains__, last_bits))
+        scan = list(compress(range(len(lasts)), reach))
+        if not scan:
+            return None, len(lasts), steps + miss_charge
+        return _run_block(self.check, prefix, lasts, steps, scan, (False, steps + miss_charge))
+
+    def _state(self, key: tuple[str, ...]) -> _Prefix:
+        """The :class:`_Prefix` of ``key``, kept in ``prefix``. It grows, one
+        name at a time, from the longest key among the kept state and its
+        parents that ``key`` starts with, so siblings share their parent."""
+        state = self.prefix or self._grow(None, "")
+        while key[: len(state.key)] != state.key:
+            state = state.parent  # type: ignore[assignment]  # the root's key () always matches
+        for name in key[len(state.key) :]:
+            state = self._grow(state, name)
+        object.__setattr__(self, "prefix", state)
+        return state
+
+    def _grow(self, parent: _Prefix | None, name: str) -> _Prefix:
+        """The :class:`_Prefix` of ``parent.key + (name,)``, or of ``()``
+        when ``parent`` is None. The new masks are the parent's joined with
+        the name's bit; only they can add closers or tails to the remainder."""
+        if parent is None:
+            key: tuple[str, ...] = ()
+            masks = new = [0]
+            closers: frozenset[int] = frozenset()
+        else:
+            key = parent.key + (name,)
+            bit = self.bits.get(name) or 1 << (len(self.bits) + len(parent.key))
+            new = [bit | m for m in parent.masks]
+            masks = parent.masks + new
+            closers = parent.closers
+        if self.cap_closers:
+            closers = closers.union(*filter(None, map(self.cap_closers.get, new)))
         k = len(key) + 1
-        closers: set[int] = set()
-        closers.update(*filter(None, map(self.cap_closers.get, masks)))
-        cap_charge = row = None
-        ext: list[int] = []
+        cap_charge = sums = None
         missing = miss_charge = 0
         if 0 in closers:  # a subset of the prefix is the union of an over-cap pair
             capped = self.over_cap.get(0, frozenset())
@@ -422,11 +531,22 @@ class CWChecker:
             if j is not None:
                 cap_charge = j + _sizes_before(k, j)
         elif self.empty_row is not None:
-            row = self.empty_row
-            short, tails, miss_charge = _prefix_plan(k, self.b)
-            ext = list(compress(masks, short))
-            missing = -row.get(0, 0) - sum(filter(None, map(row.get, compress(masks, tails))))
-        return _Prefix(key, masks, cap_charge, row, closers, ext, missing, miss_charge)
+            miss_charge = _miss_charge(k, self.b)
+            if parent is None:
+                missing = -self.empty_row.get(0, 0)
+                sums = self.row_index.get(0, {})
+            else:
+                # The parent took this branch too: its closers are a subset of these.
+                sums = parent.sums
+                missing = parent.missing - sums.get(bit, 0)  # type: ignore[union-attr]
+                columns = list(filter(None, map(self.row_index.get, new)))
+                if columns:
+                    sums = dict(sums)  # type: ignore[arg-type]
+                    for column in columns:
+                        for x, d in column.items():
+                            sums[x] = sums.get(x, 0) + d
+        fields = (key, masks, cap_charge, sums, closers, missing, miss_charge, parent)
+        return tuple.__new__(_Prefix, fields)  # skips the Python-level _Prefix.__new__
 
     def _tail_sum(self, row: dict[int, int], tails: Iterable[int]) -> int:
         """Sum of ``row`` over ``tails``, absent tails read as zero; a partial
@@ -445,7 +565,7 @@ class CWChecker:
 
 
 @dataclass(frozen=True)
-class CombinedChecker:
+class CombinedChecker(_PerBranch):
     """Two machines run in turn on one guess; the second only if the first accepts."""
 
     first: "GuessCheckMachine"
@@ -691,23 +811,50 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
     :func:`~paramcsp._sets.guesses`, the order :func:`brute_force_solve`
     tries candidates in. The first accepting branch ends the run. Machines
     that rejected at build time explore nothing.
+
+    The empty guess, when guessed, runs first; the rest go to the checker a
+    sibling block at a time (:func:`~paramcsp._sets.sibling_blocks`), and
+    each block's largest step count is held against the budget. A block that
+    overruns it or raises is walked again branch by branch, so the error names
+    the first guess that overruns or raises, as a per-branch loop would.
     """
     if isinstance(machine.checker, AlwaysReject):
         return SimulationResult(False, None, 0, 0)
-    max_steps = 0
-    explored = 0
-    for combo in guesses(machine.universe, machine.k0, machine.exact):
-        explored += 1
-        accepted, steps = machine.run_branch(combo)
-        if steps > machine.budget:
-            raise BudgetExceededError(
-                f"branch {combo!r} used {steps} steps against budget {machine.budget}"
-            )
-        if steps > max_steps:
-            max_steps = steps
+    max_steps = explored = 0
+    if machine.k0 == 0 or not machine.exact:
+        explored = 1
+        accepted, max_steps = _branch(machine, ())
         if accepted:
-            return SimulationResult(True, frozenset(combo), max_steps, explored)
+            return SimulationResult(True, frozenset(), max_steps, explored)
+    check_block = machine.checker.check_block
+    budget = machine.budget
+    for prefix, lasts in sibling_blocks(machine.universe, machine.k0, machine.exact):
+        try:
+            found, count, top = check_block(prefix, lasts, len(prefix) + 1)
+        except Exception:  # whatever a check raises, the walk below raises again
+            top = budget + 1
+        if top > budget:
+            # Walk the block branch by branch, so that the error names the
+            # first guess that raises or overruns, as a per-branch loop does.
+            found, count, top = _run_block(
+                lambda combo, _: _branch(machine, combo), prefix, lasts, 0, range(len(lasts))
+            )
+        explored += count
+        if top > max_steps:
+            max_steps = top
+        if found is not None:
+            return SimulationResult(True, frozenset(prefix + (lasts[found],)), max_steps, explored)
     return SimulationResult(False, None, max_steps, explored)
+
+
+def _branch(machine: GuessCheckMachine, combo: tuple[str, ...]) -> tuple[bool, int]:
+    """Run one branch of ``machine``; a branch over the budget raises."""
+    accepted, steps = machine.run_branch(combo)
+    if steps > machine.budget:
+        raise BudgetExceededError(
+            f"branch {combo!r} used {steps} steps against budget {machine.budget}"
+        )
+    return accepted, steps
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Nothing here calls the code paths under test: unions are counted by direct
 scan over the body, reduced instances are decided by enumerating original
 variable subsets and propagating the forced indicator values, costs and
 budgets are summed term by term, occurrence profiles are read for every
-variable against every constraint, and instance declarations are checked one
-name at a time in order.
+variable against every constraint, instance declarations are checked one
+name at a time in order, and simulations walk every guess through the
+per-branch ``run_branch`` instead of the sibling blocks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from itertools import combinations
 from math import comb
 
 from paramcsp import (
+    AlwaysReject,
+    BudgetExceededError,
     CompletionReduction,
     Constraint,
     CostModel,
@@ -22,9 +25,11 @@ from paramcsp import (
     Instance,
     ParamCSPError,
     ProfileClass,
+    SimulationResult,
     ValidationError,
     satisfies,
 )
+from paramcsp._sets import guesses
 from paramcsp.machines import _cw_shared_bound
 
 
@@ -145,6 +150,26 @@ def literal_union(checker, head_set, candidates, bound: int) -> int:
             if not -checker.sum_bound <= total <= checker.sum_bound:
                 raise ParamCSPError("partial sum escaped its bound")
     return total
+
+
+def literal_simulate(machine) -> SimulationResult:
+    """The simulation read literally: every guess of
+    :func:`~paramcsp._sets.guesses` in turn through ``run_branch``, each
+    branch's steps held against the budget before its verdict is read."""
+    if isinstance(machine.checker, AlwaysReject):
+        return SimulationResult(False, None, 0, 0)
+    max_steps = explored = 0
+    for combo in guesses(machine.universe, machine.k0, machine.exact):
+        explored += 1
+        accepted, steps = machine.run_branch(combo)
+        if steps > machine.budget:
+            raise BudgetExceededError(
+                f"branch {combo!r} used {steps} steps against budget {machine.budget}"
+            )
+        max_steps = max(max_steps, steps)
+        if accepted:
+            return SimulationResult(True, frozenset(combo), max_steps, explored)
+    return SimulationResult(False, None, max_steps, explored)
 
 
 def literal_cw_budget(k0: int, b: int) -> int:

@@ -9,11 +9,12 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from itertools import combinations, islice
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus_helpers import (
@@ -33,6 +34,7 @@ from oracles import (
     literal_check_cap,
     literal_cw_budget,
     literal_cw_check,
+    literal_simulate,
     literal_union,
     tail_image,
     union_premise_holds,
@@ -83,9 +85,10 @@ from paramcsp import (
     solve_wd_pipeline,
 )
 import paramcsp
-from paramcsp._sets import guesses, lex_subsets, subsets_by_size
+from paramcsp._sets import guesses, lex_subsets, sibling_blocks, subsets_by_size
 from paramcsp.machines import _cw_budget, _tail_scans
 
+WS0 = WeightSet.finite((0,))
 WS1 = WeightSet.finite((1,))
 WS12 = WeightSet.finite((1, 2))
 
@@ -948,16 +951,18 @@ class TestPrefixCache:
     def test_a_lex_run_builds_one_state_per_prefix(self, monkeypatch):
         checker = reduce_cw(_counting_unsat(6)).checker
         built = []
-        real = CWChecker._prefix
+        real = CWChecker._grow
 
-        def counting(self, key, masks):
-            built.append(key)
-            return real(self, key, masks)
+        def counting(self, parent, name):
+            state = real(self, parent, name)
+            built.append(state.key)
+            return state
 
-        monkeypatch.setattr(CWChecker, "_prefix", counting)
+        monkeypatch.setattr(CWChecker, "_grow", counting)
         combos = list(combinations(sorted(checker.bits), 3))
         assert_matches_literal_check(checker, combos)
-        assert built == sorted({combo[:-1] for combo in combos})
+        # Each prefix, and each of its own prefixes, grows once, parents first.
+        assert built == sorted({combo[:i] for combo in combos for i in range(3)})
 
     @pytest.mark.parametrize("build", ["cap", "row"])
     def test_decided_branches_skip_the_scan(self, build, monkeypatch):
@@ -1025,6 +1030,287 @@ def _counting_unsat(n):
     names = tuple(f"v{i}" for i in range(n))
     body = tuple(Constraint(CWRelation(WS1, 0, 2), (v, v)) for v in names)
     return exact(names, 3, *body)
+
+
+def per_last_block(check, prefix, lasts, steps):
+    """``check_block`` read as the per-last loop: each guess in turn until one accepts."""
+    top = 0
+    for i, last in enumerate(lasts):
+        accepted, charged = check(prefix + (last,), steps)
+        top = max(top, charged)
+        if accepted:
+            return i, i + 1, top
+    return None, len(lasts), top
+
+
+def calls_check(tables, prefix, last):
+    """Whether the block walk must run ``check`` on ``prefix + (last,)``, read
+    from the tables by name. A cap failure of the empty head at ``{}`` or at a
+    prefix name decides the whole block. Otherwise the empty head's row decides
+    the guess, without a call, when its counts on tails of 1 to ``b`` names
+    cannot escape ``sum_bound``, no subset of the guess is the union of an
+    over-cap pair, and the last name's tails miss the prefix's remainder."""
+    b, e = tables.b, frozenset()
+    firsts = [e] + [frozenset({v}) for v in prefix]
+    if any(tables.lambda_caps.get((e, g), 0) > b for g in firsts):
+        return False
+    row = {
+        g: d if len(g) % 2 else -d
+        for (bset, g), d in tables.delta_sizes.items()
+        if not bset and 0 < len(g) <= b and d
+    }
+    if not (tables.delta_empty.get(e) or row) or sum(map(abs, row.values())) > tables.sum_bound:
+        return True
+    unions = {bset | g for (bset, g), cap in tables.lambda_caps.items() if cap > b and len(g) <= b + 1}
+    guess = prefix + (last,)
+    subsets = {frozenset(c) for size in range(len(guess) + 1) for c in combinations(guess, size)}
+    if unions & subsets:
+        return True
+    missing = tables.delta_empty.get(e, 0) - sum(d for g, d in row.items() if g <= set(prefix))
+    reach = sum(d for g, d in row.items() if last in g and g <= set(guess))
+    return reach == missing
+
+
+@st.composite
+def block_machines(draw):
+    """Machines of every checker kind, exact and at-most, with their own
+    budgets or hand-picked ones that some branch may overrun: built
+    conditional-weight machines; hand-built tables, including forged ones
+    whose partial sums escape; appearance machines under any cost model;
+    appearance and conditional-weight machines combined; and the always-
+    rejecting machine."""
+    kind = draw(st.sampled_from(["cw", "tables", "appearance", "combined", "reject"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind in ("cw", "combined"):
+        cfg = InstanceConfig(
+            n=draw(st.integers(1, 7)), k0=draw(st.integers(0, 4)), profile="cw",
+            body_len=draw(st.integers(0, 8)), max_arity=draw(st.integers(1, 4)),
+            cw_bound=draw(st.integers(1, 3)),
+        )
+        inst = random_instance(seed, cfg)
+        machine = reduce_cw(inst)
+        if kind == "combined":
+            machine = combine_machines(reduce_appearance(inst), machine)
+    elif kind == "appearance":
+        machine = reduce_appearance(draw(finite_bodies(("W", "explicit", "other"))), draw(cost_models()))
+    else:
+        names = tuple(sorted(draw(st.sets(st.sampled_from(NAMES[:6]), max_size=6))))
+        checker = ALWAYS_REJECT
+        if kind == "tables":
+            checker = draw(st.one_of(hand_built_tables(), prefix_tables()))
+        machine = GuessCheckMachine(names, draw(st.integers(0, 4)), True, 10**6, checker)
+    if kind != "combined" and draw(st.booleans()):
+        machine = replace(machine, exact=False)
+    if draw(st.booleans()):
+        machine = replace(machine, budget=draw(st.integers(0, max(machine.budget, 400))))
+    return machine
+
+
+def serialized(machine):
+    """The machine document, or what serializing raises (hand-built tables
+    need not have a cap for every stored count)."""
+    try:
+        return serialize_machine(machine)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return repr(exc)
+
+
+def fresh_copy(machine):
+    """``machine`` with checkers that have seen no guess."""
+    checker = machine.checker
+    if isinstance(checker, CombinedChecker):
+        checker = CombinedChecker(fresh_copy(checker.first), fresh_copy(checker.second))
+    return replace(machine, checker=replace(checker))
+
+
+class TestSiblingBlocks:
+    def test_blocks_list_the_nonempty_guesses_in_order(self):
+        for n in range(6):
+            names = tuple("abcdef"[:n])
+            for k0 in range(7):
+                for exact_guess in (True, False):
+                    blocks = list(sibling_blocks(names, k0, exact_guess))
+                    assert all(lasts for _, lasts in blocks)
+                    flat = [p + (x,) for p, lasts in blocks for x in lasts]
+                    assert flat == [g for g in guesses(names, k0, exact_guess) if g], (n, k0)
+
+    def test_exact_blocks_hold_every_sibling(self):
+        blocks = list(sibling_blocks(tuple("abcd"), 3, True))
+        assert blocks == [(("a", "b"), ("c", "d")), (("a", "c"), ("d",)), (("b", "c"), ("d",))]
+
+    def test_a_guess_beyond_the_index_range_has_no_block(self):
+        assert list(sibling_blocks(("a",), 2**63, True)) == []
+
+
+class TestBlockWalk:
+    @settings(max_examples=400, deadline=None)
+    @given(machine=block_machines())
+    def test_simulation_matches_the_per_branch_loop(self, machine):
+        # The result, or the raised error and its message, of the literal
+        # per-branch loop on a fresh copy; budgets, equality and serialized
+        # bytes stay as they were.
+        fresh = fresh_copy(machine)
+        text = serialized(machine)
+        want = outcome(literal_simulate, fresh)
+        assert outcome(simulate, machine) == want
+        assert machine == fresh
+        assert serialized(machine) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tables=st.one_of(hand_built_tables(), prefix_tables()),
+        k0=st.integers(1, 4),
+        atmost=st.booleans(),
+    )
+    def test_cw_blocks_match_the_literal_per_last_loop(self, tables, k0, atmost):
+        # Checked directly, not through simulate, whose re-walk of a raising
+        # or overrunning block would hide a wrong block result.
+        reference = replace(tables)
+        for prefix, lasts in sibling_blocks(tuple(NAMES[:6]), k0, not atmost):
+            steps = len(prefix) + 1
+            want = outcome(per_last_block, reference.check, prefix, lasts, steps)
+            literal = outcome(per_last_block, partial(literal_cw_check, reference), prefix, lasts, steps)
+            assert want == literal
+            assert outcome(tables.check_block, prefix, lasts, steps) == want, prefix
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=finite_bodies(("W", "explicit", "other")), cm=cost_models(), atmost=st.booleans())
+    def test_appearance_blocks_match_the_per_last_loop(self, inst, cm, atmost):
+        checker = AppearanceChecker(inst.body, cm)
+        k0 = max(inst.weight.k0, 1)
+        for prefix, lasts in sibling_blocks(inst.variables, k0, not atmost):
+            steps = len(prefix) + 1
+            want = per_last_block(checker.check, prefix, lasts, steps)
+            assert checker.check_block(prefix, lasts, steps) == want, prefix
+
+    def test_appearance_blocks_judge_the_prefix_once_for_untouched_lasts(self, monkeypatch):
+        # Only a0 is in a constraint and no last is a0, so each block judges
+        # its prefix once and calls check on no last.
+        body = (Constraint(WRelation(WS1, 1), ("a0",)), Constraint(WRelation(WS0, 1), ("a0",)))
+        machine = reduce_appearance(exact(("a0", "f1", "f2", "f3", "f4"), 2, *body))
+        want = literal_simulate(fresh_copy(machine))
+        checked = []
+        real = AppearanceChecker.check
+
+        def counting(self, combo, steps):
+            checked.append(combo)
+            return real(self, combo, steps)
+
+        monkeypatch.setattr(AppearanceChecker, "check", counting)
+        assert simulate(machine) == want
+        assert checked == [("a0",), ("f1",), ("f2",), ("f3",)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tables=st.one_of(prefix_tables(), hand_built_tables()),
+        names=st.sets(st.sampled_from(NAMES[:6]), max_size=6),
+        k0=st.integers(0, 4),
+        exact_guess=st.booleans(),
+    )
+    def test_check_runs_only_on_the_lasts_that_need_the_scan(self, tables, names, k0, exact_guess):
+        machine = GuessCheckMachine(tuple(sorted(names)), k0, exact_guess, 10**9, tables)
+        result = outcome(literal_simulate, fresh_copy(machine))
+        assume(isinstance(result, SimulationResult))  # a raising block is walked again branch by branch
+        walked = list(islice(guesses(machine.universe, k0, exact_guess), result.branches_explored))
+        checked = []
+        real = CWChecker.check
+
+        def counting(self, combo, steps):
+            checked.append(combo)
+            return real(self, combo, steps)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CWChecker, "check", counting)
+            assert simulate(machine) == result
+        assert checked == [g for g in walked if not g or calls_check(tables, g[:-1], g[-1])]
+
+    def test_a_built_machine_scans_only_what_its_row_leaves_open(self, monkeypatch):
+        # With x the one tail of CW(d=0){1}, every guess without x misses the
+        # empty head's row; only {a, x} runs check, and it accepts.
+        machine = reduce_cw(exact("abcdx", 2, Constraint(CWRelation(WS1, head=0, tail=1), ("x",))))
+        want = literal_simulate(fresh_copy(machine))
+        checked = []
+        real = CWChecker.check
+
+        def counting(self, combo, steps):
+            checked.append(combo)
+            return real(self, combo, steps)
+
+        monkeypatch.setattr(CWChecker, "check", counting)
+        result = simulate(machine)
+        assert result == want
+        assert (result.witness, result.branches_explored) == (frozenset("ax"), 4)
+        assert checked == [("a", "x")]
+
+    def test_an_overrun_inside_a_bulk_decided_block_names_its_first_guess(self):
+        # {a, b} is scanned (b closes the over-cap pair {a} over {b}) and fails
+        # early; {a, c} misses the empty head's row and is charged without a
+        # call, more than {a, b}. A budget between the two is overrun first at
+        # {a, c}, inside the bulk-decided part of the block.
+        e, a, b, z = frozenset(), frozenset("a"), frozenset("b"), frozenset("z")
+        tables = CWChecker(
+            b=1, delta_sizes={(e, z): 1}, lambda_caps={(a, b): 2}, delta_empty={e: 1}, sum_bound=1
+        )
+        scanned = literal_cw_check(tables, ("a", "b"), 2)[1]
+        decided = literal_cw_check(tables, ("a", "c"), 2)[1]
+        assert scanned < decided
+        machine = GuessCheckMachine(("a", "b", "c", "z"), 2, True, scanned, tables)
+        assert tables.check_block(("a",), ("b", "c"), 2) == (None, 2, decided)
+        message = f"branch ('a', 'c') used {decided} steps against budget {scanned}"
+        with pytest.raises(BudgetExceededError) as raised:
+            simulate(machine)
+        assert str(raised.value) == message
+        assert outcome(literal_simulate, fresh_copy(machine)) == (BudgetExceededError, message)
+
+    def test_a_pair_column_moves_a_last_onto_the_row(self, monkeypatch):
+        # Under b = 2, {a, c} reaches the empty head's row only through the
+        # pair {a, c}: 1 + 2 - 1 = 2. {a, b} misses it without a call.
+        e, a, c = frozenset(), frozenset("a"), frozenset("c")
+        tables = CWChecker(
+            b=2, delta_sizes={(e, a): 1, (e, c): 2, (e, a | c): 1}, lambda_caps={},
+            delta_empty={e: 2}, sum_bound=4,
+        )
+        machine = GuessCheckMachine(("a", "b", "c"), 2, True, _cw_budget(2, 2), tables)
+        want = literal_simulate(fresh_copy(machine))
+        assert (want.witness, want.branches_explored) == (a | c, 2)
+        checked = []
+        real = CWChecker.check
+
+        def counting(self, combo, steps):
+            checked.append(combo)
+            return real(self, combo, steps)
+
+        monkeypatch.setattr(CWChecker, "check", counting)
+        assert simulate(machine) == want
+        assert checked == [("a", "c")]
+
+    def test_an_overrun_before_a_raising_branch_is_named_first(self):
+        # {a, c} misses the empty head's row and is charged without a call;
+        # {a, d} reaches it, then head {a} sums 2 against a bound of 1 and
+        # raises. With room for neither, the overrun at {a, c} comes first.
+        e, a, d = frozenset(), frozenset("a"), frozenset("d")
+        tables = CWChecker(
+            b=1, delta_sizes={(e, d): 1, (a, d): 2}, lambda_caps={}, delta_empty={e: 1}, sum_bound=1
+        )
+        assert tables.empty_row is not None
+        decided = literal_cw_check(tables, ("a", "c"), 2)[1]
+        overrun = f"branch ('a', 'c') used {decided} steps against budget {decided - 1}"
+        for budget, want in [
+            (10**6, (ParamCSPError, "partial sum escaped its bound")),
+            (decided - 1, (BudgetExceededError, overrun)),
+        ]:
+            machine = GuessCheckMachine(("a", "c", "d"), 2, True, budget, tables)
+            assert outcome(literal_simulate, fresh_copy(machine)) == want
+            assert outcome(simulate, machine) == want
+
+    def test_an_overrun_at_a_blocks_first_guess_is_named(self):
+        # {a, b}, {a, c} and {a, d} miss the empty head's row at one charge.
+        machine = reduce_cw(exact("abcdx", 2, Constraint(CWRelation(WS1, head=0, tail=1), ("x",))))
+        decided = literal_cw_check(machine.checker, ("a", "b"), 2)[1]
+        tight = replace(machine, budget=decided - 1)
+        message = f"branch ('a', 'b') used {decided} steps against budget {decided - 1}"
+        assert outcome(literal_simulate, fresh_copy(tight)) == (BudgetExceededError, message)
+        assert outcome(simulate, tight) == (BudgetExceededError, message)
 
 
 class TestCwBudget:
