@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
+from itertools import chain
 from typing import Any, TypeVar
 
 from .errors import CapacityError, UsageError, ValidationError
@@ -300,6 +301,12 @@ def _machine_to_doc(machine: GuessCheckMachine) -> dict[str, Any]:
         doc["kind"] = "cw"
         doc["b"] = ck.b
         doc["sum_bound"] = ck.sum_bound
+        for bset, gset in chain(ck.delta_sizes, ck.lambda_caps):
+            where = f"table key (head {sorted(bset)}, tail {sorted(gset)})"
+            if not gset:
+                raise ValidationError(f"{where}: a count or cap needs a nonempty tail")
+            if (bset, gset) not in ck.delta_sizes or (bset, gset) not in ck.lambda_caps:
+                raise ValidationError(f"{where}: a tail row needs both a count and a cap")
         rows = []
         for bset, count in ck.delta_empty.items():
             rows.append({"head": sorted(bset), "tail": [], "count": count})

@@ -22,27 +22,9 @@ charged in closed form from its rank in that order. Steps therefore match the
 literal every-head, every-pair scan, and an accepting branch costs exactly
 the budget.
 
-Every checker also answers ``check_block(prefix, lasts, steps)``: it checks
-``prefix + (x,)`` for each ``x`` in the nonempty ``lasts`` in order, each
-from ``steps`` as ``check`` would, stops at the first accept, and returns
-the accepting index or None, the branches explored and their largest step
-count. :func:`simulate` walks the guesses as such sibling blocks
-(:func:`~paramcsp._sets.sibling_blocks`): for each ``(k0 - 1)``-name prefix
-in lex order, the lasts are the names after its final name. The combined
-and always-rejecting checkers answer a block with the per-last loop over
-``check``; the appearance checker judges the prefix once and gives its
-verdict to every last in no constraint.
-
-Most conditional-weight branches fail at the empty head. The checker keeps a
-state per guess prefix, grown from its parent's: its subset masks, the last
-names that would close an over-cap pair, the sum the empty head's row must
-still reach, and each last name's share of that row. From it, a branch that
-fails the empty head's cap at a prefix name, or passes the cap scan and
-misses the empty head's row, is charged in closed form without listing its
-own subsets; every other branch runs the scan above. A block reads that state
-once: a cap failure decides all its lasts, and a row index built with the
-tables picks the few lasts whose share reaches the sum, so only those and the
-over-cap closers run the scan.
+Every checker also answers ``check_block(prefix, lasts, steps)``, and
+:func:`simulate` hands it one block of sibling guesses at a time; see
+:func:`simulate`, :class:`CWChecker` and :meth:`CWChecker.check_block`.
 """
 
 from __future__ import annotations
@@ -50,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain, combinations, compress, repeat
+from itertools import accumulate, chain, combinations, compress, repeat
 from operator import itemgetter, or_
 from typing import NamedTuple
 
@@ -252,41 +234,37 @@ def _tail_scans(k: int, b: int) -> tuple[int, int, int, int]:
     return pairs, pair_scan, terms, term_scan + 2
 
 
-@lru_cache(maxsize=32)
-def _scan_plan(k: int, b: int) -> tuple[Callable[[list[int]], tuple[int, ...]], int, int, int, int]:
-    """The scans of a guess of ``k`` names: a function reordering its ``2**k``
+class _Plan(NamedTuple):
+    """The scans of a guess of ``k`` names: ``reorder`` turns its ``2**k``
     subset masks, listed with the subset holding position ``p`` at an index
-    with bit ``p`` set, into :func:`~paramcsp._sets.subsets_by_size` order,
-    followed by :func:`_tail_scans` of ``k`` and ``b``."""
-    order = (
+    with bit ``p`` set, into :func:`~paramcsp._sets.subsets_by_size` order;
+    ``sizes[r]`` sums the sizes of the first ``r`` subsets in that order; the
+    next four are :func:`_tail_scans` of ``k`` and ``b``; ``miss`` charges a
+    guess that passes the cap scan and fails the empty head's row: every
+    head's pairs and the empty head's terms."""
+
+    reorder: Callable[[list[int]], tuple[int, ...]]
+    sizes: tuple[int, ...]
+    pairs: int
+    pair_scan: int
+    terms: int
+    term_scan: int
+    miss: int
+
+
+@lru_cache(maxsize=32)
+def _scan_plan(k: int, b: int) -> _Plan:
+    """The :class:`_Plan` of a guess of ``k`` names under tail bound ``b``."""
+    order = [
         sum(1 << p for p in chosen)
         for size in range(k + 1)
         for chosen in combinations(range(k), size)
-    )
+    ]
     reorder = itemgetter(*order) if k else tuple  # one index would return a bare item
-    return (reorder, *_tail_scans(k, b))
-
-
-@lru_cache(maxsize=32)
-def _miss_charge(k: int, b: int) -> int:
-    """The charge of a guess of ``k`` names that passes the cap scan and
-    fails the empty head's row: every head's pairs and the empty head's terms."""
-    _, pairs, pair_scan, _, term_scan = _scan_plan(k, b)
-    return pairs * (k * 2**k // 2) + pair_scan * 2**k + term_scan
-
-
-def _sizes_before(k: int, rank: int) -> int:
-    """Summed sizes of the first ``rank`` subsets of ``k`` names in
-    :func:`~paramcsp._sets.subsets_by_size` order, taken a block of ``C(k, j)``
-    sets of size ``j`` at a time."""
-    total = size = 0
-    count = 1
-    while rank > count:
-        total += size * count
-        rank -= count
-        count = count * (k - size) // (size + 1)
-        size += 1
-    return total + size * rank
+    sizes = tuple(accumulate(map(int.bit_count, order), initial=0))
+    pairs, pair_scan, terms, term_scan = _tail_scans(k, b)
+    miss = pairs * sizes[-1] + pair_scan * 2**k + term_scan
+    return _Plan(reorder, sizes, pairs, pair_scan, terms, term_scan, miss)
 
 
 class _Prefix(NamedTuple):
@@ -331,14 +309,15 @@ class CWChecker:
     :func:`_tail_scans`), and a head whose ``j``-th cap fails costs its first
     ``j`` pairs instead.
 
-    ``heads`` lists the ``B`` of every stored key. The check runs on integer
-    masks: each name in a key owns one bit of ``bits``. ``rows`` maps a head
-    mask to its row, tail mask -> nonzero count, added for odd ``|G|`` and
-    subtracted for even, with ``delta_empty[B]`` at tail 0: a head passes
-    when its row sums to zero over the guess's tail sets of at most ``b`` names.
-    ``over_cap`` maps a head mask to the tail masks whose cap exceeds ``b``.
-    A branch looks up only the heads it holds; any other head reads zero at
-    every key, so it can fail no test.
+    The check runs on integer masks: each name in a key owns one bit of
+    ``bits``, given in sorted name order, so no table derived from them
+    depends on set iteration order. ``rows`` maps a head mask to its row,
+    tail mask -> nonzero count, added for odd ``|G|`` and subtracted for
+    even, with ``delta_empty[B]`` at tail 0: a head passes when its row sums
+    to zero over the guess's tail sets of at most ``b`` names. ``over_cap``
+    maps a head mask to the tail masks whose cap exceeds ``b``. A branch
+    looks up only the heads it holds; any other head reads zero at every
+    key, so it can fail no test.
 
     Guesses arrive in lex order, so consecutive ones share all names but the
     last. ``prefix`` keeps the :class:`_Prefix` of the last such shared
@@ -347,20 +326,22 @@ class CWChecker:
     ``cap_closers`` maps each mask ``S`` to the bits ``x`` outside it that
     make ``S | x`` the union ``B | G`` of an over-cap pair (``G`` of at most
     ``b + 1`` names), and to 0 when ``S`` is one itself: the cap scan fails
-    exactly when a subset of the guess is such a union. ``empty_row`` is the
-    empty head's row when the absolute values of its counts on tails of at
-    most ``b`` names sum to at most ``sum_bound``, so no partial sum can
-    escape. The empty head comes first in both scans, so a branch failing its
-    cap at ``G = {}`` or at a prefix name, or passing the cap scan and
-    missing its row, is charged in closed form from the prefix; every other
-    branch extends the prefix's masks by its last name and scans.
+    exactly when a subset of the guess is such a union.
 
     ``row_index`` maps each mask ``m`` of fewer than ``b`` names to
-    ``{bit x: empty_row[m | x]}``, the counts a last name ``x`` adds to the
-    row over ``m``. A prefix sums the columns of its masks into each last
-    bit's extended row sum, so :meth:`check_block` finds the lasts whose sum
-    reaches the prefix's remainder by lookups, and charges every other last
-    without calling :meth:`check`.
+    ``{bit x: rows[0][m | x]}``, the counts a last name ``x`` adds to the
+    empty head's row over ``m``. It is None, and the row decides nothing
+    from a prefix, when the empty head has no row or the absolute values of
+    its counts on tails of at most ``b`` names sum past ``sum_bound``, where
+    a partial sum could escape. Otherwise, the empty head coming first in
+    both scans, a branch failing its cap at ``G = {}`` or at a prefix name,
+    or passing the cap scan and missing the row, is charged in closed form
+    from the prefix; every other branch extends the prefix's masks by its
+    last name and scans. A prefix sums the columns of its masks into each
+    last bit's extended row sum, so :meth:`check_block` finds the lasts whose
+    sum reaches the prefix's remainder by lookups, and charges every other
+    last without calling :meth:`check`. Every closed-form charge reads the
+    guess size's :class:`_Plan` from :func:`_scan_plan`.
     """
 
     b: int
@@ -368,28 +349,23 @@ class CWChecker:
     lambda_caps: dict[TableKey, int]
     delta_empty: dict[frozenset[str], int]
     sum_bound: int
-    heads: frozenset[frozenset[str]] = field(init=False, repr=False, compare=False)
     bits: dict[str, int] = field(init=False, repr=False, compare=False)
     rows: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
-    over_cap: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
-    cap_closers: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
-    empty_row: dict[int, int] | None = field(init=False, repr=False, compare=False)
-    row_index: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
+    over_cap: dict[int, set[int]] = field(init=False, repr=False, compare=False)
+    cap_closers: dict[int, set[int]] = field(init=False, repr=False, compare=False)
+    row_index: dict[int, dict[int, int]] | None = field(init=False, repr=False, compare=False)
     prefix: _Prefix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_int(self.b, "the tail bound", ValidationError)
         require_int(self.sum_bound, "the partial-sum bound", ValidationError)
-        heads = set(self.delta_empty)
-        heads.update(bset for bset, _ in self.delta_sizes)
-        heads.update(bset for bset, _ in self.lambda_caps)
-        bits: dict[str, int] = {}
+        keyed = set(chain.from_iterable(self.delta_empty))
+        for bset, g in chain(self.delta_sizes, self.lambda_caps):
+            keyed.update(bset, g)
+        bits = {v: 1 << i for i, v in enumerate(sorted(keyed))}
 
         def mask(names: frozenset[str]) -> int:
-            m = 0
-            for v in names:
-                m |= bits.setdefault(v, 1 << len(bits))
-            return m
+            return sum(map(bits.__getitem__, names))
 
         rows: dict[int, dict[int, int]] = {}
         for bset, count in self.delta_empty.items():
@@ -406,22 +382,17 @@ class CWChecker:
                 if len(g) <= self.b + 1:
                     union = mask(bset | g)
                     cap_closers.setdefault(union, set()).add(0)
-                    for v in bset | g:
+                    for v in sorted(bset | g):
                         cap_closers.setdefault(union ^ bits[v], set()).add(bits[v])
-        empty_row = rows.get(0)
-        if empty_row is not None:
-            spread = sum(abs(d) for g, d in empty_row.items() if 0 < g.bit_count() <= self.b)
-            if spread > self.sum_bound:
-                empty_row = None
-        object.__setattr__(self, "heads", frozenset(heads))
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "over_cap", {h: frozenset(gs) for h, gs in over_cap.items()})
-        object.__setattr__(self, "cap_closers", {s: frozenset(xs) for s, xs in cap_closers.items()})
-        object.__setattr__(self, "empty_row", empty_row)
-        row_index: dict[int, dict[int, int]] = {}
-        for g, d in (empty_row or {}).items():
-            if 0 < g.bit_count() <= self.b:
+        object.__setattr__(self, "over_cap", over_cap)
+        object.__setattr__(self, "cap_closers", cap_closers)
+        tails = [(g, d) for g, d in rows.get(0, {}).items() if 0 < g.bit_count() <= self.b]
+        row_index: dict[int, dict[int, int]] | None = None
+        if 0 in rows and sum(abs(d) for _, d in tails) <= self.sum_bound:
+            row_index = {}
+            for g, d in tails:
                 rest = g
                 while rest:
                     x = rest & -rest
@@ -434,9 +405,7 @@ class CWChecker:
         k = len(combo)
         masks = [0]
         if k:
-            prefix = self.prefix
-            if prefix is None or prefix[0] != combo[:-1]:
-                prefix = self._state(combo[:-1])
+            prefix = self._state(combo[:-1])
             _, prefix_masks, cap_charge, sums, closers, missing, miss_charge, _ = prefix
             if cap_charge is not None:
                 return False, steps + cap_charge
@@ -444,7 +413,7 @@ class CWChecker:
             if sums is not None and last not in closers and sums.get(last, 0) != missing:
                 return False, steps + miss_charge
             masks = prefix_masks + [last | m for m in prefix_masks]
-        reorder, pairs, pair_scan, terms, term_scan = _scan_plan(k, self.b)
+        reorder, sizes, pairs, pair_scan, terms, term_scan, _ = _scan_plan(k, self.b)
         masks = reorder(masks)
         pair_masks = masks[:pairs]
         over_cap = self.over_cap
@@ -452,21 +421,18 @@ class CWChecker:
             capped = over_cap[head]
             if not capped.isdisjoint(pair_masks):
                 rank = masks.index(head)
-                for j, g in enumerate(pair_masks, start=1):
-                    if g in capped:
-                        break
-                steps += pairs * _sizes_before(k, rank) + rank * pair_scan
-                return False, steps + (head.bit_count() + 1) * j + _sizes_before(k, j)
-        head_sizes = k * 2**k // 2
-        steps += pairs * head_sizes + pair_scan * 2**k
+                j = next(j for j, g in enumerate(pair_masks, start=1) if g in capped)
+                steps += pairs * sizes[rank] + rank * pair_scan
+                return False, steps + (head.bit_count() + 1) * j + sizes[j]
+        steps += pairs * sizes[-1] + pair_scan * 2**k
         rows = self.rows
         term_masks = masks[1 : 1 + terms]
         for head in filter(rows.__contains__, masks):
             row = rows[head]
             if self._tail_sum(row, term_masks) != -row.get(0, 0):
                 rank = masks.index(head) + 1
-                return False, steps + (terms + 1) * _sizes_before(k, rank) + rank * term_scan
-        return True, steps + (terms + 1) * head_sizes + term_scan * 2**k
+                return False, steps + (terms + 1) * sizes[rank] + rank * term_scan
+        return True, steps + (terms + 1) * sizes[-1] + term_scan * 2**k
 
     def check_block(
         self, prefix: tuple[str, ...], lasts: Sequence[str], steps: int
@@ -497,7 +463,10 @@ class CWChecker:
         """The :class:`_Prefix` of ``key``, kept in ``prefix``. It grows, one
         name at a time, from the longest key among the kept state and its
         parents that ``key`` starts with, so siblings share their parent."""
-        state = self.prefix or self._grow(None, "")
+        state = self.prefix
+        if state is not None and state.key == key:
+            return state
+        state = state or self._grow(None, "")
         while key[: len(state.key)] != state.key:
             state = state.parent  # type: ignore[assignment]  # the root's key () always matches
         for name in key[len(state.key) :]:
@@ -529,11 +498,11 @@ class CWChecker:
             firsts = [0] + [masks[1 << p] for p in range(k - 1)]
             j = next((j for j, g in enumerate(firsts, start=1) if g in capped), None)
             if j is not None:
-                cap_charge = j + _sizes_before(k, j)
-        elif self.empty_row is not None:
-            miss_charge = _miss_charge(k, self.b)
+                cap_charge = j + _scan_plan(k, self.b).sizes[j]
+        elif self.row_index is not None:
+            miss_charge = _scan_plan(k, self.b).miss
             if parent is None:
-                missing = -self.empty_row.get(0, 0)
+                missing = -self.rows[0].get(0, 0)
                 sums = self.row_index.get(0, {})
             else:
                 # The parent took this branch too: its closers are a subset of these.

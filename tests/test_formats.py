@@ -16,6 +16,7 @@ from paramcsp import (
     CapacityError,
     Constraint,
     CostModel,
+    CWChecker,
     CWRelation,
     ExplicitRelation,
     GuessCheckMachine,
@@ -41,6 +42,7 @@ from paramcsp import (
     weight_relation,
 )
 from paramcsp.formats import _require_derived
+from paramcsp.machines import _cw_budget
 
 WS1 = WeightSet.finite((1,))
 
@@ -274,6 +276,42 @@ class TestMachineDocuments:
         text = edit(serialize_machine(reduce_cw(ONE_OF_TWO)), dup)
         with pytest.raises(ValidationError, match="duplicate table key"):
             parse_machine(text)
+
+    @pytest.mark.parametrize(
+        "delta_sizes, lambda_caps, needle",
+        [
+            pytest.param(
+                {(frozenset("x"), frozenset("y")): 1},
+                {},
+                "table key (head ['x'], tail ['y']): a tail row needs both a count and a cap",
+                id="count-without-cap",
+            ),
+            pytest.param(
+                {},
+                {(frozenset("x"), frozenset("y")): 2},
+                "table key (head ['x'], tail ['y']): a tail row needs both a count and a cap",
+                id="cap-without-count",
+            ),
+            pytest.param(
+                {(frozenset(), frozenset()): 3},
+                {(frozenset(), frozenset()): 0},
+                "table key (head [], tail []): a count or cap needs a nonempty tail",
+                id="empty-tail",
+            ),
+        ],
+    )
+    def test_cw_tables_without_a_document_form_are_refused(self, delta_sizes, lambda_caps, needle):
+        # Each table once wrote a document that parsed back as another machine,
+        # or raised KeyError: the cap alone was dropped, so the machine below,
+        # which rejects {x, y}, came back accepting it, and the empty tail's
+        # count came back as delta_empty, turning an accept into a reject.
+        checker = CWChecker(
+            b=1, delta_sizes=delta_sizes, lambda_caps=lambda_caps, delta_empty={}, sum_bound=6
+        )
+        machine = GuessCheckMachine(("x", "y"), 2, True, _cw_budget(2, 1), checker)
+        with pytest.raises(ValidationError) as err:
+            serialize_machine(machine)
+        assert str(err.value) == needle
 
     def test_combined_parts_must_share_the_universe(self):
         m = reduce_appearance(POSITIVE_X)

@@ -86,7 +86,7 @@ from paramcsp import (
 )
 import paramcsp
 from paramcsp._sets import guesses, lex_subsets, sibling_blocks, subsets_by_size
-from paramcsp.machines import _cw_budget, _tail_scans
+from paramcsp.machines import _cw_budget, _scan_plan, _tail_scans
 
 WS0 = WeightSet.finite((0,))
 WS1 = WeightSet.finite((1,))
@@ -842,7 +842,7 @@ class TestCWCheckerSkipsUnstoredHeads:
             Constraint(CWRelation(WS1, head=1, tail=2), ("y", "x", "z")),
         )
         checker = reduce_cw(inst).checker
-        assert checker.heads == {frozenset("x"), frozenset("y")}
+        assert_matches_literal_check(checker, lex_subsets(("x", "y", "z"), 3))
         assert checker.lambda_caps[(frozenset("y"), frozenset("xz"))] == 2
         # 3 to write the guess, 16 for head {}, 1 * 7 + 16 for head {x}, and
         # six pairs of head {y} at |B| + |G| + 1 = 2 * 6 + (0 + 1 + 1 + 1 + 2 + 2).
@@ -859,7 +859,7 @@ class TestCWCheckerSkipsUnstoredHeads:
         else:
             tables[table][(x, y)] = 2
         checker = CWChecker(b=1, sum_bound=2, **tables)
-        assert checker.heads == {x}
+        assert checker.rows.keys() | checker.over_cap.keys() == {checker.bits["x"]}
         assert_matches_literal_check(checker, lex_subsets(("x", "y", "z"), 3))
         assert not checker.check(("x", "y"), 0)[0]
 
@@ -898,6 +898,56 @@ class TestMaskCheck:
         checker = reduce_cw(ONE_OF_TWO).checker
         assert "w" not in checker.bits
         assert_matches_literal_check(checker, lex_subsets(("w", "x", "y", "z"), 4))
+
+    def test_bits_go_to_names_in_sorted_order(self):
+        part = pipeline_cw_part(random_instance(3, InstanceConfig(
+            n=5, k0=1, profile="w-finite", body_len=3, max_arity=2, finite_values=(1,)
+        )))
+        checker = reduce_cw(part).checker
+        names = list(checker.bits)
+        assert len(names) > 2
+        assert names == sorted(names)
+        assert list(checker.bits.values()) == [1 << i for i in range(len(names))]
+
+    def test_derived_tables_do_not_depend_on_the_hash_seed(self):
+        # Four-name head and two-name tail sets iterate in a seed-dependent
+        # order; the bits, and every table keyed by them, must not.
+        code = (
+            "from paramcsp import CWChecker\n"
+            "h, g = frozenset('pqrs'), frozenset('tu')\n"
+            "ck = CWChecker(b=1, delta_sizes={(h, g): 1}, lambda_caps={(h, g): 2},"
+            " delta_empty={h: 1, frozenset(): 1}, sum_bound=9)\n"
+            "print(ck.bits, ck.rows, ck.over_cap, ck.cap_closers, ck.row_index)\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=True,
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__)),
+                },
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("b", range(4))
+    @pytest.mark.parametrize("k", range(9))
+    def test_scan_plan_matches_literal_sums(self, k, b):
+        subsets = subsets_by_size(range(k), k)
+        plan = _scan_plan(k, b)
+        want = tuple(sum(len(s) for s in subsets[:rank]) for rank in range(len(subsets) + 1))
+        assert plan.sizes == want
+        pairs = [g for g in subsets if len(g) <= b + 1]
+        pair_scan = sum(len(g) + 1 for g in pairs)
+        term_scan = sum(len(g) + 2 for g in subsets if 1 <= len(g) <= b) + 2
+        # Every head's pairs, then the terms of the empty head, which has no names.
+        assert plan.miss == sum(len(head) * len(pairs) + pair_scan for head in subsets) + term_scan
 
 
 @st.composite
@@ -1003,7 +1053,7 @@ class TestPrefixCache:
         checker = CWChecker(
             b=1, delta_sizes={(e, a): 1, (e, c): 4}, lambda_caps={}, delta_empty={e: 1}, sum_bound=4
         )
-        assert checker.empty_row is None
+        assert checker.row_index is None
         assert checker.check(("a", "b"), 2) == literal_cw_check(checker, ("a", "b"), 2)
         with pytest.raises(ParamCSPError, match="partial sum escaped its bound"):
             checker.check(("a", "c"), 2)
@@ -1107,11 +1157,11 @@ def block_machines(draw):
 
 
 def serialized(machine):
-    """The machine document, or what serializing raises (hand-built tables
-    need not have a cap for every stored count)."""
+    """The machine document, or the refusal serializing raises (hand-built
+    tables need not have a cap for every stored count)."""
     try:
         return serialize_machine(machine)
-    except Exception as exc:  # noqa: BLE001 - compared, not handled
+    except ValidationError as exc:
         return repr(exc)
 
 
@@ -1292,7 +1342,7 @@ class TestBlockWalk:
         tables = CWChecker(
             b=1, delta_sizes={(e, d): 1, (a, d): 2}, lambda_caps={}, delta_empty={e: 1}, sum_bound=1
         )
-        assert tables.empty_row is not None
+        assert tables.row_index is not None
         decided = literal_cw_check(tables, ("a", "c"), 2)[1]
         overrun = f"branch ('a', 'c') used {decided} steps against budget {decided - 1}"
         for budget, want in [
