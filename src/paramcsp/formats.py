@@ -26,6 +26,7 @@ from .machines import (
     CWChecker,
     GuessCheckMachine,
     TableKey,
+    _COMBINE_DEPTH_CAP,
     _cw_budget,
     _tail_scans,
     combine_machines,
@@ -66,47 +67,32 @@ def _load(text: str) -> Any:
         raise ValidationError("document nests too deeply to parse") from None
 
 
-def _as_object(value: Any, path: str) -> dict[str, Any]:
-    if not isinstance(value, dict):
-        raise ValidationError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", bool: "a boolean"}
 
 
-def _as_list(value: Any, path: str) -> list[Any]:
-    if not isinstance(value, list):
-        raise ValidationError(f"{path}: expected a list, got {type(value).__name__}")
-    return value
-
-
-def _as_list_of(value: Any, path: str, read: Callable[..., T], **limits: Any) -> tuple[T, ...]:
-    """Read a list whose items each pass ``read(item, item_path, **limits)``."""
-    return tuple(read(v, f"{path}[{i}]", **limits) for i, v in enumerate(_as_list(value, path)))
-
-
-def _as_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"{path}: expected a string, got {type(value).__name__}")
-    return value
-
-
-def _as_int(value: Any, path: str, *, low: int | None = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{path}: expected an integer, got {type(value).__name__}")
-    if low is not None and value < low:
+def _as(value: Any, path: str, kind: type[T], low: int | None = None) -> T:
+    """Return ``value`` if it is a ``kind`` >= ``low`` (an ``int`` is never a ``bool``), else refuse ``path``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValidationError(f"{path}: expected {_KINDS[kind]}, got {type(value).__name__}")
+    if low is not None and value < low:  # type: ignore[operator]
         raise ValidationError(f"{path}: expected an integer >= {low}, got {value}")
     return value
 
 
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValidationError(f"{path}: expected a boolean, got {type(value).__name__}")
-    return value
+def _as_list_of(value: Any, path: str, kind: type[T], low: int | None = None) -> tuple[T, ...]:
+    """Read a list whose items are each a ``kind`` of at least ``low``."""
+    return tuple(_as(v, f"{path}[{i}]", kind, low) for i, v in enumerate(_as(value, path, list)))
 
 
 def _get(obj: dict[str, Any], key: str, path: str) -> Any:
     if key not in obj:
         raise ValidationError(f"{path}: missing required field {key!r}")
     return obj[key]
+
+
+def _field(obj: dict[str, Any], key: str, path: str, kind: type[T], low: int | None = None) -> T:
+    """Read the required field ``key`` of ``obj`` at ``path`` as a ``kind``."""
+    return _as(_get(obj, key, path), f"{path}.{key}", kind, low)
 
 
 def _at(path: str, build: Callable[..., T], *args: Any) -> T:
@@ -118,7 +104,7 @@ def _at(path: str, build: Callable[..., T], *args: Any) -> T:
 
 
 def _check_version(obj: dict[str, Any], path: str) -> None:
-    version = _as_str(_get(obj, "format_version", path), f"{path}.format_version")
+    version = _field(obj, "format_version", path, str)
     if version != FORMAT_VERSION:
         raise ValidationError(
             f"{path}.format_version: unsupported version {version!r}, expected {FORMAT_VERSION!r}"
@@ -133,13 +119,13 @@ def _weights_to_doc(ws: WeightSet) -> dict[str, Any]:
 
 
 def _weights_from_doc(value: Any, path: str) -> WeightSet:
-    obj = _as_object(value, path)
-    kind_name = _as_str(_get(obj, "kind", path), f"{path}.kind")
+    obj = _as(value, path, dict)
+    kind_name = _field(obj, "kind", path, str)
     try:
         kind = WeightSetKind(kind_name)
     except ValueError:
         raise ValidationError(f"{path}.kind: unknown weight-set kind {kind_name!r}") from None
-    values = _as_list_of(obj.get("values", []), f"{path}.values", _as_int, low=0)
+    values = _as_list_of(obj.get("values", []), f"{path}.values", int, 0)
     return _at(path, WeightSet, kind, values)
 
 
@@ -171,26 +157,23 @@ def _relation_to_doc(rel: Relation) -> dict[str, Any]:
 
 
 def _relation_from_doc(value: Any, path: str) -> Relation:
-    obj = _as_object(value, path)
-    rtype = _as_str(_get(obj, "type", path), f"{path}.type")
-    index = None
-    if "index" in obj:
-        index = _as_int(obj["index"], f"{path}.index", low=1)
+    obj = _as(value, path, dict)
+    rtype = _field(obj, "type", path, str)
+    index = _as(obj["index"], f"{path}.index", int, 1) if "index" in obj else None
     if rtype == "W":
         weights = _weights_from_doc(_get(obj, "weights", path), f"{path}.weights")
-        arity = _as_int(_get(obj, "arity", path), f"{path}.arity", low=1)
+        arity = _field(obj, "arity", path, int, 1)
         return _at(path, WRelation, weights, arity, index)
     if rtype == "CW":
         weights = _weights_from_doc(_get(obj, "weights", path), f"{path}.weights")
-        head = _as_int(_get(obj, "d", path), f"{path}.d", low=0)
-        tail = _as_int(_get(obj, "m", path), f"{path}.m", low=0)
+        head = _field(obj, "d", path, int, 0)
+        tail = _field(obj, "m", path, int, 0)
         return _at(path, CWRelation, weights, head, tail, index)
     if rtype == "explicit":
-        arity = _as_int(_get(obj, "arity", path), f"{path}.arity", low=1)
-        members = _as_list_of(
-            _get(obj, "members", path),
-            f"{path}.members",
-            lambda member, mpath: _as_list_of(member, mpath, _as_int, low=1),
+        arity = _field(obj, "arity", path, int, 1)
+        members = tuple(
+            _as_list_of(m, f"{path}.members[{i}]", int, 1)
+            for i, m in enumerate(_field(obj, "members", path, list))
         )
         return _at(path, ExplicitRelation, arity, members, index)
     raise ValidationError(f"{path}.type: unknown relation type {rtype!r}")
@@ -206,11 +189,11 @@ def _constraints_to_doc(constraints: tuple[Constraint, ...]) -> list[dict[str, A
 def _constraints_from_doc(value: Any, path: str, declared: set[str]) -> tuple[Constraint, ...]:
     """Parse a constraint list whose scopes may only name ``declared`` variables."""
     body = []
-    for i, entry in enumerate(_as_list(value, path)):
+    for i, entry in enumerate(_as(value, path, list)):
         cpath = f"{path}[{i}]"
-        obj = _as_object(entry, cpath)
+        obj = _as(entry, cpath, dict)
         rel = _relation_from_doc(_get(obj, "relation", cpath), f"{cpath}.relation")
-        scope = _as_list_of(_get(obj, "scope", cpath), f"{cpath}.scope", _as_str)
+        scope = _as_list_of(_get(obj, "scope", cpath), f"{cpath}.scope", str)
         for j, v in enumerate(scope):
             if v not in declared:
                 raise ValidationError(f"{cpath}.scope[{j}]: undeclared variable {v!r}")
@@ -239,16 +222,16 @@ def serialize_instance(inst: Instance, *, materialize_weight: bool = False) -> s
 
 def parse_instance(text: str) -> Instance:
     """Parse an instance document, naming the failing field on error."""
-    top = _as_object(_load(text), "document")
+    top = _as(_load(text), "document", dict)
     _check_version(top, "document")
-    names = _as_list_of(_get(top, "variables", "document"), "variables", _as_str)
-    param = _as_object(_get(top, "parameter", "document"), "parameter")
-    kind_name = _as_str(_get(param, "kind", "parameter"), "parameter.kind")
+    names = _as_list_of(_get(top, "variables", "document"), "variables", str)
+    param = _as(_get(top, "parameter", "document"), "parameter", dict)
+    kind_name = _field(param, "kind", "parameter", str)
     try:
         kind = WeightKind(kind_name)
     except ValueError:
         raise ValidationError(f"parameter.kind: unknown kind {kind_name!r}") from None
-    k0 = _as_int(_get(param, "k", "parameter"), "parameter.k", low=0)
+    k0 = _field(param, "k", "parameter", int, 0)
     body = _constraints_from_doc(_get(top, "constraints", "document"), "constraints", set(names))
     return _at("document", Instance, names, WeightParameter(kind, k0), body)
 
@@ -270,14 +253,14 @@ def _cost_model_to_doc(cm: CostModel) -> dict[str, Any]:
 
 
 def _cost_model_from_doc(value: Any, path: str) -> CostModel:
-    obj = _as_object(value, path)
-    exponent = _as_int(_get(obj, "exponent", path), f"{path}.exponent", low=0)
+    obj = _as(value, path, dict)
+    exponent = _field(obj, "exponent", path, int, 0)
     checker = _get(obj, "checker", path)
     if checker == "default":
         return CostModel(exponent)
-    cobj = _as_object(checker, f"{path}.checker")
-    slope = _as_int(_get(cobj, "slope", f"{path}.checker"), f"{path}.checker.slope", low=0)
-    offset = _as_int(_get(cobj, "offset", f"{path}.checker"), f"{path}.checker.offset", low=0)
+    cobj = _as(checker, f"{path}.checker", dict)
+    slope = _field(cobj, "slope", f"{path}.checker", int, 0)
+    offset = _field(cobj, "offset", f"{path}.checker", int, 0)
     return CostModel(exponent, AffineCost(slope, offset))
 
 
@@ -347,12 +330,12 @@ def _require_derived(got: Any, want: Any, path: str, source: str) -> None:
 def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
     """Parse a machine by rebuilding it, so budgets and appearance tables come
     only from the builders and a document whose copies differ is refused."""
-    obj = _as_object(value, path)
-    kind = _as_str(_get(obj, "kind", path), f"{path}.kind")
-    universe = _as_list_of(_get(obj, "universe", path), f"{path}.universe", _as_str)
-    k0 = _as_int(_get(obj, "k0", path), f"{path}.k0", low=0)
-    exact = _as_bool(_get(obj, "exact", path), f"{path}.exact")
-    budget = _as_int(_get(obj, "budget", path), f"{path}.budget", low=0)
+    obj = _as(value, path, dict)
+    kind = _field(obj, "kind", path, str)
+    universe = _as_list_of(_get(obj, "universe", path), f"{path}.universe", str)
+    k0 = _field(obj, "k0", path, int, 0)
+    exact = _field(obj, "exact", path, bool)
+    budget = _field(obj, "budget", path, int, 0)
     if kind == "always-reject":
         checker: Any = ALWAYS_REJECT
         derived_budget = 0
@@ -368,28 +351,26 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
                 f"{path}.kind: its constraints admit no guess, so the machine is 'always-reject'"
             )
         e_v = {
-            v: _as_list_of(raw, f"{path}.e_v.{v}", _as_int, low=1)
-            for v, raw in _as_object(_get(obj, "e_v", path), f"{path}.e_v").items()
+            v: _as_list_of(raw, f"{path}.e_v.{v}", int, 1)
+            for v, raw in _field(obj, "e_v", path, dict).items()
         }
         _require_derived(e_v, rebuilt.checker.e_v, f"{path}.e_v", "its constraints imply")
-        d_set = _as_list_of(_get(obj, "d_set", path), f"{path}.d_set", _as_int, low=1)
+        d_set = _as_list_of(_get(obj, "d_set", path), f"{path}.d_set", int, 1)
         _require_derived(d_set, rebuilt.checker.d_set, f"{path}.d_set", "its constraints imply")
         checker, derived_budget = rebuilt.checker, rebuilt.budget
     elif kind == "cw":
-        b = _as_int(_get(obj, "b", path), f"{path}.b", low=0)
-        sum_bound = _as_int(_get(obj, "sum_bound", path), f"{path}.sum_bound", low=0)
+        b = _field(obj, "b", path, int, 0)
+        sum_bound = _field(obj, "sum_bound", path, int, 0)
         rows: dict[TableKey, tuple[int, int]] = {}
-        for i, entry in enumerate(_as_list(_get(obj, "tables", path), f"{path}.tables")):
+        for i, entry in enumerate(_field(obj, "tables", path, list)):
             rpath = f"{path}.tables[{i}]"
-            row = _as_object(entry, rpath)
-            head = frozenset(_as_list_of(_get(row, "head", rpath), f"{rpath}.head", _as_str))
-            tail = frozenset(_as_list_of(_get(row, "tail", rpath), f"{rpath}.tail", _as_str))
-            count = _as_int(_get(row, "count", rpath), f"{rpath}.count", low=0)
+            row = _as(entry, rpath, dict)
+            head = frozenset(_as_list_of(_get(row, "head", rpath), f"{rpath}.head", str))
+            tail = frozenset(_as_list_of(_get(row, "tail", rpath), f"{rpath}.tail", str))
+            count = _field(row, "count", rpath, int, 0)
             if (head, tail) in rows:
                 raise ValidationError(f"{rpath}: duplicate table key")
-            cap = 0
-            if tail:
-                cap = _as_int(_get(row, "max_positions", rpath), f"{rpath}.max_positions", low=0)
+            cap = _field(row, "max_positions", rpath, int, 0) if tail else 0
             rows[head, tail] = (count, cap)
         delta_empty = {head: count for (head, tail), (count, _) in rows.items() if not tail}
         # A tail row counts some of its head's constraints, so every partial sum
@@ -411,6 +392,8 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
         lambda_caps = {key: cap for key, (_, cap) in rows.items() if key[1]}
         checker = CWChecker(b, delta_sizes, lambda_caps, delta_empty, sum_bound)
     elif kind == "combined":
+        if path.count(".") >= _COMBINE_DEPTH_CAP:  # one "." per enclosing combined machine
+            raise CapacityError(f"{path}: combined machines nest more than {_COMBINE_DEPTH_CAP} deep")
         first = _machine_from_doc(_get(obj, "first", path), f"{path}.first")
         second = _machine_from_doc(_get(obj, "second", path), f"{path}.second")
         combined = _at(path, combine_machines, first, second)
@@ -426,6 +409,6 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
 
 def parse_machine(text: str) -> GuessCheckMachine:
     """Parse a machine document, naming the failing field on error."""
-    top = _as_object(_load(text), "document")
+    top = _as(_load(text), "document", dict)
     _check_version(top, "document")
     return _machine_from_doc(_get(top, "machine", "document"), "machine")

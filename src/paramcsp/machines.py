@@ -533,12 +533,24 @@ class CWChecker:
         return sum(counts)
 
 
+# Every nesting level of combined machines adds Python frames to each branch's
+# check and to parsing, so nesting past this bound is refused before either.
+_COMBINE_DEPTH_CAP = 64
+
+
 @dataclass(frozen=True)
 class CombinedChecker(_PerBranch):
     """Two machines run in turn on one guess; the second only if the first accepts."""
 
     first: "GuessCheckMachine"
     second: "GuessCheckMachine"
+    _depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        depth = 1 + max(getattr(m.checker, "_depth", 0) for m in (self.first, self.second))
+        if depth > _COMBINE_DEPTH_CAP:
+            raise CapacityError(f"combined machines nest {depth} deep, above the bound {_COMBINE_DEPTH_CAP}")
+        object.__setattr__(self, "_depth", depth)
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
         first_ok, first_steps = self.first.run_branch(combo)
@@ -705,15 +717,11 @@ def inclusion_exclusion_union(
     if not head.issubset(bits):
         return 0
     row = tables.rows.get(sum(bits[v] for v in head), {})
-    ranked = [bits[v] for v in sorted(candidates) if v in bits]
-    inside = sum(ranked)
-
-    def scan_order(g: int) -> tuple[int, list[int]]:
-        positions = [i for i, bit in enumerate(ranked) if g & bit]
-        return len(positions), positions
-
+    inside = sum(bits[v] for v in candidates if v in bits)
     tails = [g for g in row if g and not g & ~inside and g.bit_count() <= bound]
-    return tables._tail_sum(row, sorted(tails, key=scan_order))
+    # Bits follow sorted names, so set-bit positions order tails as subsets_by_size does.
+    tails.sort(key=lambda g: (g.bit_count(), [i for i in range(g.bit_length()) if g >> i & 1]))
+    return tables._tail_sum(row, tails)
 
 
 # Each conditional-weight branch scans all 2**k0 heads of its guess, so no
@@ -758,7 +766,8 @@ def combine_machines(first: GuessCheckMachine, second: GuessCheckMachine) -> Gue
     """Chain two machines over the same universe and guess bound.
 
     The combined budget is the sum of the parts plus ``k0`` for writing the
-    shared guess once more when handing it to the second checker.
+    shared guess once more when handing it to the second checker. Nesting
+    more than 64 levels deep raises :class:`CapacityError`.
     """
     if first.universe != second.universe:
         raise UsageError("machines disagree on the universe")

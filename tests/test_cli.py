@@ -355,6 +355,23 @@ class TestReduceAndSimulate:
         assert out == ""
         assert err == f"error: {needle}\n"
 
+    def test_simulate_refuses_combined_machines_nested_600_deep(self, tmp_path, capsys):
+        # Such a document once parsed, then died in simulate with RecursionError (exit 1).
+        leaf = json.loads(serialize_machine(reduce_appearance(POSITIVE_X)))["machine"]
+        # Each level is combine_machines(inner, leaf), its budget fixed bottom-up.
+        part = {"kind": "combined", "universe": ["x", "y"], "k0": 1, "exact": True, "second": leaf}
+        opens = [
+            json.dumps(dict(part, budget=leaf["budget"] + level * (leaf["budget"] + 1)))[:-1] + ', "first": '
+            for level in range(600, 0, -1)
+        ]
+        path = tmp_path / "m.json"
+        text = '{"format_version": "1", "machine": ' + "".join(opens) + json.dumps(leaf) + "}" * 601
+        path.write_text(text, encoding="utf-8")
+        assert run(["simulate", str(path)]) == EXIT_NOT_APPLICABLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: machine" + ".first" * 64 + ": combined machines nest more than 64 deep\n"
+
     def test_simulate_refuses_a_cw_sum_bound_its_tables_can_escape(self, tmp_path, capsys):
         unit_tails = Instance(
             variables=("x", "y"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -477,6 +478,110 @@ class TestMachineDocuments:
             serialize_machine(huge)
         with pytest.raises(CapacityError, match="cannot write the document"):
             _require_derived(0, 10**5000, "machine.budget", "its checker implies")
+
+    def test_combined_nesting_at_the_bound_round_trips(self):
+        m = reduce_appearance(POSITIVE_X)
+        nested = reduce(combine_machines, [m] * 65)  # 64 levels
+        assert parse_machine(serialize_machine(nested)) == nested
+
+    def test_combined_nesting_past_the_bound_is_refused_before_its_parts(self):
+        m = reduce_appearance(POSITIVE_X)
+        nested = reduce(combine_machines, [m] * 65)  # 64 levels
+        leaf = json.loads(serialize_machine(m))["machine"]
+
+        def wrap(d):
+            inner = d["machine"]
+            d["machine"] = dict(inner, first=inner, second=leaf, budget=inner["budget"] + leaf["budget"] + 1)
+
+        with pytest.raises(CapacityError) as err:
+            parse_machine(edit(serialize_machine(nested), wrap))
+        assert str(err.value) == "machine" + ".first" * 64 + ": combined machines nest more than 64 deep"
+
+
+# Each retyped field takes every one of these values whose JSON type differs.
+RETYPES = (None, True, -1, "x", [], {})
+
+MIXED = Instance(
+    variables=("x", "y", "z"),
+    weight=WeightParameter(WeightKind.ATMOST, 2),
+    body=(
+        Constraint(WRelation(WS1, 1), ("x",)),
+        Constraint(CWRelation(WeightSet.finite((1, 2)), 1, 2), ("x", "y", "z")),
+        Constraint(ExplicitRelation(2, ((1,), (1, 2)), index=5), ("y", "z")),
+    ),
+)
+
+
+def field_steps(value, steps=()):
+    """Every ``(steps, value)`` inside a parsed JSON document, the root first."""
+    yield steps, value
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from field_steps(item, steps + (key,))
+
+
+def reader_path(steps):
+    """The path a parse error names: top-level keys bare, the root and its
+    ``format_version`` under ``document``."""
+    if steps in ((), ("format_version",)):
+        return ".".join(("document", *steps))
+    return steps[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in steps[1:])
+
+
+def retyped(doc, steps, value):
+    if not steps:
+        return json.dumps(value)
+    copy = json.loads(json.dumps(doc))
+    target = copy
+    for key in steps[:-1]:
+        target = target[key]
+    target[steps[-1]] = value
+    return json.dumps(copy)
+
+
+def documents_to_retype():
+    appearance = reduce_appearance(POSITIVE_X, CostModel(2, AffineCost(3, 1)))
+    cw = reduce_cw(ONE_OF_TWO)
+    return [
+        pytest.param(serialize_instance(MIXED), parse_instance, id="instance"),
+        pytest.param(serialize_machine(appearance), parse_machine, id="appearance"),
+        pytest.param(serialize_machine(cw), parse_machine, id="cw"),
+        pytest.param(
+            serialize_machine(combine_machines(reduce_appearance(ONE_OF_TWO), cw)),
+            parse_machine,
+            id="combined",
+        ),
+    ]
+
+
+class TestRetypedFields:
+    @pytest.mark.parametrize("text, parse", documents_to_retype())
+    def test_every_retyped_field_is_refused_at_its_path(self, text, parse):
+        doc = json.loads(text)
+        assert parse(text) is not None
+        wrong = []
+        for steps, old in field_steps(doc):
+            path = reader_path(steps)
+            for new in RETYPES:
+                if type(new) is type(old):
+                    continue
+                try:
+                    parse(retyped(doc, steps, new))
+                except (ValidationError, CapacityError) as exc:
+                    if str(exc).startswith(f"{path}: "):
+                        continue
+                    got = f"{type(exc).__name__}: {exc}"
+                except Exception as exc:  # anything else escapes the CLI as a traceback
+                    got = f"{type(exc).__name__}: {exc}"
+                else:
+                    got = "parsed"
+                wrong.append(f"{path} = {json.dumps(new)} -> {got}")
+        assert wrong == []
 
 
 def assert_round_trip(obj, serialize, parse):

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, islice
 from math import comb
 
@@ -457,6 +457,23 @@ class TestCombineMachines:
         assert not res.accepted
         assert res.witness is None
         assert res.branches_explored == 2
+
+    def test_nesting_up_to_the_bound_simulates(self):
+        m = reduce_appearance(POSITIVE_X)
+        nested = reduce(combine_machines, [m] * 65)  # 64 levels
+        res = simulate(nested)
+        assert res.accepted
+        assert res.witness == frozenset({"x"})
+        assert res.max_branch_steps == nested.budget == 65 * m.budget + 64
+
+    @pytest.mark.parametrize("deep_first", [True, False])
+    def test_nesting_past_the_bound_is_refused(self, deep_first):
+        # 600 levels once built, then died in simulate with RecursionError.
+        m = reduce_appearance(POSITIVE_X)
+        nested = reduce(combine_machines, [m] * 65)  # 64 levels
+        parts = (nested, m) if deep_first else (m, nested)
+        with pytest.raises(CapacityError, match="^combined machines nest 65 deep, above the bound 64$"):
+            combine_machines(*parts)
 
     def test_self_conjunction_agrees_on_corpus(self):
         for case, inst in instances(40, machine_config, salt=16):
