@@ -6,6 +6,8 @@ tables, and the document formats. The ``paramcsp`` console script fronts the
 same operations.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetExceededError,
     CapacityError,
@@ -92,74 +94,5 @@ from .relations import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALWAYS_REJECT",
-    "AffineCost",
-    "AlwaysReject",
-    "AppearanceChecker",
-    "BudgetExceededError",
-    "CapacityError",
-    "CombinedChecker",
-    "CompletionReduction",
-    "Constraint",
-    "CostModel",
-    "CWChecker",
-    "CWRelation",
-    "DEFAULT_CAPACITY",
-    "DomainError",
-    "ExplicitRelation",
-    "FORMAT_VERSION",
-    "GuessCheckMachine",
-    "Instance",
-    "InstanceConfig",
-    "NotApplicableError",
-    "PROFILES",
-    "ParamCSPError",
-    "PartialsTable",
-    "ProfileClass",
-    "Relation",
-    "SimulationResult",
-    "SolveStats",
-    "UsageError",
-    "ValidationError",
-    "WeightKind",
-    "WeightParameter",
-    "WeightSet",
-    "WeightSetKind",
-    "WRelation",
-    "brute_force_solve",
-    "build_cw_tables",
-    "characterize_membership",
-    "combine_machines",
-    "completion_reduction",
-    "completions",
-    "compute_h",
-    "compute_partials",
-    "default_checker_cost",
-    "explicitize_w_body",
-    "inclusion_exclusion_union",
-    "lift_kle_to_k",
-    "param_e",
-    "param_t",
-    "param_u",
-    "parse_instance",
-    "parse_machine",
-    "parse_relation",
-    "profile_classes",
-    "random_instance",
-    "reduce_appearance",
-    "reduce_cw",
-    "reduce_parity_multiplicity",
-    "relation_membership",
-    "satisfies",
-    "serialize_instance",
-    "serialize_machine",
-    "shared_weight_set",
-    "simulate",
-    "solve_w_kt",
-    "solve_w_kt_with_stats",
-    "solve_w_kue",
-    "solve_w_kue_with_stats",
-    "solve_wd_pipeline",
-    "weight_relation",
-]
+# The imports above are the one list of public names.
+__all__ = sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType)))

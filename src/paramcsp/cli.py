@@ -57,7 +57,7 @@ from .machines import (
     solve_wd_pipeline,
 )
 from .partials import DEFAULT_CAPACITY, compute_partials
-from .relations import ExplicitRelation, WeightSetKind, WRelation
+from .relations import _largest_member
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -113,8 +113,7 @@ def _print_witness(witness: frozenset[str] | None) -> int:
     if witness is None:
         print("UNSAT")
         return EXIT_UNSAT
-    names = " ".join(sorted(witness))
-    print(f"WITNESS {names}".rstrip())
+    print(f"WITNESS {' '.join(sorted(witness))}".rstrip())
     return EXIT_SAT
 
 
@@ -126,14 +125,7 @@ def _print_budget_report(result: SimulationResult, budget: int) -> None:
 
 def _infer_bound(inst: Instance) -> int:
     """Largest member size or admissible weight in the body; at least 1."""
-    bound = 1
-    for c in inst.body:
-        rel = c.relation
-        if isinstance(rel, ExplicitRelation):
-            bound = max(bound, max((len(m) for m in rel.members), default=0))
-        elif isinstance(rel, WRelation) and rel.weights.kind is WeightSetKind.FINITE:
-            bound = max(bound, max(rel.weights.values, default=0))
-    return bound
+    return max([1, *(_largest_member(c.relation) or 0 for c in inst.body)])
 
 
 _SOLVERS = {"brute": brute_force_solve, "fpt-kue": solve_w_kue, "fpt-kt": solve_w_kt}
@@ -180,14 +172,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     machine = parse_machine(_read_text(args.machine))
     result = simulate(machine)
-    if result.witness is None:
-        print("REJECT")
-    else:
-        print("ACCEPT")
-        print(f"WITNESS {' '.join(sorted(result.witness))}".rstrip())
+    print("REJECT" if result.witness is None else "ACCEPT")
+    code = EXIT_UNSAT if result.witness is None else _print_witness(result.witness)
     if args.budget_report:
         _print_budget_report(result, machine.budget)
-    return EXIT_UNSAT if result.witness is None else EXIT_SAT
+    return code
 
 
 def _set_str(positions: tuple[int, ...]) -> str:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import chain
 
 from ._sets import guesses
-from .errors import DomainError, NotApplicableError, UsageError, ValidationError, require_int
+from .errors import CapacityError, DomainError, NotApplicableError, UsageError, ValidationError, require_int
 from .relations import (
     CWRelation,
     ExplicitRelation,
@@ -175,6 +175,11 @@ def brute_force_solve(inst: Instance) -> frozenset[str] | None:
 
 _PAD_STEM = "pad"
 
+# The largest guess any machine checks, and the longest cost scan: a
+# conditional-weight branch scans all 2**k0 heads of its guess, and lifting
+# pads one name per unit of k0, so anything larger is refused up front.
+_GUESS_CAP = 2**16
+
 
 def _fresh_prefix(stem: str, taken: Iterable[str]) -> str:
     names = list(taken)
@@ -190,10 +195,13 @@ def lift_kle_to_k(inst: Instance) -> Instance:
     Appends ``k0`` fresh variables (touched by no constraint) and switches the
     weight to exactly ``k0``: any at-most witness extends with unused padding
     to hit the exact weight, and any exact witness restricts to an at-most one.
+    A ``k0`` above ``_GUESS_CAP`` raises :class:`CapacityError` before any padding.
     """
     if inst.weight.kind is not WeightKind.ATMOST:
         raise UsageError("lift_kle_to_k applies to at-most instances only")
     k0 = inst.weight.k0
+    if k0 > _GUESS_CAP:
+        raise CapacityError(f"at-most bound {k0} above the padding bound {_GUESS_CAP}")
     prefix = _fresh_prefix(_PAD_STEM, inst.variables)
     pads = tuple(f"{prefix}{j:03d}" for j in range(1, k0 + 1))
     return Instance(

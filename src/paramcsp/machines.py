@@ -52,6 +52,7 @@ from .instances import (
     Instance,
     WeightKind,
     WeightParameter,
+    _GUESS_CAP,
     _fresh_prefix,
     lift_kle_to_k,
     param_e,
@@ -67,7 +68,7 @@ from .relations import (
     WeightSet,
     WeightSetKind,
     WRelation,
-    _ceil_log2,
+    _largest_member,
     default_checker_cost,
 )
 
@@ -139,7 +140,7 @@ class AppearanceChecker:
     ``e_v`` maps each variable to the 1-based body indices it appears in;
     ``d_set`` lists the indices rejecting the empty tuple; ``positions`` maps
     index -> variable -> scope positions. ``index_factors`` holds each
-    constraint's ``ceil_log2(index + 1) ** exponent`` of :meth:`CostModel.cost`,
+    constraint's ``CostModel._index_factor``, the index part of :meth:`CostModel.cost`,
     so a check calls and validates only ``checker_cost`` per touched constraint.
     """
 
@@ -166,8 +167,7 @@ class AppearanceChecker:
         object.__setattr__(self, "e_v", {v: tuple(ix) for v, ix in sorted(occurrences.items())})
         object.__setattr__(self, "d_set", tuple(empty_rejecting))
         object.__setattr__(self, "positions", pos)
-        exponent = self.cost_model.exponent
-        factors = tuple(_ceil_log2(c.relation.index + 1) ** exponent for c in self.constraints)
+        factors = tuple(self.cost_model._index_factor(c.relation.index) for c in self.constraints)
         object.__setattr__(self, "index_factors", factors)
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
@@ -590,19 +590,14 @@ class GuessCheckMachine:
         return self.checker.check(combo, steps)
 
 
-# An arbitrary ``checker_cost`` callable is read at every weight up to
-# ``k0 * e0``; a longer scan is refused, at the scale of ``_CW_GUESS_CAP``.
-_COST_SCAN_CAP = 2**16
-
-
 def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> GuessCheckMachine:
     """Compile an exact-weight instance into an appearance-checking machine.
 
     When more constraints reject the empty tuple than k0 guessed variables
     can touch, no assignment of weight k0 exists and the machine degenerates
     to an immediate reject with budget 0. A ``checker_cost`` other than the
-    default or an :class:`AffineCost` raises :class:`CapacityError` when
-    ``k0 * e0`` exceeds ``_COST_SCAN_CAP`` (2**16), before it is called.
+    default or an :class:`AffineCost` is read at every weight up to ``k0 * e0``;
+    past ``_GUESS_CAP`` (2**16) that raises :class:`CapacityError` before any call.
     """
     if inst.weight.kind is not WeightKind.EXACT:
         raise NotApplicableError("appearance machines need an exact weight bound; lift first")
@@ -622,9 +617,9 @@ def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> Gu
     if inst.body:
         top = max(c.relation.index for c in inst.body)
         monotone = cm.checker_cost is default_checker_cost or isinstance(cm.checker_cost, AffineCost)
-        if not monotone and weight_cap > _COST_SCAN_CAP:
+        if not monotone and weight_cap > _GUESS_CAP:
             raise CapacityError(
-                f"weight bound {weight_cap} above the cost-scan bound {_COST_SCAN_CAP}"
+                f"weight bound {weight_cap} above the cost-scan bound {_GUESS_CAP}"
             )
         weights = (weight_cap,) if monotone else range(weight_cap + 1)
         check_cap = max(cm.cost(top, w) for w in weights)
@@ -724,12 +719,6 @@ def inclusion_exclusion_union(
     return tables._tail_sum(row, tails)
 
 
-# Each conditional-weight branch scans all 2**k0 heads of its guess, so no
-# guess this large is ever checked; refusing it keeps the 2**k0 in the budget
-# from growing without bound.
-_CW_GUESS_CAP = 2**16
-
-
 def _cw_budget(k0: int, b: int) -> int:
     """Exact cost of one full conditional-weight check at guess size ``k0``.
 
@@ -738,9 +727,9 @@ def _cw_budget(k0: int, b: int) -> int:
     :func:`_tail_scans`). Summed over the heads, ``sum C(k0, i)`` is ``2**k0``
     and ``sum i * C(k0, i)`` is ``k0 * 2**(k0 - 1)``.
     """
-    if k0 > _CW_GUESS_CAP:
+    if k0 > _GUESS_CAP:
         raise CapacityError(
-            f"guess size {k0} above the conditional-weight bound {_CW_GUESS_CAP}"
+            f"guess size {k0} above the conditional-weight bound {_GUESS_CAP}"
         )
     pairs, pair_scan, terms, term_scan = _tail_scans(k0, b)
     heads = 2**k0
@@ -858,16 +847,14 @@ def _check_body(inst: Instance, d: int) -> None:
     neither explicit nor finite-weight, or one with a member larger than ``d``."""
     for i, c in enumerate(inst.body, start=1):
         rel = c.relation
-        if isinstance(rel, ExplicitRelation):
-            size = next((len(m) for m in rel.members if len(m) > d), None)
-            if size is not None:
-                raise UsageError(f"constraint {i} has a member of size {size}, above the bound {d}")
-        elif isinstance(rel, WRelation) and rel.weights.kind is WeightSetKind.FINITE:
-            values = rel.weights.values
-            if values and max(values) > d:
-                raise UsageError(f"constraint {i}: weight {max(values)} above the bound {d}")
-        else:
+        top = _largest_member(rel)
+        if top is None:
             raise NotApplicableError(f"constraint {i}: only finite weight-set constraints convert")
+        if top > d and isinstance(rel, WRelation):
+            raise UsageError(f"constraint {i}: weight {top} above the bound {d}")
+        if top > d:  # an explicit relation names its first oversized member in canonical order
+            size = next(len(m) for m in rel.members if len(m) > d)
+            raise UsageError(f"constraint {i} has a member of size {size}, above the bound {d}")
 
 
 def explicitize_w_body(inst: Instance, d: int) -> Instance:
@@ -919,9 +906,9 @@ def completion_reduction(inst: Instance, d: int) -> CompletionReduction:
     if not inst.variables:
         raise UsageError("the completion reduction needs at least one variable")
     k0 = inst.weight.k0
-    if k0 > _CW_GUESS_CAP or k0 + 2**k0 > _CW_GUESS_CAP:
+    if k0 > _GUESS_CAP or k0 + 2**k0 > _GUESS_CAP:
         raise CapacityError(
-            f"reduced guess size {k0} + 2**{k0} above the conditional-weight bound {_CW_GUESS_CAP}"
+            f"reduced guess size {k0} + 2**{k0} above the conditional-weight bound {_GUESS_CAP}"
         )
     tables = {}
     records: set[tuple[frozenset[str], tuple[frozenset[str], ...]]] = set()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ._sets import canonical_set, canonical_sets
-from .errors import DomainError, ValidationError, require_int
+from .errors import CapacityError, DomainError, ValidationError, require_int
 
 
 class WeightSetKind(Enum):
@@ -183,6 +183,16 @@ def relation_membership(rel: Relation, positions: Iterable[int]) -> bool:
     return rel._contains(_check_positions(rel, positions))
 
 
+def _largest_member(rel: Relation) -> int | None:
+    """Largest member size of an explicit relation, or largest weight of a
+    finite weight set (0 when empty); None for every other relation."""
+    if isinstance(rel, ExplicitRelation):
+        return max(map(len, rel.members), default=0)
+    if isinstance(rel, WRelation) and rel.weights.kind is WeightSetKind.FINITE:
+        return max(rel.weights.values, default=0)
+    return None
+
+
 def _ceil_log2(x: int) -> int:
     """Smallest ``k`` with ``2**k >= x``, for positive ``x``."""
     require_int(x, "ceil_log2 argument", DomainError, low=1)
@@ -209,6 +219,11 @@ class AffineCost:
         return self.slope * weight + self.offset
 
 
+# ``log**exponent`` has at most ``exponent * log.bit_length()`` bits; a factor
+# that could pass this many is refused before it is computed.
+_FACTOR_BITS_CAP = 2**16
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Charge for one membership check: ``checker_cost(|T|) * ceil_log2(index + 1)**exponent``.
@@ -227,5 +242,15 @@ class CostModel:
         require_int(index, "relation index", DomainError, low=1)
         require_int(weight, "tuple weight", DomainError)
         base = require_int(self.checker_cost(weight), "checker_cost result", ValidationError)
-        return base * _ceil_log2(index + 1) ** self.exponent
+        return base * self._index_factor(index)
+
+    def _index_factor(self, index: int) -> int:
+        """``ceil_log2(index + 1) ** exponent``, refused before the power when
+        its bit length could pass ``_FACTOR_BITS_CAP``."""
+        log = _ceil_log2(index + 1)
+        if log > 1 and self.exponent * log.bit_length() > _FACTOR_BITS_CAP:
+            raise CapacityError(
+                f"index factor {log}**{self.exponent} above the bound of {_FACTOR_BITS_CAP} bits"
+            )
+        return log**self.exponent
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -234,15 +235,21 @@ class TestSolve:
         assert lines(capsys) == ["WITNESS x"]
 
 
+def _limit_child_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
 def cli_child(args, timeout=60):
     """Run the console script in a child process, so a command that hangs
-    fails its test after ``timeout`` seconds instead of stalling the run."""
+    fails its test after ``timeout`` seconds instead of stalling the run, and
+    one that allocates without bound fails at 1 GiB of address space."""
     return subprocess.run(
         [sys.executable, "-m", "paramcsp.cli", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__))},
+        preexec_fn=_limit_child_memory,
     )
 
 
@@ -275,6 +282,29 @@ class TestHugeGuessesFinish:
         path.write_text(json.dumps(machine), encoding="utf-8")
         done = cli_child(["simulate", str(path)])
         want = f"error: guess size {2**63} above the conditional-weight bound 65536\n"
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_NOT_APPLICABLE, "", want)
+
+
+    def test_lifting_a_huge_atmost_bound_is_refused(self, doc):
+        path = doc(Instance(HUGE_K.variables, WeightParameter(WeightKind.ATMOST, 2**63), HUGE_K.body))
+        want = (
+            "note: lifting the at-most bound to an exact one with padding variables\n"
+            f"error: at-most bound {2**63} above the padding bound 65536\n"
+        )
+        for args in (["solve", path, "--method", "cw-machine"], ["reduce", path, "--to", "appearance"]):
+            done = cli_child(args)
+            assert (done.returncode, done.stdout, done.stderr) == (EXIT_NOT_APPLICABLE, "", want)
+
+    def test_appearance_document_with_a_huge_exponent_is_refused(self, tmp_path):
+        # Arity 3 gives index 3, whose factor ceil_log2(4) ** exponent is computed at parse.
+        clause = Constraint(WRelation(WS1, 3), ("x", "y", "z"))
+        inst = Instance(("x", "y", "z"), WeightParameter(WeightKind.EXACT, 1), (clause,))
+        machine = json.loads(serialize_machine(reduce_appearance(inst)))
+        machine["machine"]["cost_model"]["exponent"] = 2**63
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(machine), encoding="utf-8")
+        done = cli_child(["simulate", str(path)])
+        want = f"error: index factor 2**{2**63} above the bound of 65536 bits\n"
         assert (done.returncode, done.stdout, done.stderr) == (EXIT_NOT_APPLICABLE, "", want)
 
 

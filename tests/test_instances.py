@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramcsp import (
+    CapacityError,
     Constraint,
     CWRelation,
     DomainError,
@@ -259,6 +260,13 @@ class TestLift:
         assert len(lifted.variables) == 2
         assert lifted.weight == WeightParameter(EXACT, 1)
         assert brute_force_solve(lifted) is not None
+
+    def test_padding_past_the_guess_bound_is_refused_before_it_is_built(self):
+        at_cap = lift_kle_to_k(Instance(("x",), WeightParameter(ATMOST, 2**16)))
+        assert len(at_cap.variables) == 1 + 2**16
+        for k0 in (2**16 + 1, 2**63):
+            with pytest.raises(CapacityError, match=f"^at-most bound {k0} above the padding bound 65536$"):
+                lift_kle_to_k(Instance(("x",), WeightParameter(ATMOST, k0)))
 
     def test_padding_avoids_name_collisions(self):
         inst = Instance(("pad001", "x"), WeightParameter(ATMOST, 1))

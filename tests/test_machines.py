@@ -386,6 +386,22 @@ class TestReduceAppearance:
         assert at_cap.budget == reduce_appearance(exact("xy", 2**16, *body), affine).budget
         assert reduce_appearance(exact("xy", 2**63, *body), affine).budget > 0
 
+    def test_huge_index_factor_is_refused_before_the_power(self):
+        # Arity 3 gives index 3, whose factor ceil_log2(4) ** exponent has 2**63 + 1 bits.
+        body = (Constraint(WRelation(WS1, 3), ("x", "y", "z")),)
+        with pytest.raises(CapacityError, match=rf"^index factor 2\*\*{2**63} above the bound of 65536 bits$"):
+            reduce_appearance(exact("xyz", 1, *body), CostModel(2**63))
+        with pytest.raises(CapacityError):
+            CostModel(2**63).cost(3, 0)
+        # A factor of 1, from index 1 or exponent 0, builds at any size.
+        unit = (Constraint(WRelation(WS1, 3, index=1), ("x", "y", "z")),)
+        cheap = reduce_appearance(exact("xyz", 1, *unit), CostModel(2**63))
+        assert cheap.checker.index_factors == (1,)
+        assert simulate(cheap).witness == frozenset({"x"})
+        huge_index = (Constraint(WRelation(WS1, 3, index=2**63), ("x", "y", "z")),)
+        flat = reduce_appearance(exact("xyz", 1, *huge_index), CostModel(0))
+        assert flat.checker.index_factors == (1,)
+
     def test_cost_model_is_threaded_through(self):
         cm = CostModel(exponent=2)
         m = reduce_appearance(POSITIVE_X, cm)
@@ -1579,6 +1595,20 @@ class TestCompletionReduction:
         inst = exact("xy", 1, Constraint(ExplicitRelation(2, ((1, 2),)), ("x", "y")))
         with pytest.raises(UsageError, match="size 2, above the bound 1"):
             completion_reduction(inst, 1)
+
+    @pytest.mark.parametrize(
+        "rel, d, want",
+        [
+            # The first oversized member in canonical order, not the largest.
+            (ExplicitRelation(3, ((1, 2), (1, 2, 3))), 1, "constraint 1 has a member of size 2, above the bound 1"),
+            (WRelation(WeightSet.finite((1, 3)), 3), 2, "constraint 1: weight 3 above the bound 2"),
+        ],
+    )
+    def test_body_bound_errors_name_the_offending_size(self, rel, d, want):
+        inst = exact("xyz", 1, Constraint(rel, ("x", "y", "z")))
+        with pytest.raises(UsageError) as info:
+            completion_reduction(inst, d)
+        assert str(info.value) == want
 
     @pytest.mark.parametrize("d", [0, -1, True, 1.5])
     def test_rejects_bad_bounds(self, d):
