@@ -407,6 +407,14 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ParamCSPError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error_class, code in _ERROR_EXITS if isinstance(exc, error_class))
+    except BrokenPipeError:
+        raise  # main reports it as death by SIGPIPE would
+    except Exception as exc:
+        # Last resort: no stack or memory left is a capacity fault (exit 3),
+        # anything else an internal one (exit 4).
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
+        return EXIT_NOT_APPLICABLE if isinstance(exc, (RecursionError, MemoryError)) else 4
 
 
 def main() -> int:

@@ -41,7 +41,6 @@ from .relations import (
     WeightSet,
     WeightSetKind,
     WRelation,
-    default_checker_cost,
 )
 
 FORMAT_VERSION = "1"
@@ -242,14 +241,9 @@ def parse_relation(text: str) -> Relation:
 
 
 def _cost_model_to_doc(cm: CostModel) -> dict[str, Any]:
-    doc: dict[str, Any] = {"exponent": cm.exponent}
-    if cm.checker_cost is default_checker_cost:
-        doc["checker"] = "default"
-    elif isinstance(cm.checker_cost, AffineCost):
-        doc["checker"] = {"slope": cm.checker_cost.slope, "offset": cm.checker_cost.offset}
-    else:
-        raise ValidationError("only the default and affine checker costs serialize")
-    return doc
+    ck = cm.checker_cost
+    checker = {"slope": ck.slope, "offset": ck.offset} if isinstance(ck, AffineCost) else "default"
+    return {"exponent": cm.exponent, "checker": checker}
 
 
 def _cost_model_from_doc(value: Any, path: str) -> CostModel:

@@ -42,6 +42,8 @@ class WeightParameter:
     k0: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, WeightKind):
+            raise ValidationError(f"weight kind must be a WeightKind, got {type(self.kind).__name__}")
         require_int(self.k0, "k0", ValidationError)
 
 

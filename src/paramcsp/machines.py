@@ -61,7 +61,6 @@ from .instances import (
 )
 from .partials import DEFAULT_CAPACITY, compute_partials
 from .relations import (
-    AffineCost,
     CostModel,
     CWRelation,
     ExplicitRelation,
@@ -69,7 +68,6 @@ from .relations import (
     WeightSetKind,
     WRelation,
     _largest_member,
-    default_checker_cost,
 )
 
 
@@ -141,7 +139,7 @@ class AppearanceChecker:
     ``d_set`` lists the indices rejecting the empty tuple; ``positions`` maps
     index -> variable -> scope positions. ``index_factors`` holds each
     constraint's ``CostModel._index_factor``, the index part of :meth:`CostModel.cost`,
-    so a check calls and validates only ``checker_cost`` per touched constraint.
+    so a check calls only ``checker_cost`` per touched constraint.
     """
 
     constraints: tuple[Constraint, ...]
@@ -187,8 +185,7 @@ class AppearanceChecker:
                 if ps:
                     sel.extend(ps)
             steps += len(sel)
-            base = require_int(checker_cost(len(sel)), "checker_cost result", ValidationError)
-            steps += base * self.index_factors[i - 1]
+            steps += checker_cost(len(sel)) * self.index_factors[i - 1]
             if not c.relation._contains(frozenset(sel)):
                 return False, steps
         steps += len(self.d_set)
@@ -581,6 +578,8 @@ class GuessCheckMachine:
             raise ValidationError("machine universe must be sorted and duplicate-free")
         require_int(self.k0, "k0", ValidationError)
         require_int(self.budget, "budget", ValidationError)
+        if not isinstance(self.exact, bool):
+            raise ValidationError(f"exact must be a boolean, got {type(self.exact).__name__}")
 
     def run_branch(self, combo: tuple[str, ...]) -> tuple[bool, int]:
         """Run one guess; returns (accepted, steps charged). ``combo`` must be sorted."""
@@ -595,9 +594,7 @@ def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> Gu
 
     When more constraints reject the empty tuple than k0 guessed variables
     can touch, no assignment of weight k0 exists and the machine degenerates
-    to an immediate reject with budget 0. A ``checker_cost`` other than the
-    default or an :class:`AffineCost` is read at every weight up to ``k0 * e0``;
-    past ``_GUESS_CAP`` (2**16) that raises :class:`CapacityError` before any call.
+    to an immediate reject with budget 0.
     """
     if inst.weight.kind is not WeightKind.EXACT:
         raise NotApplicableError("appearance machines need an exact weight bound; lift first")
@@ -610,19 +607,9 @@ def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> Gu
     if len(checker.d_set) > k0 * t0:
         return GuessCheckMachine(universe, k0, True, 0, ALWAYS_REJECT)
     weight_cap = k0 * e0
-    # A check costs base(w) * log-factor(index), both at least 0 and the second
-    # nondecreasing in the index, so the largest index bounds every constraint;
-    # the default and affine bases are nondecreasing too, so weight_cap bounds w.
-    check_cap = 0
-    if inst.body:
-        top = max(c.relation.index for c in inst.body)
-        monotone = cm.checker_cost is default_checker_cost or isinstance(cm.checker_cost, AffineCost)
-        if not monotone and weight_cap > _GUESS_CAP:
-            raise CapacityError(
-                f"weight bound {weight_cap} above the cost-scan bound {_GUESS_CAP}"
-            )
-        weights = (weight_cap,) if monotone else range(weight_cap + 1)
-        check_cap = max(cm.cost(top, w) for w in weights)
+    # A check costs base(w) * log-factor(index), both at least 0 and
+    # nondecreasing, so the largest index at weight_cap bounds every check.
+    check_cap = cm.cost(max(c.relation.index for c in inst.body), weight_cap) if inst.body else 0
     budget = k0 + k0 * t0 + (k0 * t0) * (weight_cap + check_cap) + k0 * t0
     return GuessCheckMachine(universe, k0, True, budget, checker)
 

@@ -43,6 +43,8 @@ class WeightSet:
     values: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, WeightSetKind):
+            raise ValidationError(f"weight-set kind must be a WeightSetKind, got {type(self.kind).__name__}")
         raw = tuple(self.values)
         for w in raw:
             require_int(w, "weight value", ValidationError)
@@ -229,7 +231,8 @@ class CostModel:
     """Charge for one membership check: ``checker_cost(|T|) * ceil_log2(index + 1)**exponent``.
 
     The logarithmic factor accounts for reading the relation's index; the
-    ``checker_cost`` factor accounts for reading the tuple itself.
+    ``checker_cost`` factor, :func:`default_checker_cost` or an
+    :class:`AffineCost` (both nondecreasing), accounts for reading the tuple itself.
     """
 
     exponent: int = 1
@@ -237,12 +240,16 @@ class CostModel:
 
     def __post_init__(self) -> None:
         require_int(self.exponent, "exponent", ValidationError)
+        ck = self.checker_cost
+        if ck is not default_checker_cost and not isinstance(ck, AffineCost):
+            raise ValidationError(
+                f"checker_cost must be default_checker_cost or an AffineCost, got {type(ck).__name__}"
+            )
 
     def cost(self, index: int, weight: int) -> int:
         require_int(index, "relation index", DomainError, low=1)
         require_int(weight, "tuple weight", DomainError)
-        base = require_int(self.checker_cost(weight), "checker_cost result", ValidationError)
-        return base * self._index_factor(index)
+        return self.checker_cost(weight) * self._index_factor(index)
 
     def _index_factor(self, index: int) -> int:
         """``ceil_log2(index + 1) ** exponent``, refused before the power when

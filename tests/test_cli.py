@@ -704,3 +704,22 @@ class TestArgumentHandling:
         assert run(["simulate", str(path)]) == 4
         _, err = capsys.readouterr()
         assert err == "error: branch ('x',) used 9 steps against budget 6\n"
+
+    @pytest.mark.parametrize(
+        "fault, code, line",
+        [
+            (RecursionError("maximum recursion depth exceeded"), EXIT_NOT_APPLICABLE,
+             "error: RecursionError: maximum recursion depth exceeded\n"),
+            (MemoryError(), EXIT_NOT_APPLICABLE, "error: MemoryError\n"),
+            (KeyError("x"), 4, "error: KeyError: 'x'\n"),
+        ],
+        ids=["recursion", "memory", "other"],
+    )
+    def test_faults_outside_the_library_get_one_error_line(self, doc, capsys, monkeypatch, fault, code, line):
+        def fail(args):
+            raise fault
+
+        monkeypatch.setattr("paramcsp.cli._cmd_stats", fail)
+        assert run(["stats", doc(POSITIVE_X)]) == code
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", line)

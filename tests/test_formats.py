@@ -223,6 +223,19 @@ class TestInstanceDocuments:
         with pytest.raises(ValidationError, match="nests too deeply"):
             parse_instance("[" * depth + "]" * depth)
 
+    def test_a_relation_of_no_known_type_is_refused(self):
+        class OddWeight:
+            """Duck-typed like a relation, but of no type a document can name."""
+
+            arity = index = 1
+
+            def _contains(self, positions):
+                return len(positions) % 2 == 1
+
+        inst = Instance(("x",), WeightParameter(WeightKind.EXACT, 1), (Constraint(OddWeight(), ("x",)),))
+        with pytest.raises(ValidationError, match="^unknown relation type OddWeight$"):
+            serialize_instance(inst)
+
 
 REJECT_ALL = Instance(
     ("x", "y", "z"),
@@ -467,17 +480,20 @@ class TestMachineDocuments:
         assert back == m
         assert back.checker.cost_model == CostModel(2, AffineCost(3, 1))
 
-    def test_arbitrary_checker_costs_do_not_serialize(self):
-        m = reduce_appearance(POSITIVE_X, CostModel(1, lambda w: w + 2))
-        with pytest.raises(ValidationError, match="only the default and affine"):
-            serialize_machine(m)
-
     def test_integers_too_long_to_print_are_a_capacity_fault(self):
         huge = GuessCheckMachine(("a",), 1, True, 10**5000, ALWAYS_REJECT)
         with pytest.raises(CapacityError, match="cannot write the document"):
             serialize_machine(huge)
         with pytest.raises(CapacityError, match="cannot write the document"):
             _require_derived(0, 10**5000, "machine.budget", "its checker implies")
+
+    def test_a_checker_of_no_known_type_is_refused(self):
+        class AcceptAll:
+            def check(self, combo, steps):
+                return True, steps
+
+        with pytest.raises(ValidationError, match="^unknown checker type AcceptAll$"):
+            serialize_machine(GuessCheckMachine(("a",), 1, True, 0, AcceptAll()))
 
     def test_combined_nesting_at_the_bound_round_trips(self):
         m = reduce_appearance(POSITIVE_X)

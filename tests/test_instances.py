@@ -81,6 +81,12 @@ def outcome(check):
 
 
 class TestValidation:
+    def test_weight_kind_must_be_a_weight_kind(self):
+        # Any other kind would read as at-most, so brute force would answer
+        # frozenset() for an instance asking for exactly one variable.
+        with pytest.raises(ValidationError, match="^weight kind must be a WeightKind, got str$"):
+            WeightParameter("exact", 1)
+
     def test_duplicate_variables_rejected(self):
         with pytest.raises(ValidationError):
             Instance(("x", "x"), WeightParameter(EXACT, 0))

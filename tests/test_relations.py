@@ -48,6 +48,11 @@ class TestWeightSet:
         with pytest.raises(ValidationError):
             WeightSet.finite([0, bad])
 
+    def test_kind_must_be_a_weight_set_kind(self):
+        # Any other kind would fall through to the odd branch of membership.
+        with pytest.raises(ValidationError, match="^weight-set kind must be a WeightSetKind, got str$"):
+            WeightSet("finite", (1,))
+
     @pytest.mark.parametrize("ws", [WeightSet.even, WeightSet.odd])
     def test_parity_kinds_carry_no_values(self, ws):
         with pytest.raises(ValidationError):
@@ -204,15 +209,19 @@ class TestCostModel:
         with pytest.raises(ValidationError):
             CostModel(exponent=-1)
 
-    def test_broken_checker_cost_is_reported(self):
-        cm = CostModel(exponent=1, checker_cost=lambda w: -5)
-        with pytest.raises(ValidationError):
-            cm.cost(1, 0)
-
-    def test_boolean_checker_cost_is_reported(self):
-        cm = CostModel(exponent=1, checker_cost=lambda w: True)
-        with pytest.raises(ValidationError, match="checker_cost"):
-            cm.cost(1, 0)
+    @pytest.mark.parametrize(
+        "checker_cost, type_name",
+        [
+            (lambda w: w + 1, "function"),
+            (lambda w: True, "function"),
+            (max, "builtin_function_or_method"),
+            (None, "NoneType"),
+        ],
+    )
+    def test_only_the_default_and_affine_checker_costs_are_accepted(self, checker_cost, type_name):
+        message = f"^checker_cost must be default_checker_cost or an AffineCost, got {type_name}$"
+        with pytest.raises(ValidationError, match=message):
+            CostModel(exponent=1, checker_cost=checker_cost)
 
     @given(
         w1=st.integers(0, 20),
