@@ -102,7 +102,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _ensure_exact(inst: Instance) -> Instance:
-    """Lift an at-most instance for the machine methods; report on stderr."""
+    """Lift an at-most instance for the methods that need an exact bound; report on stderr."""
     if inst.weight.kind is WeightKind.EXACT:
         return inst
     print("note: lifting the at-most bound to an exact one with padding variables", file=sys.stderr)
@@ -137,14 +137,17 @@ def _decide(
 ) -> tuple[frozenset[str] | None, tuple[SimulationResult, int] | None]:
     """Decide ``inst`` by ``method``: the witness, and the machine run with its
     budget when the method simulates one."""
-    if method in _MACHINE_BUILDERS:
-        machine = _MACHINE_BUILDERS[method](_ensure_exact(inst))
-        result = simulate(machine)
-        witness = None if result.witness is None else result.witness & inst.variable_set
-        return witness, (result, machine.budget)
+    if method in _SOLVERS:
+        return _SOLVERS[method](inst), None
+    lifted = _ensure_exact(inst)
+    machine_run = None
     if method == "completion-pipeline":
-        return solve_wd_pipeline(inst, bound if bound is not None else _infer_bound(inst)), None
-    return _SOLVERS[method](inst), None
+        witness = solve_wd_pipeline(lifted, bound if bound is not None else _infer_bound(lifted))
+    else:
+        machine = _MACHINE_BUILDERS[method](lifted)
+        result = simulate(machine)
+        witness, machine_run = result.witness, (result, machine.budget)
+    return None if witness is None else witness & inst.variable_set, machine_run
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -262,7 +262,7 @@ def _machine_to_doc(machine: GuessCheckMachine) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "universe": list(machine.universe),
         "k0": machine.k0,
-        "exact": machine.exact,
+        "exact": True,
         "budget": machine.budget,
     }
     ck = machine.checker
@@ -328,7 +328,7 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
     kind = _field(obj, "kind", path, str)
     universe = _as_list_of(_get(obj, "universe", path), f"{path}.universe", str)
     k0 = _field(obj, "k0", path, int, 0)
-    exact = _field(obj, "exact", path, bool)
+    _require_derived(_field(obj, "exact", path, bool), True, f"{path}.exact", "every machine has")
     budget = _field(obj, "budget", path, int, 0)
     if kind == "always-reject":
         checker: Any = ALWAYS_REJECT
@@ -393,12 +393,11 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
         combined = _at(path, combine_machines, first, second)
         _require_derived(universe, combined.universe, f"{path}.universe", "its parts share")
         _require_derived(k0, combined.k0, f"{path}.k0", "its parts share")
-        _require_derived(exact, combined.exact, f"{path}.exact", "its parts share")
         checker, derived_budget = combined.checker, combined.budget
     else:
         raise ValidationError(f"{path}.kind: unknown machine kind {kind!r}")
     _require_derived(budget, derived_budget, f"{path}.budget", "its checker implies")
-    return _at(path, GuessCheckMachine, universe, k0, exact, budget, checker)
+    return _at(path, GuessCheckMachine, universe, k0, budget, checker)
 
 
 def parse_machine(text: str) -> GuessCheckMachine:

@@ -316,6 +316,13 @@ class InstanceConfig:
         )
         for name, value, low in checks:
             require_int(value, name, UsageError, low=low)
+        # Bound what generation allocates before anything is drawn: names,
+        # weight pools, and scope plus member positions.
+        positions = self.body_len * self.max_arity * (1 + self.max_members)
+        for name, value in (("n", self.n), ("cw_bound", self.cw_bound), ("weight_cap", self.weight_cap),
+                            ("body_len * max_arity * (1 + max_members)", positions)):
+            if value > _GUESS_CAP:
+                raise CapacityError(f"{name} = {value} above the generator bound {_GUESS_CAP}")
         if self.finite_values is not None:
             object.__setattr__(self, "finite_values", tuple(self.finite_values))
 

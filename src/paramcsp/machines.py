@@ -563,11 +563,12 @@ Checker = AlwaysReject | AppearanceChecker | CWChecker | CombinedChecker
 
 @dataclass(frozen=True)
 class GuessCheckMachine:
-    """A compiled machine: sorted universe, guess bound, step budget, checker."""
+    """A compiled machine: sorted universe, guess size, step budget, checker.
+
+    Every branch guesses exactly ``k0`` names; at-most instances are lifted first."""
 
     universe: tuple[str, ...]
     k0: int
-    exact: bool
     budget: int
     checker: Checker
 
@@ -578,13 +579,11 @@ class GuessCheckMachine:
             raise ValidationError("machine universe must be sorted and duplicate-free")
         require_int(self.k0, "k0", ValidationError)
         require_int(self.budget, "budget", ValidationError)
-        if not isinstance(self.exact, bool):
-            raise ValidationError(f"exact must be a boolean, got {type(self.exact).__name__}")
 
     def run_branch(self, combo: tuple[str, ...]) -> tuple[bool, int]:
         """Run one guess; returns (accepted, steps charged). ``combo`` must be sorted."""
         steps = len(combo)
-        if (steps != self.k0) if self.exact else (steps > self.k0):
+        if steps != self.k0:
             return False, steps
         return self.checker.check(combo, steps)
 
@@ -605,13 +604,13 @@ def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> Gu
     universe = tuple(sorted(inst.variables))
     checker = AppearanceChecker(inst.body, cm)
     if len(checker.d_set) > k0 * t0:
-        return GuessCheckMachine(universe, k0, True, 0, ALWAYS_REJECT)
+        return GuessCheckMachine(universe, k0, 0, ALWAYS_REJECT)
     weight_cap = k0 * e0
     # A check costs base(w) * log-factor(index), both at least 0 and
     # nondecreasing, so the largest index at weight_cap bounds every check.
     check_cap = cm.cost(max(c.relation.index for c in inst.body), weight_cap) if inst.body else 0
     budget = k0 + k0 * t0 + (k0 * t0) * (weight_cap + check_cap) + k0 * t0
-    return GuessCheckMachine(universe, k0, True, budget, checker)
+    return GuessCheckMachine(universe, k0, budget, checker)
 
 
 def _cw_shared_bound(inst: Instance) -> int:
@@ -732,7 +731,6 @@ def reduce_cw(inst: Instance) -> GuessCheckMachine:
     return GuessCheckMachine(
         universe=tuple(sorted(inst.variables)),
         k0=k0,
-        exact=True,
         budget=_cw_budget(k0, checker.b),
         checker=checker,
     )
@@ -747,12 +745,11 @@ def combine_machines(first: GuessCheckMachine, second: GuessCheckMachine) -> Gue
     """
     if first.universe != second.universe:
         raise UsageError("machines disagree on the universe")
-    if first.k0 != second.k0 or first.exact != second.exact:
+    if first.k0 != second.k0:
         raise UsageError("machines disagree on the guess bound")
     return GuessCheckMachine(
         universe=first.universe,
         k0=first.k0,
-        exact=first.exact,
         budget=first.budget + second.budget + first.k0,
         checker=CombinedChecker(first, second),
     )
@@ -766,23 +763,21 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
     tries candidates in. The first accepting branch ends the run. Machines
     that rejected at build time explore nothing.
 
-    The empty guess, when guessed, runs first; the rest go to the checker a
-    sibling block at a time (:func:`~paramcsp._sets.sibling_blocks`), and
-    each block's largest step count is held against the budget. A block that
-    overruns it or raises is walked again branch by branch, so the error names
-    the first guess that overruns or raises, as a per-branch loop would.
+    A ``k0 = 0`` machine runs its one empty branch; any other hands the
+    checker a sibling block at a time (:func:`~paramcsp._sets.sibling_blocks`),
+    and each block's largest step count is held against the budget. A block
+    that overruns it or raises is walked again branch by branch, so the error
+    names the first guess that overruns or raises, as a per-branch loop would.
     """
     if isinstance(machine.checker, AlwaysReject):
         return SimulationResult(False, None, 0, 0)
+    if machine.k0 == 0:
+        accepted, steps = _branch(machine, ())
+        return SimulationResult(accepted, frozenset() if accepted else None, steps, 1)
     max_steps = explored = 0
-    if machine.k0 == 0 or not machine.exact:
-        explored = 1
-        accepted, max_steps = _branch(machine, ())
-        if accepted:
-            return SimulationResult(True, frozenset(), max_steps, explored)
     check_block = machine.checker.check_block
     budget = machine.budget
-    for prefix, lasts in sibling_blocks(machine.universe, machine.k0, machine.exact):
+    for prefix, lasts in sibling_blocks(machine.universe, machine.k0):
         try:
             found, count, top = check_block(prefix, lasts, len(prefix) + 1)
         except Exception:  # whatever a check raises, the walk below raises again

@@ -159,7 +159,7 @@ def literal_simulate(machine) -> SimulationResult:
     if isinstance(machine.checker, AlwaysReject):
         return SimulationResult(False, None, 0, 0)
     max_steps = explored = 0
-    for combo in guesses(machine.universe, machine.k0, machine.exact):
+    for combo in guesses(machine.universe, machine.k0, True):
         explored += 1
         accepted, steps = machine.run_branch(combo)
         if steps > machine.budget:

@@ -13,12 +13,14 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paramcsp
+from corpus_helpers import seed_for
 from paramcsp import (
     PROFILES,
     BudgetExceededError,
@@ -29,11 +31,15 @@ from paramcsp import (
     Instance,
     InstanceConfig,
     NotApplicableError,
+    ParamCSPError,
+    SimulationResult,
+    ValidationError,
     WeightKind,
     WeightParameter,
     WeightSet,
     WRelation,
     brute_force_solve,
+    combine_machines,
     explicitize_w_body,
     parse_instance,
     parse_machine,
@@ -77,6 +83,21 @@ ONE_OF_TWO = Instance(
     variables=("x", "y", "z"),
     weight=WeightParameter(WeightKind.EXACT, 2),
     body=(Constraint(CWRelation(WS1, 1, 2), ("x", "y", "z")),),
+)
+
+# Each of x, y, z must be chosen, but only one name is: the appearance
+# machine rejects at build time.
+ALL_THREE = Instance(
+    variables=("x", "y", "z"),
+    weight=WeightParameter(WeightKind.EXACT, 1),
+    body=tuple(Constraint(WRelation(WS1, 1), (v,)) for v in "xyz"),
+)
+
+# Weight 0 on x: at exactly 1, only {y} is a witness.
+ZERO_ON_X = Instance(
+    variables=("x", "y"),
+    weight=WeightParameter(WeightKind.EXACT, 1),
+    body=(Constraint(WRelation(WeightSet.finite((0,)), 1), ("x",)),),
 )
 
 CHOOSE_U = Instance(
@@ -149,6 +170,25 @@ class TestSolve:
     def test_completion_pipeline_infers_the_bound(self, doc, capsys):
         assert run(["solve", doc(POSITIVE_X), "--method", "completion-pipeline"]) == EXIT_SAT
         assert lines(capsys) == ["WITNESS x"]
+
+    def test_completion_pipeline_lifts_atmost_instances(self, doc, capsys):
+        # It once refused the at-most bound (exit 3) that brute force decides.
+        path = doc(replace(POSITIVE_X, weight=WeightParameter(WeightKind.ATMOST, 1)))
+        for method in ("brute", "completion-pipeline"):
+            assert run(["solve", path, "--method", method]) == EXIT_SAT
+            assert lines(capsys) == ["WITNESS x"]
+
+    def test_completion_pipeline_agrees_with_brute_force_on_atmost_instances(self):
+        for case in range(60):
+            cfg = InstanceConfig(
+                n=2 + case % 5, k0=case % 3, profile="w-finite", body_len=1 + case % 3,
+                max_arity=1 + case % 2, finite_values=(1,), atmost=True,
+            )
+            inst = random_instance(seed_for(case, 41), cfg)
+            want = brute_force_solve(inst)
+            got, _ = _decide("completion-pipeline", inst)
+            assert (got is None) == (want is None), case
+            assert got is None or satisfies(inst, got), case
 
     def test_unknown_method(self, doc, capsys):
         assert run(["solve", doc(POSITIVE_X), "--method", "oracle"]) == EXIT_USAGE
@@ -328,13 +368,8 @@ class TestReduceAndSimulate:
         ]
 
     def test_simulate_reject(self, tmp_path, capsys):
-        reject = Instance(
-            variables=("x", "y", "z"),
-            weight=WeightParameter(WeightKind.EXACT, 1),
-            body=tuple(Constraint(WRelation(WS1, 1), (v,)) for v in "xyz"),
-        )
         path = tmp_path / "reject.json"
-        path.write_text(serialize_machine(reduce_appearance(reject)), encoding="utf-8")
+        path.write_text(serialize_machine(reduce_appearance(ALL_THREE)), encoding="utf-8")
         assert run(["simulate", str(path)]) == EXIT_UNSAT
         assert lines(capsys) == ["REJECT"]
 
@@ -371,12 +406,7 @@ class TestReduceAndSimulate:
     ):
         # The only constraint admits weight 0 on x, so the machine accepts {y};
         # without its e_v entry the forged machine would accept {x} as well.
-        zero_on_x = Instance(
-            variables=("x", "y"),
-            weight=WeightParameter(WeightKind.EXACT, 1),
-            body=(Constraint(WRelation(WeightSet.finite((0,)), 1), ("x",)),),
-        )
-        machine = json.loads(serialize_machine(reduce_appearance(zero_on_x)))
+        machine = json.loads(serialize_machine(reduce_appearance(ZERO_ON_X)))
         machine["machine"][field] = value
         path = tmp_path / "m.json"
         path.write_text(json.dumps(machine), encoding="utf-8")
@@ -384,6 +414,33 @@ class TestReduceAndSimulate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {needle}\n"
+
+    @pytest.mark.parametrize(
+        "machine,keys",
+        [
+            (reduce_appearance(ALL_THREE), ()),
+            (reduce_appearance(ZERO_ON_X), ()),
+            (reduce_cw(ONE_OF_TWO), ()),
+            (combine_machines(reduce_appearance(ONE_OF_TWO), reduce_cw(ONE_OF_TWO)), ("second",)),
+        ],
+        ids=["always-reject", "appearance", "cw", "combined-part"],
+    )
+    def test_simulate_refuses_a_machine_that_guesses_at_most_k0(self, tmp_path, capsys, machine, keys):
+        # With "exact": false, the appearance machine of W{0} on x once
+        # accepted the empty guess, a witness of weight 0 where k is 1.
+        doc = json.loads(serialize_machine(machine))
+        part = doc["machine"]
+        for key in keys:
+            part = part[key]
+        part["exact"] = False
+        needle = ".".join(("machine", *keys, "exact")) + ": false is not the exact true every machine has"
+        with pytest.raises(ValidationError) as err:
+            parse_machine(json.dumps(doc))
+        assert str(err.value) == needle
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["simulate", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {needle}\n")
 
     def test_simulate_refuses_combined_machines_nested_600_deep(self, tmp_path, capsys):
         # Such a document once parsed, then died in simulate with RecursionError (exit 1).
@@ -581,6 +638,26 @@ class TestGen:
         _, err = capsys.readouterr()
         assert "comma-separated integers" in err
 
+    @pytest.mark.parametrize(
+        "extra,needle",
+        [
+            (["--n", "200000000"], "n = 200000000"),
+            (["--n", "3", "--weight-cap", "300000000"], "weight_cap = 300000000"),
+            (["--n", "3", "--cw-bound", "300000000", "--profile", "cw"], "cw_bound = 300000000"),
+            (
+                ["--n", "3", "--body", "2", "--max-arity", "300000000"],
+                "body_len * max_arity * (1 + max_members) = 3000000000",
+            ),
+        ],
+        ids=["n", "weight-cap", "cw-bound", "positions"],
+    )
+    def test_sizes_it_could_not_allocate_are_refused_before_drawing(self, extra, needle):
+        # Each once ran out of memory (exit 3, "error: MemoryError") or ran on
+        # for minutes, drawing hundreds of millions of scope positions.
+        done = cli_child(["gen", "--k0", "1", *extra], timeout=10)
+        want = f"error: {needle} above the generator bound 65536\n"
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_NOT_APPLICABLE, "", want)
+
 
 class TestVerify:
     def test_fpt_kue_example(self, capsys):
@@ -704,6 +781,27 @@ class TestArgumentHandling:
         assert run(["simulate", str(path)]) == 4
         _, err = capsys.readouterr()
         assert err == "error: branch ('x',) used 9 steps against budget 6\n"
+
+    @pytest.mark.parametrize(
+        "method,target,fake,message",
+        [
+            ("fpt-kue", "paramcsp.fpt_solvers.satisfies", lambda inst, witness: False,
+             "representative witness failed its instance"),
+            ("completion-pipeline", "paramcsp.machines.simulate",
+             lambda machine: SimulationResult(True, frozenset({"y"}), 0, 1),
+             "pipeline produced an invalid witness"),
+        ],
+        ids=["fpt-kue", "completion-pipeline"],
+    )
+    def test_witnesses_that_fail_their_instance_are_internal_faults(
+        self, doc, capsys, monkeypatch, method, target, fake, message
+    ):
+        # Each solver checks its own witness; fake a collaborator that breaks it.
+        monkeypatch.setattr(target, fake)
+        with pytest.raises(ParamCSPError, match=f"^{message}$"):
+            _decide(method, POSITIVE_X)
+        assert run(["solve", doc(POSITIVE_X), "--method", method]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "fault, code, line",

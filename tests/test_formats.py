@@ -322,7 +322,7 @@ class TestMachineDocuments:
         checker = CWChecker(
             b=1, delta_sizes=delta_sizes, lambda_caps=lambda_caps, delta_empty={}, sum_bound=6
         )
-        machine = GuessCheckMachine(("x", "y"), 2, True, _cw_budget(2, 1), checker)
+        machine = GuessCheckMachine(("x", "y"), 2, _cw_budget(2, 1), checker)
         with pytest.raises(ValidationError) as err:
             serialize_machine(machine)
         assert str(err.value) == needle
@@ -337,12 +337,16 @@ class TestMachineDocuments:
             parse_machine(text)
 
     def test_combined_parts_must_share_the_guess_bound(self):
+        # Every part guesses exactly k0 names, so a part that would guess at
+        # most k0 is refused at its own field.
         m = reduce_appearance(POSITIVE_X)
         text = edit(
             serialize_machine(combine_machines(m, m)),
             lambda d: d["machine"]["second"].update(exact=False),
         )
-        with pytest.raises(ValidationError, match="disagree on the guess bound"):
+        with pytest.raises(
+            ValidationError, match=r"^machine\.second\.exact: false is not the exact true every machine has$"
+        ):
             parse_machine(text)
 
     def test_appearance_scope_outside_the_universe(self):
@@ -481,7 +485,7 @@ class TestMachineDocuments:
         assert back.checker.cost_model == CostModel(2, AffineCost(3, 1))
 
     def test_integers_too_long_to_print_are_a_capacity_fault(self):
-        huge = GuessCheckMachine(("a",), 1, True, 10**5000, ALWAYS_REJECT)
+        huge = GuessCheckMachine(("a",), 1, 10**5000, ALWAYS_REJECT)
         with pytest.raises(CapacityError, match="cannot write the document"):
             serialize_machine(huge)
         with pytest.raises(CapacityError, match="cannot write the document"):
@@ -493,7 +497,7 @@ class TestMachineDocuments:
                 return True, steps
 
         with pytest.raises(ValidationError, match="^unknown checker type AcceptAll$"):
-            serialize_machine(GuessCheckMachine(("a",), 1, True, 0, AcceptAll()))
+            serialize_machine(GuessCheckMachine(("a",), 1, 0, AcceptAll()))
 
     def test_combined_nesting_at_the_bound_round_trips(self):
         m = reduce_appearance(POSITIVE_X)

@@ -18,6 +18,7 @@ from paramcsp import (
     CWRelation,
     Instance,
     NotApplicableError,
+    ParamCSPError,
     SolveStats,
     WeightKind,
     WeightParameter,
@@ -34,6 +35,7 @@ from paramcsp import (
     solve_w_kue,
     solve_w_kue_with_stats,
 )
+from paramcsp.fpt_solvers import ProfileClass, _feasible
 from corpus_helpers import SOLVER_PROFILES, instances, solver_config
 from oracles import dense_profile_classes
 
@@ -93,6 +95,8 @@ class TestManyProfileClasses:
 class TestFeasibilityInvariant:
     def test_parity_cap_holds_under_optimization(self):
         # A count above the cap h under a parity set breaks the module's premise.
+        with pytest.raises(ParamCSPError, match="^parity sets cannot hit the cap$"):
+            _feasible(WeightSet.even(), 0, (ProfileClass((1,), 1, ("a",)),), (1,), 1)
         code = (
             "from paramcsp import WeightSet\n"
             "from paramcsp.fpt_solvers import ProfileClass, _feasible\n"

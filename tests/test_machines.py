@@ -192,54 +192,41 @@ ONE_OF_TWO = exact(
 class TestGuessCheckMachine:
     def test_universe_must_be_sorted(self):
         with pytest.raises(ValidationError, match="sorted"):
-            GuessCheckMachine(("b", "a"), 1, True, 0, ALWAYS_REJECT)
+            GuessCheckMachine(("b", "a"), 1, 0, ALWAYS_REJECT)
 
     def test_universe_must_be_duplicate_free(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            GuessCheckMachine(("a", "a"), 1, True, 0, ALWAYS_REJECT)
+            GuessCheckMachine(("a", "a"), 1, 0, ALWAYS_REJECT)
 
     @pytest.mark.parametrize("k0", [-1, True, "2"])
     def test_rejects_bad_guess_bounds(self, k0):
         with pytest.raises(ValidationError):
-            GuessCheckMachine(("a",), k0, True, 0, ALWAYS_REJECT)
+            GuessCheckMachine(("a",), k0, 0, ALWAYS_REJECT)
 
     def test_rejects_negative_budget(self):
         with pytest.raises(ValidationError, match="budget"):
-            GuessCheckMachine(("a",), 1, True, -3, ALWAYS_REJECT)
+            GuessCheckMachine(("a",), 1, -3, ALWAYS_REJECT)
 
     def test_rejects_boolean_budget(self):
         with pytest.raises(ValidationError, match="budget"):
-            GuessCheckMachine(("x",), 0, True, True, ALWAYS_REJECT)
-
-    def test_exact_must_be_a_boolean(self):
-        # Any other flag would serialize to a document parse_machine refuses.
-        with pytest.raises(ValidationError, match="^exact must be a boolean, got str$"):
-            GuessCheckMachine(("a",), 1, "no", 0, ALWAYS_REJECT)
+            GuessCheckMachine(("x",), 0, True, ALWAYS_REJECT)
 
     def test_exact_branch_rejects_wrong_size(self):
-        m = GuessCheckMachine(("a", "b"), 2, True, 10, trivial_cw_checker())
+        m = GuessCheckMachine(("a", "b"), 2, 10, trivial_cw_checker())
         assert m.run_branch(("a",)) == (False, 1)
 
     def test_budget_overrun_raises(self):
-        m = GuessCheckMachine(("a",), 1, True, 0, trivial_cw_checker())
+        m = GuessCheckMachine(("a",), 1, 0, trivial_cw_checker())
         with pytest.raises(BudgetExceededError, match="budget 0"):
             simulate(m)
 
     def test_exact_guess_larger_than_universe(self):
-        m = GuessCheckMachine(("a",), 2, True, 5, trivial_cw_checker())
+        m = GuessCheckMachine(("a",), 2, 5, trivial_cw_checker())
         assert simulate(m) == SimulationResult(False, None, 0, 0)
 
     def test_exact_guess_beyond_the_index_range(self):
-        m = GuessCheckMachine(("a",), 2**63, True, 5, trivial_cw_checker())
+        m = GuessCheckMachine(("a",), 2**63, 5, trivial_cw_checker())
         assert simulate(m) == SimulationResult(False, None, 0, 0)
-
-    def test_atmost_branch_rejects_a_guess_above_the_bound(self):
-        m = GuessCheckMachine(("a", "b", "c"), 1, False, 10, trivial_cw_checker())
-        assert m.run_branch(("a", "b")) == (False, 2)
-
-    def test_atmost_machine_tries_empty_guess_first(self):
-        m = GuessCheckMachine(("a", "b"), 1, False, 3, trivial_cw_checker())
-        assert simulate(m) == SimulationResult(True, frozenset(), 3, 1)
 
     def test_atmost_guesses_go_deeper_than_the_recursion_limit(self):
         deep = list(islice(lex_subsets(range(2000), 2000), 1500))
@@ -434,20 +421,14 @@ class TestReduceAppearance:
 
 class TestCombineMachines:
     def test_universe_mismatch(self):
-        a = GuessCheckMachine(("a",), 1, True, 1, trivial_cw_checker())
-        b = GuessCheckMachine(("b",), 1, True, 1, trivial_cw_checker())
+        a = GuessCheckMachine(("a",), 1, 1, trivial_cw_checker())
+        b = GuessCheckMachine(("b",), 1, 1, trivial_cw_checker())
         with pytest.raises(UsageError, match="universe"):
             combine_machines(a, b)
 
     def test_guess_bound_mismatch(self):
-        a = GuessCheckMachine(("a",), 1, True, 1, trivial_cw_checker())
-        b = GuessCheckMachine(("a",), 2, True, 1, trivial_cw_checker())
-        with pytest.raises(UsageError, match="guess bound"):
-            combine_machines(a, b)
-
-    def test_exactness_mismatch(self):
-        a = GuessCheckMachine(("a",), 1, True, 1, trivial_cw_checker())
-        b = GuessCheckMachine(("a",), 1, False, 1, trivial_cw_checker())
+        a = GuessCheckMachine(("a",), 1, 1, trivial_cw_checker())
+        b = GuessCheckMachine(("a",), 2, 1, trivial_cw_checker())
         with pytest.raises(UsageError, match="guess bound"):
             combine_machines(a, b)
 
@@ -467,7 +448,7 @@ class TestCombineMachines:
 
     def test_rejecting_first_part_rejects_everything(self):
         m = reduce_appearance(POSITIVE_X)
-        reject = GuessCheckMachine(m.universe, m.k0, m.exact, 0, ALWAYS_REJECT)
+        reject = GuessCheckMachine(m.universe, m.k0, 0, ALWAYS_REJECT)
         res = simulate(combine_machines(reject, m))
         assert not res.accepted
         assert res.witness is None
@@ -1155,12 +1136,11 @@ def calls_check(tables, prefix, last):
 
 @st.composite
 def block_machines(draw):
-    """Machines of every checker kind, exact and at-most, with their own
-    budgets or hand-picked ones that some branch may overrun: built
-    conditional-weight machines; hand-built tables, including forged ones
-    whose partial sums escape; appearance machines under any cost model;
-    appearance and conditional-weight machines combined; and the always-
-    rejecting machine."""
+    """Machines of every checker kind, with their own budgets or hand-picked
+    ones that some branch may overrun: built conditional-weight machines;
+    hand-built tables, including forged ones whose partial sums escape;
+    appearance machines under any cost model; appearance and
+    conditional-weight machines combined; and the always-rejecting machine."""
     kind = draw(st.sampled_from(["cw", "tables", "appearance", "combined", "reject"]))
     seed = draw(st.integers(0, 2**32 - 1))
     if kind in ("cw", "combined"):
@@ -1180,9 +1160,7 @@ def block_machines(draw):
         checker = ALWAYS_REJECT
         if kind == "tables":
             checker = draw(st.one_of(hand_built_tables(), prefix_tables()))
-        machine = GuessCheckMachine(names, draw(st.integers(0, 4)), True, 10**6, checker)
-    if kind != "combined" and draw(st.booleans()):
-        machine = replace(machine, exact=False)
+        machine = GuessCheckMachine(names, draw(st.integers(0, 4)), 10**6, checker)
     if draw(st.booleans()):
         machine = replace(machine, budget=draw(st.integers(0, max(machine.budget, 400))))
     return machine
@@ -1210,18 +1188,17 @@ class TestSiblingBlocks:
         for n in range(6):
             names = tuple("abcdef"[:n])
             for k0 in range(7):
-                for exact_guess in (True, False):
-                    blocks = list(sibling_blocks(names, k0, exact_guess))
-                    assert all(lasts for _, lasts in blocks)
-                    flat = [p + (x,) for p, lasts in blocks for x in lasts]
-                    assert flat == [g for g in guesses(names, k0, exact_guess) if g], (n, k0)
+                blocks = list(sibling_blocks(names, k0))
+                assert all(lasts for _, lasts in blocks)
+                flat = [p + (x,) for p, lasts in blocks for x in lasts]
+                assert flat == [g for g in guesses(names, k0, True) if g], (n, k0)
 
     def test_exact_blocks_hold_every_sibling(self):
-        blocks = list(sibling_blocks(tuple("abcd"), 3, True))
+        blocks = list(sibling_blocks(tuple("abcd"), 3))
         assert blocks == [(("a", "b"), ("c", "d")), (("a", "c"), ("d",)), (("b", "c"), ("d",))]
 
     def test_a_guess_beyond_the_index_range_has_no_block(self):
-        assert list(sibling_blocks(("a",), 2**63, True)) == []
+        assert list(sibling_blocks(("a",), 2**63)) == []
 
 
 class TestBlockWalk:
@@ -1242,13 +1219,12 @@ class TestBlockWalk:
     @given(
         tables=st.one_of(hand_built_tables(), prefix_tables()),
         k0=st.integers(1, 4),
-        atmost=st.booleans(),
     )
-    def test_cw_blocks_match_the_literal_per_last_loop(self, tables, k0, atmost):
+    def test_cw_blocks_match_the_literal_per_last_loop(self, tables, k0):
         # Checked directly, not through simulate, whose re-walk of a raising
         # or overrunning block would hide a wrong block result.
         reference = replace(tables)
-        for prefix, lasts in sibling_blocks(tuple(NAMES[:6]), k0, not atmost):
+        for prefix, lasts in sibling_blocks(tuple(NAMES[:6]), k0):
             steps = len(prefix) + 1
             want = outcome(per_last_block, reference.check, prefix, lasts, steps)
             literal = outcome(per_last_block, partial(literal_cw_check, reference), prefix, lasts, steps)
@@ -1256,11 +1232,11 @@ class TestBlockWalk:
             assert outcome(tables.check_block, prefix, lasts, steps) == want, prefix
 
     @settings(max_examples=100, deadline=None)
-    @given(inst=finite_bodies(("W", "explicit", "other")), cm=cost_models(), atmost=st.booleans())
-    def test_appearance_blocks_match_the_per_last_loop(self, inst, cm, atmost):
+    @given(inst=finite_bodies(("W", "explicit", "other")), cm=cost_models())
+    def test_appearance_blocks_match_the_per_last_loop(self, inst, cm):
         checker = AppearanceChecker(inst.body, cm)
         k0 = max(inst.weight.k0, 1)
-        for prefix, lasts in sibling_blocks(inst.variables, k0, not atmost):
+        for prefix, lasts in sibling_blocks(inst.variables, k0):
             steps = len(prefix) + 1
             want = per_last_block(checker.check, prefix, lasts, steps)
             assert checker.check_block(prefix, lasts, steps) == want, prefix
@@ -1287,13 +1263,12 @@ class TestBlockWalk:
         tables=st.one_of(prefix_tables(), hand_built_tables()),
         names=st.sets(st.sampled_from(NAMES[:6]), max_size=6),
         k0=st.integers(0, 4),
-        exact_guess=st.booleans(),
     )
-    def test_check_runs_only_on_the_lasts_that_need_the_scan(self, tables, names, k0, exact_guess):
-        machine = GuessCheckMachine(tuple(sorted(names)), k0, exact_guess, 10**9, tables)
+    def test_check_runs_only_on_the_lasts_that_need_the_scan(self, tables, names, k0):
+        machine = GuessCheckMachine(tuple(sorted(names)), k0, 10**9, tables)
         result = outcome(literal_simulate, fresh_copy(machine))
         assume(isinstance(result, SimulationResult))  # a raising block is walked again branch by branch
-        walked = list(islice(guesses(machine.universe, k0, exact_guess), result.branches_explored))
+        walked = list(islice(guesses(machine.universe, k0, True), result.branches_explored))
         checked = []
         real = CWChecker.check
 
@@ -1336,7 +1311,7 @@ class TestBlockWalk:
         scanned = literal_cw_check(tables, ("a", "b"), 2)[1]
         decided = literal_cw_check(tables, ("a", "c"), 2)[1]
         assert scanned < decided
-        machine = GuessCheckMachine(("a", "b", "c", "z"), 2, True, scanned, tables)
+        machine = GuessCheckMachine(("a", "b", "c", "z"), 2, scanned, tables)
         assert tables.check_block(("a",), ("b", "c"), 2) == (None, 2, decided)
         message = f"branch ('a', 'c') used {decided} steps against budget {scanned}"
         with pytest.raises(BudgetExceededError) as raised:
@@ -1352,7 +1327,7 @@ class TestBlockWalk:
             b=2, delta_sizes={(e, a): 1, (e, c): 2, (e, a | c): 1}, lambda_caps={},
             delta_empty={e: 2}, sum_bound=4,
         )
-        machine = GuessCheckMachine(("a", "b", "c"), 2, True, _cw_budget(2, 2), tables)
+        machine = GuessCheckMachine(("a", "b", "c"), 2, _cw_budget(2, 2), tables)
         want = literal_simulate(fresh_copy(machine))
         assert (want.witness, want.branches_explored) == (a | c, 2)
         checked = []
@@ -1381,7 +1356,7 @@ class TestBlockWalk:
             (10**6, (ParamCSPError, "partial sum escaped its bound")),
             (decided - 1, (BudgetExceededError, overrun)),
         ]:
-            machine = GuessCheckMachine(("a", "c", "d"), 2, True, budget, tables)
+            machine = GuessCheckMachine(("a", "c", "d"), 2, budget, tables)
             assert outcome(literal_simulate, fresh_copy(machine)) == want
             assert outcome(simulate, machine) == want
 
@@ -1405,7 +1380,7 @@ class TestCwBudget:
     @pytest.mark.parametrize("b", range(4))
     def test_an_accepting_branch_charges_exactly_the_budget(self, k0, b):
         names = tuple("abcdef"[:k0])
-        m = GuessCheckMachine(names, k0, True, _cw_budget(k0, b), replace(trivial_cw_checker(), b=b))
+        m = GuessCheckMachine(names, k0, _cw_budget(k0, b), replace(trivial_cw_checker(), b=b))
         assert simulate(m) == SimulationResult(True, frozenset(names), m.budget, 1)
 
     def test_tail_scans_sum_the_binomials(self):
