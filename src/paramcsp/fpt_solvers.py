@@ -169,7 +169,8 @@ def solve_w_kue_with_stats(inst: Instance) -> tuple[frozenset[str] | None, Solve
     classes = profile_classes(inst, h)
     body_len = len(inst.body)
     k0 = inst.weight.k0
-    targets = (k0,) if inst.weight.kind is WeightKind.EXACT else tuple(range(k0 + 1))
+    # No count vector sums past the variable count, so larger targets are skipped.
+    targets = (k0,) if inst.weight.kind is WeightKind.EXACT else range(min(k0, len(inst.variables)) + 1)
     tested = 0
     for target in targets:
         for vector in _count_vectors(classes, target):

@@ -163,9 +163,9 @@ def brute_force_solve(inst: Instance) -> frozenset[str] | None:
     """Exhaustive reference solver; returns the least witness in enumeration order.
 
     Candidates are the sorted variables' subsets in the order of
-    :func:`~paramcsp._sets.guesses`, the order in which
-    :func:`~paramcsp.machines.simulate` explores machine branches. Returns
-    ``None`` when unsatisfiable.
+    :func:`~paramcsp._sets.guesses`, which :func:`~paramcsp.machines.simulate`
+    follows on an exact instance's machine (an at-most instance is lifted
+    first, so its machine walks a padded universe). ``None`` if unsatisfiable.
     """
     exact = inst.weight.kind is WeightKind.EXACT
     for combo in guesses(sorted(inst.variables), inst.weight.k0, exact):
@@ -251,13 +251,16 @@ def reduce_parity_multiplicity(inst: Instance) -> Instance:
 
 
 def weight_relation(inst: Instance) -> WRelation:
-    """The weight parameter as an explicit relation over all variables."""
+    """The weight parameter as an explicit relation over all variables. An
+    at-most ``k0`` above ``_GUESS_CAP`` raises :class:`CapacityError`."""
     n = len(inst.variables)
     if n < 1:
         raise UsageError("cannot materialize the weight constraint without variables")
     k0 = inst.weight.k0
     if inst.weight.kind is WeightKind.EXACT:
         values: tuple[int, ...] = (k0,)
+    elif k0 > _GUESS_CAP:
+        raise CapacityError(f"at-most bound {k0} above the materialization bound {_GUESS_CAP}")
     else:
         values = tuple(range(k0 + 1))
     return WRelation(WeightSet.finite(values), arity=n)

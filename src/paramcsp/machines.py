@@ -22,8 +22,9 @@ charged in closed form from its rank in that order. Steps therefore match the
 literal every-head, every-pair scan, and an accepting branch costs exactly
 the budget.
 
-Every checker also answers ``check_block(prefix, lasts, steps)``, and
-:func:`simulate` hands it one block of sibling guesses at a time; see
+Every checker but :class:`AlwaysReject`, which :func:`simulate` never runs,
+also answers ``check_block(prefix, lasts, steps)``, and :func:`simulate`
+hands it one block of sibling guesses at a time; see
 :func:`simulate`, :class:`CWChecker` and :meth:`CWChecker.check_block`.
 """
 
@@ -110,18 +111,8 @@ def _run_block(
     return None, end, top
 
 
-class _PerBranch:
-    """``check_block`` as the per-last loop over ``check``."""
-
-    def check_block(
-        self, prefix: tuple[str, ...], lasts: Sequence[str], steps: int
-    ) -> tuple[int | None, int, int]:
-        check = self.check  # type: ignore[attr-defined]
-        return _run_block(check, prefix, lasts, steps, range(len(lasts)))
-
-
 @dataclass(frozen=True)
-class AlwaysReject(_PerBranch):
+class AlwaysReject:
     """Checker for machines whose build already proved unsatisfiability."""
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
@@ -536,26 +527,39 @@ _COMBINE_DEPTH_CAP = 64
 
 
 @dataclass(frozen=True)
-class CombinedChecker(_PerBranch):
-    """Two machines run in turn on one guess; the second only if the first accepts."""
+class CombinedChecker:
+    """Two machines over one universe and ``k0`` (else :class:`UsageError`),
+    run in turn on one guess; the second only if the first accepts. Each part
+    is charged as its own ``run_branch`` would be: ``len(combo)`` for the
+    guess, then its checker. Nesting past 64 levels raises :class:`CapacityError`."""
 
     first: "GuessCheckMachine"
     second: "GuessCheckMachine"
     _depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.first.universe != self.second.universe:
+            raise UsageError("machines disagree on the universe")
+        if self.first.k0 != self.second.k0:
+            raise UsageError("machines disagree on the guess bound")
         depth = 1 + max(getattr(m.checker, "_depth", 0) for m in (self.first, self.second))
         if depth > _COMBINE_DEPTH_CAP:
             raise CapacityError(f"combined machines nest {depth} deep, above the bound {_COMBINE_DEPTH_CAP}")
         object.__setattr__(self, "_depth", depth)
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
-        first_ok, first_steps = self.first.run_branch(combo)
-        steps += first_steps
-        if not first_ok:
+        k = len(combo)
+        if k != self.first.k0:
+            return False, steps + k
+        accepted, steps = self.first.checker.check(combo, steps + k)
+        if not accepted:
             return False, steps
-        second_ok, second_steps = self.second.run_branch(combo)
-        return second_ok, steps + second_steps
+        return self.second.checker.check(combo, steps + k)
+
+    def check_block(
+        self, prefix: tuple[str, ...], lasts: Sequence[str], steps: int
+    ) -> tuple[int | None, int, int]:
+        return _run_block(self.check, prefix, lasts, steps, range(len(lasts)))
 
 
 Checker = AlwaysReject | AppearanceChecker | CWChecker | CombinedChecker
@@ -737,31 +741,22 @@ def reduce_cw(inst: Instance) -> GuessCheckMachine:
 
 
 def combine_machines(first: GuessCheckMachine, second: GuessCheckMachine) -> GuessCheckMachine:
-    """Chain two machines over the same universe and guess bound.
+    """Chain two machines through a :class:`CombinedChecker`.
 
     The combined budget is the sum of the parts plus ``k0`` for writing the
-    shared guess once more when handing it to the second checker. Nesting
-    more than 64 levels deep raises :class:`CapacityError`.
+    shared guess once more when handing it to the second checker.
     """
-    if first.universe != second.universe:
-        raise UsageError("machines disagree on the universe")
-    if first.k0 != second.k0:
-        raise UsageError("machines disagree on the guess bound")
-    return GuessCheckMachine(
-        universe=first.universe,
-        k0=first.k0,
-        budget=first.budget + second.budget + first.k0,
-        checker=CombinedChecker(first, second),
-    )
+    checker = CombinedChecker(first, second)
+    return GuessCheckMachine(first.universe, first.k0, first.budget + second.budget + first.k0, checker)
 
 
 def simulate(machine: GuessCheckMachine) -> SimulationResult:
     """Deterministically explore guesses until one accepts.
 
-    Branches are subsets of the sorted universe in the order of
-    :func:`~paramcsp._sets.guesses`, the order :func:`brute_force_solve`
-    tries candidates in. The first accepting branch ends the run. Machines
-    that rejected at build time explore nothing.
+    Branches are the ``k0``-subsets of the sorted universe in the order of
+    :func:`~paramcsp._sets.guesses`, which :func:`brute_force_solve` follows
+    on exact instances (at-most ones are lifted first, padding the universe).
+    The first accepting branch ends the run; build-time rejects explore nothing.
 
     A ``k0 = 0`` machine runs its one empty branch; any other hands the
     checker a sibling block at a time (:func:`~paramcsp._sets.sibling_blocks`),

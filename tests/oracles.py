@@ -5,8 +5,9 @@ scan over the body, reduced instances are decided by enumerating original
 variable subsets and propagating the forced indicator values, costs and
 budgets are summed term by term, occurrence profiles are read for every
 variable against every constraint, instance declarations are checked one
-name at a time in order, and simulations walk every guess through the
-per-branch ``run_branch`` instead of the sibling blocks.
+name at a time in order, simulations walk every guess through the
+per-branch ``run_branch`` instead of the sibling blocks, and combined checks
+run each part's own ``run_branch``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from math import comb
 from paramcsp import (
     AlwaysReject,
     BudgetExceededError,
+    CombinedChecker,
     CompletionReduction,
     Constraint,
     CostModel,
@@ -133,6 +135,25 @@ def literal_cw_check(checker, combo: tuple[str, ...], steps: int) -> tuple[bool,
                 raise ParamCSPError("partial sum escaped its bound")
         steps += lb + 2
         if total != checker.delta_empty.get(bset, 0):
+            return False, steps
+    return True, steps
+
+
+def literal_combined_check(checker, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
+    """The combined check read as its parts' own branches: ``steps`` plus each
+    part's ``run_branch`` charge (``len(combo)`` and its checker), the second
+    part run only when the first accepts. A part that is itself combined is
+    read the same way, so no level goes through ``CombinedChecker.check``.
+
+    ``checker`` is a :class:`paramcsp.CombinedChecker`.
+    """
+    for part in (checker.first, checker.second):
+        if isinstance(part.checker, CombinedChecker) and len(combo) == part.k0:
+            accepted, charged = literal_combined_check(part.checker, combo, len(combo))
+        else:
+            accepted, charged = part.run_branch(combo)
+        steps += charged
+        if not accepted:
             return False, steps
     return True, steps
 

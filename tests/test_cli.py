@@ -335,6 +335,16 @@ class TestHugeGuessesFinish:
             done = cli_child(args)
             assert (done.returncode, done.stdout, done.stderr) == (EXIT_NOT_APPLICABLE, "", want)
 
+    @pytest.mark.parametrize("k0", [10**9, 2**63])
+    def test_fpt_methods_walk_only_reachable_atmost_weights(self, doc, k0):
+        # Listing every weight up to k0 once ended in exit 4 (OverflowError)
+        # at 2**63 and exit 3 (MemoryError) at 10**9.
+        body = (Constraint(WRelation(WS1, 1), ("x",)),)
+        path = doc(Instance(("x", "y", "z"), WeightParameter(WeightKind.ATMOST, k0), body))
+        for method in ("fpt-kue", "fpt-kt"):
+            done = cli_child(["solve", path, "--method", method])
+            assert (done.returncode, done.stdout, done.stderr) == (EXIT_SAT, "WITNESS x\n", "")
+
     def test_appearance_document_with_a_huge_exponent_is_refused(self, tmp_path):
         # Arity 3 gives index 3, whose factor ceil_log2(4) ** exponent is computed at parse.
         clause = Constraint(WRelation(WS1, 3), ("x", "y", "z"))
@@ -637,6 +647,15 @@ class TestGen:
         assert run(args) == EXIT_USAGE
         _, err = capsys.readouterr()
         assert "comma-separated integers" in err
+
+    @pytest.mark.parametrize("k0", [10**9, 2**63])
+    def test_a_materialized_atmost_bound_above_the_cap_is_refused(self, k0):
+        # Listing every weight up to k0 once ended in exit 4 (OverflowError)
+        # at 2**63 and exit 3 (MemoryError) at 10**9.
+        args = ["--n", "3", "--k0", str(k0), "--atmost", "--materialize-weight-constraint", "--body", "1"]
+        done = cli_child(["gen", "--profile", "w-finite", *args], timeout=10)
+        want = f"error: at-most bound {k0} above the materialization bound 65536\n"
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_NOT_APPLICABLE, "", want)
 
     @pytest.mark.parametrize(
         "extra,needle",

@@ -199,6 +199,17 @@ class TestSolveKue:
         inst = single_constraint(WeightSet.finite([2]), ("x", "y", "z"), 3, kind=ATMOST)
         assert solve_w_kue(inst) == frozenset({"x", "y"})
 
+    def test_atmost_bounds_past_the_variable_count_walk_only_reachable_weights(self):
+        # Listing every weight up to k0 once overflowed at 2**63; no count
+        # vector sums past the variable count.
+        body = (Constraint(WRelation(WeightSet.finite([1]), 1), ("x",)),)
+        results = []
+        for k0 in (2**63, 3, 5):
+            inst = Instance(("x", "y", "z"), WeightParameter(ATMOST, k0), body)
+            assert solve_w_kue(inst) == solve_w_kt(inst) == frozenset({"x"})
+            results.append(solve_w_kue_with_stats(inst))
+        assert results == results[:1] * 3
+
     def test_empty_body(self):
         assert solve_w_kue(Instance(("x",), WeightParameter(EXACT, 2))) is None
         assert solve_w_kue(Instance(("x", "y"), WeightParameter(EXACT, 2))) == frozenset(

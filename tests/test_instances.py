@@ -359,6 +359,16 @@ class TestWeightRelation:
         with pytest.raises(UsageError):
             weight_relation(Instance((), WeightParameter(EXACT, 0)))
 
+    def test_atmost_above_the_guess_cap_is_refused_before_listing(self):
+        # It once overflowed listing 2**63 + 1 weights.
+        needle = f"^at-most bound {2**63} above the materialization bound 65536$"
+        with pytest.raises(CapacityError, match=needle):
+            weight_relation(Instance(("x",), WeightParameter(ATMOST, 2**63)))
+
+    def test_atmost_at_the_guess_cap_still_materializes(self):
+        rel = weight_relation(Instance(("x",), WeightParameter(ATMOST, 2**16)))
+        assert rel == WRelation(WeightSet.finite(range(2**16 + 1)), 1)
+
 
 class TestRandomInstance:
     def test_same_seed_same_instance(self):

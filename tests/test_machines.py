@@ -32,6 +32,7 @@ from oracles import (
     direct_union_count,
     head_image,
     literal_check_cap,
+    literal_combined_check,
     literal_cw_budget,
     literal_cw_check,
     literal_simulate,
@@ -431,6 +432,19 @@ class TestCombineMachines:
         b = GuessCheckMachine(("a",), 2, 1, trivial_cw_checker())
         with pytest.raises(UsageError, match="guess bound"):
             combine_machines(a, b)
+
+    @pytest.mark.parametrize(
+        "second,needle",
+        [
+            (GuessCheckMachine(("b",), 1, 1, ALWAYS_REJECT), "machines disagree on the universe"),
+            (GuessCheckMachine(("a",), 2, 1, ALWAYS_REJECT), "machines disagree on the guess bound"),
+        ],
+        ids=["universe", "guess-bound"],
+    )
+    def test_a_directly_built_checker_refuses_disagreeing_parts(self, second, needle):
+        first = GuessCheckMachine(("a",), 1, 1, trivial_cw_checker())
+        with pytest.raises(UsageError, match=f"^{needle}$"):
+            CombinedChecker(first, second)
 
     def test_budget_is_sum_plus_one_guess(self):
         m = reduce_appearance(POSITIVE_X)
@@ -1199,6 +1213,49 @@ class TestSiblingBlocks:
 
     def test_a_guess_beyond_the_index_range_has_no_block(self):
         assert list(sibling_blocks(("a",), 2**63)) == []
+
+
+@st.composite
+def combined_machines(draw):
+    """Combined machines nested up to three levels deep, over the names of one
+    drawn conditional-weight instance. Parts are its appearance machine, the
+    conditional-weight machines of it and of a second instance over the same
+    names, and the always-rejecting machine."""
+    cfg = InstanceConfig(
+        n=draw(st.integers(1, 6)), k0=draw(st.integers(0, 3)), profile="cw",
+        body_len=draw(st.integers(0, 6)), max_arity=draw(st.integers(1, 3)),
+        cw_bound=draw(st.integers(1, 2)),
+    )
+    first, second = (random_instance(draw(st.integers(0, 2**32 - 1)), cfg) for _ in range(2))
+    cw = reduce_cw(first)
+    reject = GuessCheckMachine(cw.universe, cw.k0, 0, ALWAYS_REJECT)
+    leaves = [reduce_appearance(first), cw, reduce_cw(second), reject]
+
+    def part(depth):
+        if depth and draw(st.booleans()):
+            return combine_machines(part(depth - 1), part(depth - 1))
+        return draw(st.sampled_from(leaves))
+
+    return combine_machines(part(2), part(2))
+
+
+class TestCombinedCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(machine=combined_machines())
+    def test_check_matches_the_parts_own_branches(self, machine):
+        # Every guess of every size, and every sibling block, against the
+        # parts' own run_branch on a fresh copy: accept bit and steps.
+        reference = fresh_copy(machine).checker
+        checker = machine.checker
+        for size in range(len(machine.universe) + 1):
+            for combo in combinations(machine.universe, size):
+                want = outcome(literal_combined_check, reference, combo, size)
+                assert outcome(checker.check, combo, size) == want, combo
+        literal = partial(literal_combined_check, reference)
+        for prefix, lasts in sibling_blocks(machine.universe, machine.k0):
+            steps = len(prefix) + 1
+            want = outcome(per_last_block, literal, prefix, lasts, steps)
+            assert outcome(checker.check_block, prefix, lasts, steps) == want, prefix
 
 
 class TestBlockWalk:
