@@ -14,13 +14,12 @@ constraint is touched. The conditional-weight checker stores counting tables
 keyed by head-image and tail-image sets and accepts via an inclusion-exclusion
 identity, without ever looking at a concrete constraint during the branch.
 It runs on integer masks: each name in a table key owns one bit, and each
-stored head keeps a row (tail mask -> signed count) and its set of tail
-masks over the cap. A branch lists the ``2**k`` subset masks of its guess in
-scan order and looks up only the heads it holds: a head in no key reads zero
-everywhere, so it cannot fail. Every head and pair up to the first failure is
-charged in closed form from its rank in that order. Steps therefore match the
-literal every-head, every-pair scan, and an accepting branch costs exactly
-the budget.
+stored head keeps a row (tail mask -> signed count) and its tail masks over
+the cap. A branch walks only the stored entries inside its guess, never its
+``2**k`` subsets: any other subset reads zero everywhere, so it cannot fail.
+Every head and pair up to the first failure is charged in closed form from
+the failing subset's rank in the literal every-head, every-pair scan, so
+steps match that scan and an accepting branch costs exactly the budget.
 
 Every checker but :class:`AlwaysReject`, which :func:`simulate` never runs,
 also answers ``check_block(prefix, lasts, steps)``, and :func:`simulate`
@@ -33,8 +32,9 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, compress, repeat
-from operator import itemgetter, or_
+from itertools import chain, combinations, compress, repeat
+from math import comb
+from operator import or_
 from typing import NamedTuple
 
 from ._sets import sibling_blocks, subsets_by_size
@@ -222,52 +222,52 @@ def _tail_scans(k: int, b: int) -> tuple[int, int, int, int]:
     return pairs, pair_scan, terms, term_scan + 2
 
 
-class _Plan(NamedTuple):
-    """The scans of a guess of ``k`` names: ``reorder`` turns its ``2**k``
-    subset masks, listed with the subset holding position ``p`` at an index
-    with bit ``p`` set, into :func:`~paramcsp._sets.subsets_by_size` order;
-    ``sizes[r]`` sums the sizes of the first ``r`` subsets in that order; the
-    next four are :func:`_tail_scans` of ``k`` and ``b``; ``miss`` charges a
-    guess that passes the cap scan and fails the empty head's row: every
-    head's pairs and the empty head's terms."""
-
-    reorder: Callable[[list[int]], tuple[int, ...]]
-    sizes: tuple[int, ...]
-    pairs: int
-    pair_scan: int
-    terms: int
-    term_scan: int
-    miss: int
+def _low_bits(mask: int) -> list[int]:
+    """The set bits of ``mask`` as one-bit masks, lowest first."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low)
+        mask ^= low
+    return bits
 
 
-@lru_cache(maxsize=32)
-def _scan_plan(k: int, b: int) -> _Plan:
-    """The :class:`_Plan` of a guess of ``k`` names under tail bound ``b``."""
-    order = [
-        sum(1 << p for p in chosen)
-        for size in range(k + 1)
-        for chosen in combinations(range(k), size)
-    ]
-    reorder = itemgetter(*order) if k else tuple  # one index would return a bare item
-    sizes = tuple(accumulate(map(int.bit_count, order), initial=0))
-    pairs, pair_scan, terms, term_scan = _tail_scans(k, b)
-    miss = pairs * sizes[-1] + pair_scan * 2**k + term_scan
-    return _Plan(reorder, sizes, pairs, pair_scan, terms, term_scan, miss)
+def _scan_key(mask: int) -> tuple[int, list[int]]:
+    """Sort key of a mask over bits given in sorted name order: its size,
+    then its bits lowest first, so masks sort as the subsets of their names
+    do in :func:`~paramcsp._sets.subsets_by_size` order."""
+    return mask.bit_count(), _low_bits(mask)
+
+
+def _rank(k: int, positions: Sequence[int]) -> tuple[int, int]:
+    """The rank of the subset at the ascending ``positions`` among the
+    :func:`~paramcsp._sets.subsets_by_size` subsets of ``k`` positions, and
+    the summed sizes of the subsets before it. The ``C(k, j)`` subsets of
+    each smaller size ``j`` come first; within its size, the subset's rank
+    in :func:`itertools.combinations` order follows from the combinatorial
+    number system (Knuth, TAOCP 4A, 7.2.1.3)."""
+    s = len(positions)
+    rank = before = 0
+    count = 1  # C(k, j), each from the last
+    for j in range(s):
+        rank += count
+        before += j * count
+        count = count * (k - j) // (j + 1)
+    lex = count - 1 - sum(comb(k - 1 - p, s - i) for i, p in enumerate(positions))
+    return rank + lex, before + s * lex
 
 
 class _Prefix(NamedTuple):
     """What :meth:`CWChecker.check` keeps for the guesses that extend ``key``
-    by one last name: the subset masks of ``key`` in doubling order; the
-    charge of an empty-head cap failure inside ``key``, if any; the last-name
-    bits that close an over-cap pair; and, when the empty head's row may
-    decide, each last bit's extended row sum (``sums``: the row over the
-    masks of ``key`` of at most ``b - 1`` names joined with the bit, absent
-    bits reading zero; else None), the sum a last bit must reach, and the
-    charge of missing it. ``parent`` is the state of ``key[:-1]``, which this
-    one grew from."""
+    by one last name: its keyed names' mask; the charge of an empty-head cap
+    failure inside ``key``, if any; the last bits that close an over-cap
+    union (0: ``key`` holds one); and, when the empty head's row may decide,
+    each last bit's extended row sum (``sums``: the row over the tails inside
+    ``key`` plus the bit that hold it; else None), the sum a last bit must
+    reach, and the charge of missing it. ``parent`` is the state of ``key[:-1]``."""
 
     key: tuple[str, ...]
-    masks: list[int]
+    mask: int
     cap_charge: int | None
     sums: dict[int, int] | None
     closers: frozenset[int]
@@ -299,37 +299,33 @@ class CWChecker:
 
     The check runs on integer masks: each name in a key owns one bit of
     ``bits``, given in sorted name order, so no table derived from them
-    depends on set iteration order. ``rows`` maps a head mask to its row,
-    tail mask -> nonzero count, added for odd ``|G|`` and subtracted for
-    even, with ``delta_empty[B]`` at tail 0: a head passes when its row sums
-    to zero over the guess's tail sets of at most ``b`` names. ``over_cap``
-    maps a head mask to the tail masks whose cap exceeds ``b``. A branch
-    looks up only the heads it holds; any other head reads zero at every
-    key, so it can fail no test.
+    depends on set iteration order, and inside a guess in sorted name order
+    masks sort as their subsets do in the scan (:func:`_scan_key`). ``rows``
+    maps a head mask to its row, tail mask -> nonzero count, added for odd
+    ``|G|`` and subtracted for even, with ``delta_empty[B]`` at tail 0: a
+    head passes when its row sums to zero over the guess's tail sets of at
+    most ``b`` names. ``over_cap`` maps a head mask to its tail masks of at
+    most ``b + 1`` names whose cap exceeds ``b``. Both hold their heads in
+    scan order, and a branch walks only these entries, testing each against
+    its mask: any other subset reads zero at every key and fails no test.
+    The first failing head and pair are charged from their ranks (:func:`_rank`).
 
     Guesses arrive in lex order, so consecutive ones share all names but the
     last. ``prefix`` keeps the :class:`_Prefix` of the last such shared
     prefix, linked to the states of its own prefixes: a sibling prefix grows
-    from their parent's masks, closers and remainder by one name.
-    ``cap_closers`` maps each mask ``S`` to the bits ``x`` outside it that
-    make ``S | x`` the union ``B | G`` of an over-cap pair (``G`` of at most
-    ``b + 1`` names), and to 0 when ``S`` is one itself: the cap scan fails
-    exactly when a subset of the guess is such a union.
-
-    ``row_index`` maps each mask ``m`` of fewer than ``b`` names to
-    ``{bit x: rows[0][m | x]}``, the counts a last name ``x`` adds to the
-    empty head's row over ``m``. It is None, and the row decides nothing
-    from a prefix, when the empty head has no row or the absolute values of
-    its counts on tails of at most ``b`` names sum past ``sum_bound``, where
-    a partial sum could escape. Otherwise, the empty head coming first in
-    both scans, a branch failing its cap at ``G = {}`` or at a prefix name,
-    or passing the cap scan and missing the row, is charged in closed form
-    from the prefix; every other branch extends the prefix's masks by its
-    last name and scans. A prefix sums the columns of its masks into each
-    last bit's extended row sum, so :meth:`check_block` finds the lasts whose
-    sum reaches the prefix's remainder by lookups, and charges every other
-    last without calling :meth:`check`. Every closed-form charge reads the
-    guess size's :class:`_Plan` from :func:`_scan_plan`.
+    from its parent by one name, reading only the entries holding its bit in
+    ``cap_unions``, the unions ``B | G`` of the over-cap pairs (under 0 those
+    of at most one name; the cap scan fails exactly when the guess holds
+    one), and in ``empty_tails``, the empty head's tails of 1 to ``b`` names
+    and their counts (under 0 its one-name tails). ``empty_tails`` is None,
+    and the row decides nothing from a prefix, when the empty head has no row
+    or the absolute values of these counts sum past ``sum_bound``, where a
+    partial sum could escape. Otherwise, the empty head coming first in both
+    scans, a branch failing its cap at ``G = {}`` or at a prefix name, or
+    passing the cap scan and missing the row, is charged in closed form from
+    the prefix, and :meth:`check_block` finds the lasts whose extended row
+    sum reaches the prefix's remainder by lookups, charging every other last
+    without calling :meth:`check`.
     """
 
     b: int
@@ -340,8 +336,8 @@ class CWChecker:
     bits: dict[str, int] = field(init=False, repr=False, compare=False)
     rows: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
     over_cap: dict[int, set[int]] = field(init=False, repr=False, compare=False)
-    cap_closers: dict[int, set[int]] = field(init=False, repr=False, compare=False)
-    row_index: dict[int, dict[int, int]] | None = field(init=False, repr=False, compare=False)
+    cap_unions: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    empty_tails: dict[int, list[tuple[int, int]]] | None = field(init=False, repr=False, compare=False)
     prefix: _Prefix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -363,64 +359,67 @@ class CWChecker:
             if g and count:
                 rows.setdefault(mask(bset), {})[mask(g)] = count if len(g) % 2 else -count
         over_cap: dict[int, set[int]] = {}
-        cap_closers: dict[int, set[int]] = {}
+        cap_unions: dict[int, list[int]] = {}
         for (bset, g), cap in self.lambda_caps.items():
-            if cap > self.b:
+            if cap > self.b and len(g) <= self.b + 1:
                 over_cap.setdefault(mask(bset), set()).add(mask(g))
-                if len(g) <= self.b + 1:
-                    union = mask(bset | g)
-                    cap_closers.setdefault(union, set()).add(0)
-                    for v in sorted(bset | g):
-                        cap_closers.setdefault(union ^ bits[v], set()).add(bits[v])
+                union = mask(bset | g)
+                for x in _low_bits(union) if union.bit_count() > 1 else (0, *_low_bits(union)):
+                    cap_unions.setdefault(x, []).append(union)
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "over_cap", over_cap)
-        object.__setattr__(self, "cap_closers", cap_closers)
+        object.__setattr__(self, "rows", {h: rows[h] for h in sorted(rows, key=_scan_key)})
+        object.__setattr__(self, "over_cap", {h: over_cap[h] for h in sorted(over_cap, key=_scan_key)})
+        object.__setattr__(self, "cap_unions", cap_unions)
         tails = [(g, d) for g, d in rows.get(0, {}).items() if 0 < g.bit_count() <= self.b]
-        row_index: dict[int, dict[int, int]] | None = None
+        empty_tails: dict[int, list[tuple[int, int]]] | None = None
         if 0 in rows and sum(abs(d) for _, d in tails) <= self.sum_bound:
-            row_index = {}
+            empty_tails = {}
             for g, d in tails:
-                rest = g
-                while rest:
-                    x = rest & -rest
-                    row_index.setdefault(g ^ x, {})[x] = d
-                    rest ^= x
-        object.__setattr__(self, "row_index", row_index)
+                for x in _low_bits(g) if g.bit_count() > 1 else (0, *_low_bits(g)):
+                    empty_tails.setdefault(x, []).append((g, d))
+        object.__setattr__(self, "empty_tails", empty_tails)
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
-        """Check one guess of distinct names; returns (accepted, steps charged)."""
+        """Check one guess of distinct names in sorted order, the order
+        :func:`simulate` guesses them in; returns (accepted, steps charged)."""
         k = len(combo)
-        masks = [0]
+        guess = 0
         if k:
             prefix = self._state(combo[:-1])
-            _, prefix_masks, cap_charge, sums, closers, missing, miss_charge, _ = prefix
+            _, guess, cap_charge, sums, closers, missing, miss_charge, _ = prefix
             if cap_charge is not None:
                 return False, steps + cap_charge
-            last = self.bits.get(combo[-1]) or 1 << (len(self.bits) + k - 1)
+            last = self.bits.get(combo[-1], 0)
             if sums is not None and last not in closers and sums.get(last, 0) != missing:
                 return False, steps + miss_charge
-            masks = prefix_masks + [last | m for m in prefix_masks]
-        reorder, sizes, pairs, pair_scan, terms, term_scan, _ = _scan_plan(k, self.b)
-        masks = reorder(masks)
-        pair_masks = masks[:pairs]
-        over_cap = self.over_cap
-        for head in filter(over_cap.__contains__, masks):
-            capped = over_cap[head]
-            if not capped.isdisjoint(pair_masks):
-                rank = masks.index(head)
-                j = next(j for j, g in enumerate(pair_masks, start=1) if g in capped)
-                steps += pairs * sizes[rank] + rank * pair_scan
-                return False, steps + (head.bit_count() + 1) * j + sizes[j]
-        steps += pairs * sizes[-1] + pair_scan * 2**k
-        rows = self.rows
-        term_masks = masks[1 : 1 + terms]
-        for head in filter(rows.__contains__, masks):
-            row = rows[head]
-            if self._tail_sum(row, term_masks) != -row.get(0, 0):
-                rank = masks.index(head) + 1
-                return False, steps + (terms + 1) * sizes[rank] + rank * term_scan
-        return True, steps + (terms + 1) * sizes[-1] + term_scan * 2**k
+            guess |= last
+        outside = ~guess
+        pairs, pair_scan, terms, term_scan = _tail_scans(k, self.b)
+        head_sizes = k << k >> 1  # the summed sizes of the 2**k heads
+        for head, capped in self.over_cap.items():
+            if not head & outside:
+                failing = [g for g in capped if not g & outside]
+                if failing:
+                    rank, before = self._rank_of(combo, head)
+                    tail = min(failing, key=_scan_key)
+                    j, sizes = self._rank_of(combo, tail)
+                    j += 1  # the pairs up to this one, and their summed sizes
+                    sizes += tail.bit_count()
+                    steps += pairs * before + rank * pair_scan
+                    return False, steps + (head.bit_count() + 1) * j + sizes
+        steps += pairs * head_sizes + (pair_scan << k)
+        for head, row in self.rows.items():
+            if not head & outside and self._tail_sum(row, guess, self.b) != -row.get(0, 0):
+                rank, before = self._rank_of(combo, head)
+                sizes = before + head.bit_count()  # of the heads up to this one
+                return False, steps + (terms + 1) * sizes + (rank + 1) * term_scan
+        return True, steps + (terms + 1) * head_sizes + (term_scan << k)
+
+    def _rank_of(self, combo: tuple[str, ...], mask: int) -> tuple[int, int]:
+        """:func:`_rank` of the subset of ``combo`` whose keyed names make ``mask``."""
+        bits = self.bits
+        position = {bits[v]: p for p, v in enumerate(combo) if v in bits}
+        return _rank(len(combo), [position[x] for x in _low_bits(mask)])
 
     def check_block(
         self, prefix: tuple[str, ...], lasts: Sequence[str], steps: int
@@ -464,59 +463,62 @@ class CWChecker:
 
     def _grow(self, parent: _Prefix | None, name: str) -> _Prefix:
         """The :class:`_Prefix` of ``parent.key + (name,)``, or of ``()``
-        when ``parent`` is None. The new masks are the parent's joined with
-        the name's bit; only they can add closers or tails to the remainder."""
+        when ``parent`` is None, which reads the entries under bit 0. Only
+        the entries holding the name's bit can add closers or tails, and only
+        the name's own singleton can be a new empty-head cap failure."""
+        capped = self.over_cap.get(0, ())
         if parent is None:
             key: tuple[str, ...] = ()
-            masks = new = [0]
-            closers: frozenset[int] = frozenset()
+            bit: int | None = 0
+            mask, closers, sums, missing = 0, frozenset(), {}, -self.rows.get(0, {}).get(0, 0)
+            cap_charge = 1 if 0 in capped else None  # at G = {}, the first pair
         else:
             key = parent.key + (name,)
-            bit = self.bits.get(name) or 1 << (len(self.bits) + len(parent.key))
-            new = [bit | m for m in parent.masks]
-            masks = parent.masks + new
-            closers = parent.closers
-        if self.cap_closers:
-            closers = closers.union(*filter(None, map(self.cap_closers.get, new)))
+            bit = self.bits.get(name)
+            mask = parent.mask | (bit or 0)
+            _, _, cap_charge, sums, closers, missing, _, _ = parent
+            if cap_charge is None and bit in capped:
+                cap_charge = 2 * len(key) + 1  # at the pair {name}: its j = len(key) + 1 pairs cost 2j - 1
+        outside = ~mask
+        if bit is not None:  # a union is closed when at most one of its bits lies outside
+            new = [rest for rest in (u & outside for u in self.cap_unions.get(bit, ())) if not rest & (rest - 1)]
+            if not closers.issuperset(new):
+                closers = closers.union(new)
         k = len(key) + 1
-        cap_charge = sums = None
-        missing = miss_charge = 0
-        if 0 in closers:  # a subset of the prefix is the union of an over-cap pair
-            capped = self.over_cap.get(0, frozenset())
-            firsts = [0] + [masks[1 << p] for p in range(k - 1)]
-            j = next((j for j, g in enumerate(firsts, start=1) if g in capped), None)
-            if j is not None:
-                cap_charge = j + _scan_plan(k, self.b).sizes[j]
-        elif self.row_index is not None:
-            miss_charge = _scan_plan(k, self.b).miss
-            if parent is None:
-                missing = -self.rows[0].get(0, 0)
-                sums = self.row_index.get(0, {})
-            else:
-                # The parent took this branch too: its closers are a subset of these.
-                sums = parent.sums
-                missing = parent.missing - sums.get(bit, 0)  # type: ignore[union-attr]
-                columns = list(filter(None, map(self.row_index.get, new)))
-                if columns:
-                    sums = dict(sums)  # type: ignore[arg-type]
-                    for column in columns:
-                        for x, d in column.items():
-                            sums[x] = sums.get(x, 0) + d
-        fields = (key, masks, cap_charge, sums, closers, missing, miss_charge, parent)
+        miss_charge = 0
+        if 0 in closers or self.empty_tails is None:
+            sums = None
+        else:  # so the parent took this branch too, and its sums are not None
+            pairs, pair_scan, _, term_scan = _tail_scans(k, self.b)
+            miss_charge = pairs * (k << k >> 1) + (pair_scan << k) + term_scan
+            tails = self.empty_tails.get(bit, ()) if bit is not None else ()
+            if tails:
+                sums = dict(sums)  # type: ignore[arg-type]
+                for g, d in tails:
+                    rest = g & outside
+                    if not rest:
+                        missing -= d
+                    elif not rest & (rest - 1):
+                        sums[rest] = sums.get(rest, 0) + d
+        fields = (key, mask, cap_charge, sums, closers, missing, miss_charge, parent)
         return tuple.__new__(_Prefix, fields)  # skips the Python-level _Prefix.__new__
 
-    def _tail_sum(self, row: dict[int, int], tails: Iterable[int]) -> int:
-        """Sum of ``row`` over ``tails``, absent tails read as zero; a partial
-        sum outside ``sum_bound``, in the order of ``tails``, raises
+    def _tail_sum(self, row: dict[int, int], inside: int, bound: int) -> int:
+        """Sum of ``row`` over its tails of 1 to ``bound`` names inside the
+        mask ``inside``; a partial sum outside ``sum_bound``, walking those
+        tails in :func:`~paramcsp._sets.subsets_by_size` order, raises
         :class:`ParamCSPError`. No partial sum exceeds the absolute counts'
-        sum, so the partial sums are walked only when that sum is past the bound."""
-        counts = list(filter(None, map(row.get, tails)))
-        bound = self.sum_bound
-        if sum(map(abs, counts)) > bound:
+        sum, so the tails are ordered and walked only when that sum is past
+        the bound."""
+        outside = ~inside
+        tails = [g for g in row if g and not g & outside and g.bit_count() <= bound]
+        counts = list(map(row.__getitem__, tails))
+        limit = self.sum_bound
+        if sum(map(abs, counts)) > limit:
             partial = 0
-            for d in counts:
-                partial += d
-                if not -bound <= partial <= bound:
+            for g in sorted(tails, key=_scan_key):
+                partial += row[g]
+                if not -limit <= partial <= limit:
                     raise ParamCSPError("partial sum escaped its bound")
         return sum(counts)
 
@@ -702,11 +704,7 @@ def inclusion_exclusion_union(
     if not head.issubset(bits):
         return 0
     row = tables.rows.get(sum(bits[v] for v in head), {})
-    inside = sum(bits[v] for v in candidates if v in bits)
-    tails = [g for g in row if g and not g & ~inside and g.bit_count() <= bound]
-    # Bits follow sorted names, so set-bit positions order tails as subsets_by_size does.
-    tails.sort(key=lambda g: (g.bit_count(), [i for i in range(g.bit_length()) if g >> i & 1]))
-    return tables._tail_sum(row, tails)
+    return tables._tail_sum(row, sum(bits[v] for v in candidates if v in bits), bound)
 
 
 def _cw_budget(k0: int, b: int) -> int:

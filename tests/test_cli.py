@@ -358,6 +358,23 @@ class TestHugeGuessesFinish:
         assert (done.returncode, done.stdout, done.stderr) == (EXIT_NOT_APPLICABLE, "", want)
 
 
+class TestWideConditionalWeightGuessesFinish:
+    """A conditional-weight guess of 30 names walks only its stored table
+    entries; listing its ``2**30`` subsets once ended in exit 3 (MemoryError)."""
+
+    @pytest.mark.parametrize("gen", [
+        "--seed 1 --n 30 --k0 30 --profile cw --body 2 --cw-bound 1",  # 3 keyed names
+        "--seed 2 --n 30 --k0 30 --profile cw --body 60 --cw-bound 2",  # all 30 keyed
+    ])
+    def test_cw_machine_answers_like_brute_force(self, gen, tmp_path):
+        path = tmp_path / "inst.json"
+        done = cli_child(["gen", *gen.split(), "--out", str(path)])
+        assert (done.returncode, done.stderr) == (EXIT_SAT, "")
+        for method in ("cw-machine", "brute"):
+            done = cli_child(["solve", str(path), "--method", method], timeout=10)
+            assert (done.returncode, done.stdout, done.stderr) == (EXIT_UNSAT, "UNSAT\n", ""), method
+
+
 class TestReduceAndSimulate:
     def test_reduce_appearance_to_stdout(self, doc, capsys):
         assert run(["reduce", doc(POSITIVE_X), "--to", "appearance"]) == EXIT_SAT

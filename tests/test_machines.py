@@ -10,7 +10,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from functools import partial, reduce
-from itertools import combinations, islice
+from itertools import combinations, combinations_with_replacement, islice, product
 from math import comb
 
 import pytest
@@ -87,7 +87,7 @@ from paramcsp import (
 )
 import paramcsp
 from paramcsp._sets import guesses, lex_subsets, sibling_blocks, subsets_by_size
-from paramcsp.machines import _cw_budget, _scan_plan, _tail_scans
+from paramcsp.machines import _cw_budget, _rank, _tail_scans
 
 WS0 = WeightSet.finite((0,))
 WS1 = WeightSet.finite((1,))
@@ -827,7 +827,7 @@ class TestCWCheckerSkipsUnstoredHeads:
         )
         part = pipeline_cw_part(random_instance(seed, cfg))
         checker = reduce_cw(part).checker
-        assert_matches_literal_check(checker, guesses(part.variables, part.weight.k0, exact=False))
+        assert_matches_literal_check(checker, guesses(sorted(part.variables), part.weight.k0, exact=False))
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 6), data=st.data())
@@ -944,7 +944,7 @@ class TestMaskCheck:
             "h, g = frozenset('pqrs'), frozenset('tu')\n"
             "ck = CWChecker(b=1, delta_sizes={(h, g): 1}, lambda_caps={(h, g): 2},"
             " delta_empty={h: 1, frozenset(): 1}, sum_bound=9)\n"
-            "print(ck.bits, ck.rows, ck.over_cap, ck.cap_closers, ck.row_index)\n"
+            "print(ck.bits, ck.rows, ck.over_cap, ck.cap_unions, ck.empty_tails)\n"
         )
         outputs = [
             subprocess.run(
@@ -966,15 +966,27 @@ class TestMaskCheck:
     @pytest.mark.parametrize("b", range(4))
     @pytest.mark.parametrize("k", range(9))
     def test_scan_plan_matches_literal_sums(self, k, b):
+        # A guess that passes the cap scan and misses the empty head's row:
+        # decided from its prefix, or walked when a tail outside the guess
+        # could let a partial sum escape. Both charge the closed form.
         subsets = subsets_by_size(range(k), k)
-        plan = _scan_plan(k, b)
-        want = tuple(sum(len(s) for s in subsets[:rank]) for rank in range(len(subsets) + 1))
-        assert plan.sizes == want
         pairs = [g for g in subsets if len(g) <= b + 1]
         pair_scan = sum(len(g) + 1 for g in pairs)
         term_scan = sum(len(g) + 2 for g in subsets if 1 <= len(g) <= b) + 2
         # Every head's pairs, then the terms of the empty head, which has no names.
-        assert plan.miss == sum(len(head) * len(pairs) + pair_scan for head in subsets) + term_scan
+        miss = sum(len(head) * len(pairs) + pair_scan for head in subsets) + term_scan
+        e, outside = frozenset(), frozenset("z")
+        for delta_sizes in ({}, {(e, outside): 1}):
+            checker = CWChecker(b=b, delta_sizes=delta_sizes, lambda_caps={}, delta_empty={e: 1}, sum_bound=0)
+            assert (checker.empty_tails is None) == (b > 0 and bool(delta_sizes))
+            assert checker.check(tuple(NAMES[:k]), 0) == (False, miss)
+
+    def test_rank_matches_subsets_by_size(self):
+        for k in range(11):
+            before = 0
+            for rank, subset in enumerate(subsets_by_size(range(k), k)):
+                assert _rank(k, sorted(subset)) == (rank, before), (k, subset)
+                before += len(subset)
 
 
 @st.composite
@@ -1046,7 +1058,7 @@ class TestPrefixCache:
         # Every guess of the counting-unsat family fails the empty head's cap
         # at its first name. With x the one tail of ``CW(d=0){1}``, {a, c}
         # and {a, d} pass the cap scan and fail the empty head's row. Past
-        # the first branch of a prefix, none of them reads the scan plan.
+        # the first branch of a prefix, none of them reaches the scan.
         if build == "cap":
             inst = _counting_unsat(5)
         else:
@@ -1055,7 +1067,7 @@ class TestPrefixCache:
         first, *rest = combinations(inst.variables, inst.weight.k0)
         assert_matches_literal_check(checker, [first])
         plans = []
-        monkeypatch.setattr(paramcsp.machines, "_scan_plan", lambda *args: plans.append(args))
+        monkeypatch.setattr(paramcsp.machines, "_tail_scans", lambda *args: plans.append(args))
         for combo in rest[:2]:
             assert checker.check(combo, 2) == literal_cw_check(checker, combo, 2)
         assert plans == []
@@ -1080,7 +1092,7 @@ class TestPrefixCache:
         checker = CWChecker(
             b=1, delta_sizes={(e, a): 1, (e, c): 4}, lambda_caps={}, delta_empty={e: 1}, sum_bound=4
         )
-        assert checker.row_index is None
+        assert checker.empty_tails is None
         assert checker.check(("a", "b"), 2) == literal_cw_check(checker, ("a", "b"), 2)
         with pytest.raises(ParamCSPError, match="partial sum escaped its bound"):
             checker.check(("a", "c"), 2)
@@ -1406,7 +1418,7 @@ class TestBlockWalk:
         tables = CWChecker(
             b=1, delta_sizes={(e, d): 1, (a, d): 2}, lambda_caps={}, delta_empty={e: 1}, sum_bound=1
         )
-        assert tables.row_index is not None
+        assert tables.empty_tails is not None
         decided = literal_cw_check(tables, ("a", "c"), 2)[1]
         overrun = f"branch ('a', 'c') used {decided} steps against budget {decided - 1}"
         for budget, want in [
@@ -1425,6 +1437,54 @@ class TestBlockWalk:
         message = f"branch ('a', 'b') used {decided} steps against budget {decided - 1}"
         assert outcome(literal_simulate, fresh_copy(tight)) == (BudgetExceededError, message)
         assert outcome(simulate, tight) == (BudgetExceededError, message)
+
+
+def small_scope_bodies(every_pair=1):
+    """Conditional-weight bodies over a, b, c: each constraint of arity 1-3
+    (names may repeat, every head length), alone and, every
+    ``every_pair``-th in order, in unordered pairs with repeats."""
+    ones = [
+        (head, scope)
+        for arity in range(1, 4)
+        for scope in product("abc", repeat=arity)
+        for head in range(arity + 1)
+    ]
+    pairs = islice(combinations_with_replacement(ones, 2), 0, None, every_pair)
+    return [(c,) for c in ones] + list(pairs)
+
+
+def assert_small_scope(bodies):
+    """Over universe a-d, with d in no constraint, tail bounds 1 and 2 and
+    ``k0`` from 0 to 4: the block walk equals the per-branch walk on a fresh
+    copy, and its witness is brute force's."""
+    for b in (1, 2):
+        weights = WeightSet.finite(range(1, b + 1))
+        for body in bodies:
+            constraints = [Constraint(CWRelation(weights, head, len(scope) - head), scope) for head, scope in body]
+            for k0 in range(5):
+                inst = exact("abcd", k0, *constraints)
+                machine = reduce_cw(inst)
+                want = literal_simulate(fresh_copy(machine))
+                got = simulate(machine)
+                assert got == want, (b, body, k0)
+                assert got.witness == brute_force_solve(inst), (b, body, k0)
+
+
+class TestSmallScope:
+    """Every small conditional-weight instance, after the small-scope
+    hypothesis (Jackson, Software Abstractions, 2006): tier-1 runs the
+    one-constraint bodies and every tenth pair, the ``slow`` run all pairs."""
+
+    def test_one_constraint_and_every_tenth_pair(self):
+        bodies = small_scope_bodies(every_pair=10)
+        assert len(bodies) == 141 + 1002
+        assert_small_scope(bodies)
+
+    @pytest.mark.slow
+    def test_every_pair(self):
+        bodies = small_scope_bodies()
+        assert len(bodies) == 141 + 141 * 142 // 2
+        assert_small_scope(bodies)
 
 
 class TestCwBudget:
