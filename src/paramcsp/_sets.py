@@ -69,15 +69,3 @@ def guesses(names: Sequence[T], k0: int, exact: bool) -> Iterator[tuple[T, ...]]
         return iter(())  # combinations() cannot take a k0 beyond the platform's index range
     return combinations(names, k0) if exact else lex_subsets(names, k0)
 
-
-def sibling_blocks(names: tuple[T, ...], k0: int) -> Iterator[tuple[tuple[T, ...], tuple[T, ...]]]:
-    """The guesses of :func:`guesses` for ``k0 >= 1``, in its order, as blocks
-    ``(prefix, lasts)`` standing for ``prefix + (x,)`` for each ``x`` in
-    ``lasts``. A block holds every sibling of one ``(k0 - 1)``-prefix: its
-    lasts are the names after the prefix's final name, so prefixes leave out
-    the last name and no block is empty."""
-    if k0 == 0 or k0 > len(names):
-        return
-    after = {v: i + 1 for i, v in enumerate(names)}
-    for prefix in guesses(names[:-1], k0 - 1, True):
-        yield prefix, names[after[prefix[-1]] :] if prefix else names

@@ -21,23 +21,23 @@ Every head and pair up to the first failure is charged in closed form from
 the failing subset's rank in the literal every-head, every-pair scan, so
 steps match that scan and an accepting branch costs exactly the budget.
 
-Every checker but :class:`AlwaysReject`, which :func:`simulate` never runs,
-also answers ``check_block(prefix, lasts, steps)``, and :func:`simulate`
-hands it one block of sibling guesses at a time; see
-:func:`simulate`, :class:`CWChecker` and :meth:`CWChecker.check_block`.
+:func:`simulate` walks guess prefixes depth first. Every checker answers
+``grow(state, name)``, the state of a prefix extended by one name (None: of
+the empty prefix, and of every prefix of a checker that keeps nothing), and
+``check_block(state, prefix, lasts, steps)``, which judges ``prefix + (x,)``
+for each last name ``x``; ``check(combo, steps)`` judges one guess alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from itertools import chain, combinations, compress, repeat
+from functools import lru_cache, reduce
+from itertools import chain, combinations
 from math import comb
-from operator import or_
 from typing import NamedTuple
 
-from ._sets import sibling_blocks, subsets_by_size
+from ._sets import subsets_by_size
 from .errors import (
     BudgetExceededError,
     CapacityError,
@@ -72,6 +72,10 @@ from .relations import (
 )
 
 
+# ``check_block``'s accepting last index or None, lasts judged, and top step count.
+BlockResult = tuple[int | None, int, int]
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     accepted: bool
@@ -80,43 +84,18 @@ class SimulationResult:
     branches_explored: int
 
 
-def _run_block(
-    check: Callable[[tuple[str, ...], int], tuple[bool, int]],
-    prefix: tuple[str, ...],
-    lasts: Sequence[str],
-    steps: int,
-    scan: Iterable[int],
-    other: tuple[bool, int] = (False, 0),
-) -> tuple[int | None, int, int]:
-    """The result of ``check_block`` when only the positions of ``lasts``
-    listed in ``scan``, ascending, need ``check``, and every other last gets
-    the verdict ``other``, an (accepted, steps charged) pair."""
-    other_accepts, other_steps = other
-    top = 0
-    start = 0  # the first position not yet judged
-    end = len(lasts)
-    for i in chain(scan, (end,)):
-        if i > start:
-            if other_accepts:
-                return start, start + 1, max(top, other_steps)
-            top = max(top, other_steps)
-        if i == end:
-            break
-        accepted, charged = check(prefix + (lasts[i],), steps)
-        if charged > top:
-            top = charged
-        if accepted:
-            return i, i + 1, top
-        start = i + 1
-    return None, end, top
-
-
 @dataclass(frozen=True)
 class AlwaysReject:
     """Checker for machines whose build already proved unsatisfiability."""
 
+    def grow(self, state: None, name: str) -> None:
+        return None
+
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
         return False, steps
+
+    def check_block(self, state: None, prefix: tuple[str, ...], lasts: Sequence[str], steps: int) -> BlockResult:
+        return None, len(lasts), steps
 
 
 ALWAYS_REJECT = AlwaysReject()
@@ -185,14 +164,25 @@ class AppearanceChecker:
                 return False, steps
         return True, steps
 
-    def check_block(
-        self, prefix: tuple[str, ...], lasts: Sequence[str], steps: int
-    ) -> tuple[int | None, int, int]:
+    def grow(self, state: None, name: str) -> None:
+        return None
+
+    def check_block(self, state: None, prefix: tuple[str, ...], lasts: Sequence[str], steps: int) -> BlockResult:
         """Check ``prefix + (x,)`` for each ``x`` in ``lasts``. A last in no
         constraint adds no occurrence, position or constraint to the walk, so
         it gets the verdict and charge of ``prefix`` itself, judged once."""
-        scan = compress(range(len(lasts)), map(self.e_v.__contains__, lasts))
-        return _run_block(self.check, prefix, lasts, steps, scan, self.check(prefix, steps))
+        top = 0
+        untouched = None
+        for i, last in enumerate(lasts):
+            if last in self.e_v:
+                accepted, charged = self.check(prefix + (last,), steps)
+            else:  # a verdict pair is never empty, so it is judged once
+                accepted, charged = untouched = untouched or self.check(prefix, steps)
+            if charged > top:
+                top = charged
+            if accepted:
+                return i, i + 1, top
+        return None, len(lasts), top
 
 
 TableKey = tuple[frozenset[str], frozenset[str]]
@@ -220,6 +210,14 @@ def _tail_scans(k: int, b: int) -> tuple[int, int, int, int]:
             term_scan += count * (j + 2)
         count = count * (k - j) // (j + 1)
     return pairs, pair_scan, terms, term_scan + 2
+
+
+@lru_cache(maxsize=256)
+def _miss_charge(k: int, b: int) -> int:
+    """The charge of a guess of ``k`` names that passes the cap scan and
+    misses the empty head's row: every head's pairs, then the empty head's terms."""
+    pairs, pair_scan, _, term_scan = _tail_scans(k, b)
+    return pairs * (k << k >> 1) + (pair_scan << k) + term_scan
 
 
 def _low_bits(mask: int) -> list[int]:
@@ -258,22 +256,19 @@ def _rank(k: int, positions: Sequence[int]) -> tuple[int, int]:
 
 
 class _Prefix(NamedTuple):
-    """What :meth:`CWChecker.check` keeps for the guesses that extend ``key``
-    by one last name: its keyed names' mask; the charge of an empty-head cap
-    failure inside ``key``, if any; the last bits that close an over-cap
-    union (0: ``key`` holds one); and, when the empty head's row may decide,
-    each last bit's extended row sum (``sums``: the row over the tails inside
-    ``key`` plus the bit that hold it; else None), the sum a last bit must
-    reach, and the charge of missing it. ``parent`` is the state of ``key[:-1]``."""
+    """What :class:`CWChecker` keeps for the guesses that extend a prefix by
+    a last name: the prefix's size and keyed names' mask; the charge of an
+    empty-head cap failure inside it, if any; the last bits that close an
+    over-cap union (0: it holds one); and, when the empty head's row may
+    decide, each last bit's extended row sum (``sums``: the row over the tails
+    inside the prefix plus the bit; else None) and the sum a last must reach."""
 
-    key: tuple[str, ...]
+    size: int
     mask: int
     cap_charge: int | None
     sums: dict[int, int] | None
     closers: frozenset[int]
     missing: int
-    miss_charge: int
-    parent: _Prefix | None
 
 
 @dataclass(frozen=True)
@@ -310,22 +305,18 @@ class CWChecker:
     its mask: any other subset reads zero at every key and fails no test.
     The first failing head and pair are charged from their ranks (:func:`_rank`).
 
-    Guesses arrive in lex order, so consecutive ones share all names but the
-    last. ``prefix`` keeps the :class:`_Prefix` of the last such shared
-    prefix, linked to the states of its own prefixes: a sibling prefix grows
-    from its parent by one name, reading only the entries holding its bit in
-    ``cap_unions``, the unions ``B | G`` of the over-cap pairs (under 0 those
-    of at most one name; the cap scan fails exactly when the guess holds
-    one), and in ``empty_tails``, the empty head's tails of 1 to ``b`` names
-    and their counts (under 0 its one-name tails). ``empty_tails`` is None,
-    and the row decides nothing from a prefix, when the empty head has no row
-    or the absolute values of these counts sum past ``sum_bound``, where a
-    partial sum could escape. Otherwise, the empty head coming first in both
-    scans, a branch failing its cap at ``G = {}`` or at a prefix name, or
-    passing the cap scan and missing the row, is charged in closed form from
-    the prefix, and :meth:`check_block` finds the lasts whose extended row
-    sum reaches the prefix's remainder by lookups, charging every other last
-    without calling :meth:`check`.
+    The walk's state of a prefix is a :class:`_Prefix`; the checker holds
+    only ``root``, the empty prefix's. :meth:`grow` adds a name reading only
+    the entries holding its bit in ``cap_unions``, the unions ``B | G`` of
+    the over-cap pairs (under 0 those of at most one name; the cap scan fails
+    exactly when the guess holds one), and in ``empty_tails``, the empty
+    head's tails of 1 to ``b`` names and their counts (under 0 its one-name
+    tails). ``empty_tails`` is None, and the row decides nothing from a
+    prefix, when the empty head has no row or the absolute values of these
+    counts sum past ``sum_bound``. Otherwise, the empty head coming first in
+    both scans, a branch failing its cap at ``G = {}`` or at a prefix name,
+    or passing the cap scan and missing the row, is charged in closed form,
+    and :meth:`check_block` scans only the lasts that reach the row.
     """
 
     b: int
@@ -338,7 +329,7 @@ class CWChecker:
     over_cap: dict[int, set[int]] = field(init=False, repr=False, compare=False)
     cap_unions: dict[int, list[int]] = field(init=False, repr=False, compare=False)
     empty_tails: dict[int, list[tuple[int, int]]] | None = field(init=False, repr=False, compare=False)
-    prefix: _Prefix | None = field(default=None, init=False, repr=False, compare=False)
+    root: _Prefix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_int(self.b, "the tail bound", ValidationError)
@@ -378,21 +369,21 @@ class CWChecker:
                 for x in _low_bits(g) if g.bit_count() > 1 else (0, *_low_bits(g)):
                     empty_tails.setdefault(x, []).append((g, d))
         object.__setattr__(self, "empty_tails", empty_tails)
+        # The empty prefix grows from a state of size -1 by bit 0, reading the entries under 0.
+        no_names = _Prefix(-1, 0, None, {}, frozenset(), -rows.get(0, {}).get(0, 0))
+        object.__setattr__(self, "root", self._grow(no_names, 0))
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
-        """Check one guess of distinct names in sorted order, the order
-        :func:`simulate` guesses them in; returns (accepted, steps charged)."""
+        """Check one guess of distinct names in sorted order, as a block of one
+        under its prefix's state grown from the root; returns (accepted, steps)."""
+        if not combo:
+            return self._scan(0, combo, steps)
+        found, _, top = self.check_block(reduce(self.grow, combo[:-1], None), combo[:-1], combo[-1:], steps)
+        return found is not None, top
+
+    def _scan(self, guess: int, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
+        """The literal scan of ``combo``, whose keyed names make ``guess``."""
         k = len(combo)
-        guess = 0
-        if k:
-            prefix = self._state(combo[:-1])
-            _, guess, cap_charge, sums, closers, missing, miss_charge, _ = prefix
-            if cap_charge is not None:
-                return False, steps + cap_charge
-            last = self.bits.get(combo[-1], 0)
-            if sums is not None and last not in closers and sums.get(last, 0) != missing:
-                return False, steps + miss_charge
-            guess |= last
         outside = ~guess
         pairs, pair_scan, terms, term_scan = _tail_scans(k, self.b)
         head_sizes = k << k >> 1  # the summed sizes of the 2**k heads
@@ -422,76 +413,56 @@ class CWChecker:
         return _rank(len(combo), [position[x] for x in _low_bits(mask)])
 
     def check_block(
-        self, prefix: tuple[str, ...], lasts: Sequence[str], steps: int
-    ) -> tuple[int | None, int, int]:
-        """Check ``prefix + (x,)`` for each ``x`` in ``lasts``, names outside
-        ``prefix``, as :meth:`check` would, from one :class:`_Prefix`.
-        A cap failure inside ``prefix`` decides the block. Otherwise, when
-        the empty head's row may decide, only the lasts whose extended row
-        sum reaches the prefix's remainder and the over-cap closers run
-        :meth:`check`; every other last misses the row and is charged
-        without a call. Any other block runs :meth:`check` on every last."""
-        state = self._state(prefix)
-        _, _, cap_charge, sums, closers, missing, miss_charge, _ = state
+        self, state: _Prefix | None, prefix: tuple[str, ...], lasts: Sequence[str], steps: int
+    ) -> BlockResult:
+        """Check ``prefix + (x,)`` for each ``x`` in ``lasts``, names after
+        ``prefix``, from ``state``, its :class:`_Prefix`. A cap failure inside
+        ``prefix`` decides the block. Otherwise, when the empty head's row may
+        decide, only the over-cap closers and the lasts whose extended row sum
+        reaches the prefix's remainder are scanned; the rest miss the row."""
+        size, mask, cap_charge, sums, closers, missing = state or self.root
         if cap_charge is not None:
             return None, len(lasts), steps + cap_charge
-        if sums is None:
-            return _run_block(self.check, prefix, lasts, steps, range(len(lasts)))
-        last_bits = list(map(self.bits.get, lasts))  # None for names in no key: they read zero
-        reach = map(missing.__eq__, map(sums.get, last_bits, repeat(0)))
-        if closers:
-            reach = map(or_, reach, map(closers.__contains__, last_bits))
-        scan = list(compress(range(len(lasts)), reach))
-        if not scan:
-            return None, len(lasts), steps + miss_charge
-        return _run_block(self.check, prefix, lasts, steps, scan, (False, steps + miss_charge))
+        miss = steps + _miss_charge(size + 1, self.b)
+        top = 0
+        for i, last in enumerate(lasts):
+            bit = self.bits.get(last)  # None for names in no key: they read zero
+            if sums is None or sums.get(bit, 0) == missing or bit in closers:
+                accepted, charged = self._scan(mask | (bit or 0), prefix + (last,), steps)
+            else:
+                accepted, charged = False, miss
+            if charged > top:
+                top = charged
+            if accepted:
+                return i, i + 1, top
+        return None, len(lasts), top
 
-    def _state(self, key: tuple[str, ...]) -> _Prefix:
-        """The :class:`_Prefix` of ``key``, kept in ``prefix``. It grows, one
-        name at a time, from the longest key among the kept state and its
-        parents that ``key`` starts with, so siblings share their parent."""
-        state = self.prefix
-        if state is not None and state.key == key:
-            return state
-        state = state or self._grow(None, "")
-        while key[: len(state.key)] != state.key:
-            state = state.parent  # type: ignore[assignment]  # the root's key () always matches
-        for name in key[len(state.key) :]:
-            state = self._grow(state, name)
-        object.__setattr__(self, "prefix", state)
-        return state
+    def grow(self, state: _Prefix | None, name: str) -> _Prefix:
+        """``state``'s prefix extended by ``name``; a name in no key reads
+        zero everywhere, so it adds only to the size."""
+        parent = state or self.root
+        bit = self.bits.get(name)
+        if bit is None:
+            return tuple.__new__(_Prefix, (parent.size + 1, *parent[1:]))
+        return self._grow(parent, bit)
 
-    def _grow(self, parent: _Prefix | None, name: str) -> _Prefix:
-        """The :class:`_Prefix` of ``parent.key + (name,)``, or of ``()``
-        when ``parent`` is None, which reads the entries under bit 0. Only
-        the entries holding the name's bit can add closers or tails, and only
-        the name's own singleton can be a new empty-head cap failure."""
-        capped = self.over_cap.get(0, ())
-        if parent is None:
-            key: tuple[str, ...] = ()
-            bit: int | None = 0
-            mask, closers, sums, missing = 0, frozenset(), {}, -self.rows.get(0, {}).get(0, 0)
-            cap_charge = 1 if 0 in capped else None  # at G = {}, the first pair
-        else:
-            key = parent.key + (name,)
-            bit = self.bits.get(name)
-            mask = parent.mask | (bit or 0)
-            _, _, cap_charge, sums, closers, missing, _, _ = parent
-            if cap_charge is None and bit in capped:
-                cap_charge = 2 * len(key) + 1  # at the pair {name}: its j = len(key) + 1 pairs cost 2j - 1
+    def _grow(self, parent: _Prefix, bit: int) -> _Prefix:
+        """``parent``'s prefix extended by the name of ``bit``: only entries
+        holding the bit add closers or tails, or a new empty-head cap failure."""
+        size, mask, cap_charge, sums, closers, missing = parent
+        size += 1
+        mask |= bit
+        if cap_charge is None and bit in self.over_cap.get(0, ()):
+            cap_charge = 2 * size + 1  # at the pair {name}, or G = {} at the root: j = size + 1 pairs cost 2j - 1
         outside = ~mask
-        if bit is not None:  # a union is closed when at most one of its bits lies outside
-            new = [rest for rest in (u & outside for u in self.cap_unions.get(bit, ())) if not rest & (rest - 1)]
-            if not closers.issuperset(new):
-                closers = closers.union(new)
-        k = len(key) + 1
-        miss_charge = 0
+        # a union is closed when at most one of its bits lies outside
+        new = [rest for rest in (u & outside for u in self.cap_unions.get(bit, ())) if not rest & (rest - 1)]
+        if not closers.issuperset(new):
+            closers = closers.union(new)
         if 0 in closers or self.empty_tails is None:
             sums = None
         else:  # so the parent took this branch too, and its sums are not None
-            pairs, pair_scan, _, term_scan = _tail_scans(k, self.b)
-            miss_charge = pairs * (k << k >> 1) + (pair_scan << k) + term_scan
-            tails = self.empty_tails.get(bit, ()) if bit is not None else ()
+            tails = self.empty_tails.get(bit, ())
             if tails:
                 sums = dict(sums)  # type: ignore[arg-type]
                 for g, d in tails:
@@ -500,7 +471,7 @@ class CWChecker:
                         missing -= d
                     elif not rest & (rest - 1):
                         sums[rest] = sums.get(rest, 0) + d
-        fields = (key, mask, cap_charge, sums, closers, missing, miss_charge, parent)
+        fields = (size, mask, cap_charge, sums, closers, missing)
         return tuple.__new__(_Prefix, fields)  # skips the Python-level _Prefix.__new__
 
     def _tail_sum(self, row: dict[int, int], inside: int, bound: int) -> int:
@@ -558,10 +529,30 @@ class CombinedChecker:
             return False, steps
         return self.second.checker.check(combo, steps + k)
 
-    def check_block(
-        self, prefix: tuple[str, ...], lasts: Sequence[str], steps: int
-    ) -> tuple[int | None, int, int]:
-        return _run_block(self.check, prefix, lasts, steps, range(len(lasts)))
+    def grow(self, state: tuple | None, name: str) -> tuple:
+        """The pair of the parts' states, each grown by ``name``."""
+        first, second = state or (None, None)
+        return self.first.checker.grow(first, name), self.second.checker.grow(second, name)
+
+    def check_block(self, state: tuple | None, prefix: tuple[str, ...], lasts: Sequence[str], steps: int) -> BlockResult:
+        """Check ``prefix + (x,)`` for each ``x`` in ``lasts`` as :meth:`check`
+        would, each part judging the guess as a block of one from its state."""
+        k = len(prefix) + 1
+        if k != self.first.k0:
+            return None, len(lasts), steps + k
+        first, second = self.first.checker.check_block, self.second.checker.check_block
+        first_state, second_state = state or (None, None)
+        top, steps = 0, steps + k
+        for i, last in enumerate(lasts):
+            one = (last,)
+            found, _, charged = first(first_state, prefix, one, steps)
+            if found is not None:
+                found, _, charged = second(second_state, prefix, one, charged + k)
+            if charged > top:
+                top = charged
+            if found is not None:
+                return i, i + 1, top
+        return None, len(lasts), top
 
 
 Checker = AlwaysReject | AppearanceChecker | CWChecker | CombinedChecker
@@ -756,31 +747,46 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
     on exact instances (at-most ones are lifted first, padding the universe).
     The first accepting branch ends the run; build-time rejects explore nothing.
 
-    A ``k0 = 0`` machine runs its one empty branch; any other hands the
-    checker a sibling block at a time (:func:`~paramcsp._sets.sibling_blocks`),
-    and each block's largest step count is held against the budget. A block
-    that overruns it or raises is walked again branch by branch, so the error
-    names the first guess that overruns or raises, as a per-branch loop would.
+    A ``k0 = 0`` machine runs its one empty branch. Any other is walked depth
+    first, without recursion, over the ``(k0 - 1)``-prefixes of its guesses in
+    lex order: a stack holds the state ``grow`` made for each leading part of
+    the prefix, and the next prefix keeps those of the names it shares, so each
+    prefix grows once, from its parent. Each prefix's block of guesses, one per
+    later last name, goes to ``check_block``, and its largest step count is
+    held against the budget. A block that overruns it or raises is walked again
+    through ``run_branch``, so the error names the first guess that overruns or
+    raises, as a per-branch loop would.
     """
-    if isinstance(machine.checker, AlwaysReject):
+    names, k0, budget = machine.universe, machine.k0, machine.budget
+    if isinstance(machine.checker, AlwaysReject) or k0 > len(names):
         return SimulationResult(False, None, 0, 0)
-    if machine.k0 == 0:
-        accepted, steps = _branch(machine, ())
-        return SimulationResult(accepted, frozenset() if accepted else None, steps, 1)
+    if k0 == 0:
+        found, _, steps = _per_branch(machine, [()])
+        return SimulationResult(found is not None, frozenset() if found is not None else None, steps, 1)
+    grow, check_block = machine.checker.grow, machine.checker.check_block
     max_steps = explored = 0
-    check_block = machine.checker.check_block
-    budget = machine.budget
-    for prefix, lasts in sibling_blocks(machine.universe, machine.k0):
+    after = {name: i + 1 for i, name in enumerate(names)}
+    tail = names[len(names) - k0 :]  # tail[i]: the last name prefix place i takes
+    states: list[object] = [None]  # states[i]: the state of the prefix's first i names
+    previous: tuple[str, ...] = ()
+    for prefix in combinations(names[:-1], k0 - 1):
+        # The place that moved on is the last one of the previous prefix not
+        # holding its last name; the states of the names before it stay.
+        keep = len(previous)
+        while keep and previous[keep - 1] == tail[keep - 1]:
+            keep -= 1
+        del states[keep or 1 :]  # states[0], of no names, always stays
+        for name in prefix[len(states) - 1 :]:
+            states.append(grow(states[-1], name))
+        previous, lasts = prefix, names[after[prefix[-1]] :] if prefix else names
         try:
-            found, count, top = check_block(prefix, lasts, len(prefix) + 1)
+            found, count, top = check_block(states[-1], prefix, lasts, k0)
         except Exception:  # whatever a check raises, the walk below raises again
             top = budget + 1
         if top > budget:
             # Walk the block branch by branch, so that the error names the
             # first guess that raises or overruns, as a per-branch loop does.
-            found, count, top = _run_block(
-                lambda combo, _: _branch(machine, combo), prefix, lasts, 0, range(len(lasts))
-            )
+            found, count, top = _per_branch(machine, (prefix + (last,) for last in lasts))
         explored += count
         if top > max_steps:
             max_steps = top
@@ -789,14 +795,18 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
     return SimulationResult(False, None, max_steps, explored)
 
 
-def _branch(machine: GuessCheckMachine, combo: tuple[str, ...]) -> tuple[bool, int]:
-    """Run one branch of ``machine``; a branch over the budget raises."""
-    accepted, steps = machine.run_branch(combo)
-    if steps > machine.budget:
-        raise BudgetExceededError(
-            f"branch {combo!r} used {steps} steps against budget {machine.budget}"
-        )
-    return accepted, steps
+def _per_branch(machine: GuessCheckMachine, combos: Iterable[tuple[str, ...]]) -> BlockResult:
+    """Run each guess through ``run_branch`` until one accepts, as a
+    ``check_block`` result; the first branch over the budget raises."""
+    top = count = 0
+    for combo in combos:
+        accepted, steps = machine.run_branch(combo)
+        if steps > machine.budget:
+            raise BudgetExceededError(f"branch {combo!r} used {steps} steps against budget {machine.budget}")
+        top, count = max(top, steps), count + 1
+        if accepted:
+            return count - 1, count, top
+    return None, count, top
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ variable subsets and propagating the forced indicator values, costs and
 budgets are summed term by term, occurrence profiles are read for every
 variable against every constraint, instance declarations are checked one
 name at a time in order, simulations walk every guess through the
-per-branch ``run_branch`` instead of the sibling blocks, and combined checks
+per-branch ``run_branch`` instead of the prefix walk's blocks, and combined checks
 run each part's own ``run_branch``.
 """
 

@@ -358,6 +358,21 @@ class TestHugeGuessesFinish:
         assert (done.returncode, done.stdout, done.stderr) == (EXIT_NOT_APPLICABLE, "", want)
 
 
+class TestLongConditionalWeightGuessesFinish:
+    """``simulate`` walks the prefixes of a 20,000-name guess one name per
+    level, without recursion: prefix states that each held their whole
+    prefix once ended in exit 3 (MemoryError) under the 1 GiB limit, and a
+    recursive walk would pass Python's recursion limit."""
+
+    def test_cw_machine_answers_unsat(self, tmp_path):
+        path = tmp_path / "inst.json"
+        gen = "--seed 3 --n 20000 --k0 20000 --profile cw --body 40 --cw-bound 2"
+        done = cli_child(["gen", *gen.split(), "--out", str(path)])
+        assert (done.returncode, done.stderr) == (EXIT_SAT, "")
+        done = cli_child(["solve", str(path), "--method", "cw-machine"])
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_UNSAT, "UNSAT\n", "")
+
+
 class TestWideConditionalWeightGuessesFinish:
     """A conditional-weight guess of 30 names walks only its stored table
     entries; listing its ``2**30`` subsets once ended in exit 3 (MemoryError)."""

@@ -86,7 +86,7 @@ from paramcsp import (
     solve_wd_pipeline,
 )
 import paramcsp
-from paramcsp._sets import guesses, lex_subsets, sibling_blocks, subsets_by_size
+from paramcsp._sets import guesses, lex_subsets, subsets_by_size
 from paramcsp.machines import _cw_budget, _rank, _tail_scans
 
 WS0 = WeightSet.finite((0,))
@@ -1030,28 +1030,34 @@ class TestPrefixCache:
     @settings(max_examples=300, deadline=None)
     @given(tables=prefix_tables(), combos=guess_sequences())
     def test_a_sequence_through_one_checker_matches_fresh_literal_checks(self, tables, combos):
-        # One checker sees every guess in turn, so each branch may be decided
-        # by the prefix state an earlier one left; the literal check of a
-        # fresh copy of the tables is the reference.
+        # One checker sees every guess in turn, in any order, and grows each
+        # guess's prefix state afresh; the literal check of a fresh copy of
+        # the tables is the reference.
         for combo in combos:
             want = outcome(literal_cw_check, replace(tables), combo, len(combo))
             assert outcome(tables.check, combo, len(combo)) == want, combo
 
     def test_a_lex_run_builds_one_state_per_prefix(self, monkeypatch):
-        checker = reduce_cw(_counting_unsat(6)).checker
+        # Every name is keyed, so each grown state goes through _grow. A state
+        # stays alive while its children grow, so its id names its prefix.
+        machine = reduce_cw(_counting_unsat(6))
+        want = literal_simulate(fresh_copy(machine))
+        name_of = {bit: name for name, bit in machine.checker.bits.items()}
+        prefix_of: dict[int, tuple[str, ...]] = {}
         built = []
         real = CWChecker._grow
 
-        def counting(self, parent, name):
-            state = real(self, parent, name)
-            built.append(state.key)
+        def counting(self, parent, bit):
+            state = real(self, parent, bit)
+            built.append(prefix_of.get(id(parent), ()) + (name_of[bit],))
+            prefix_of[id(state)] = built[-1]
             return state
 
         monkeypatch.setattr(CWChecker, "_grow", counting)
-        combos = list(combinations(sorted(checker.bits), 3))
-        assert_matches_literal_check(checker, combos)
-        # Each prefix, and each of its own prefixes, grows once, parents first.
-        assert built == sorted({combo[:i] for combo in combos for i in range(3)})
+        assert simulate(machine) == want
+        combos = list(combinations(machine.universe, 3))
+        # Each proper prefix of a guess grows once, parents first.
+        assert built == sorted({combo[:i] for combo in combos for i in (1, 2)})
 
     @pytest.mark.parametrize("build", ["cap", "row"])
     def test_decided_branches_skip_the_scan(self, build, monkeypatch):
@@ -1107,7 +1113,6 @@ class TestPrefixCache:
         fresh = replace(machine.checker)
         text = serialize_machine(machine)
         simulate(machine)
-        assert machine.checker.prefix is not None
         assert machine.checker == fresh
         assert machine == replace(machine, checker=fresh)
         assert serialize_machine(machine) == text
@@ -1121,6 +1126,17 @@ def _counting_unsat(n):
     return exact(names, 3, *body)
 
 
+def grown_blocks(checker, names, k0):
+    """The ``(k0 - 1)``-prefixes of the ``k0``-guesses of ``names``, in lex
+    order, as ``(state, prefix, lasts)``: the checker's state of the prefix
+    grown from the root by :meth:`grow`, and the names after the prefix."""
+    if k0 < 1:
+        return
+    for prefix in combinations(names[:-1], k0 - 1):
+        lasts = names[names.index(prefix[-1]) + 1 :] if prefix else names
+        yield reduce(checker.grow, prefix, None), prefix, lasts
+
+
 def per_last_block(check, prefix, lasts, steps):
     """``check_block`` read as the per-last loop: each guess in turn until one accepts."""
     top = 0
@@ -1132,11 +1148,11 @@ def per_last_block(check, prefix, lasts, steps):
     return None, len(lasts), top
 
 
-def calls_check(tables, prefix, last):
-    """Whether the block walk must run ``check`` on ``prefix + (last,)``, read
+def needs_scan(tables, prefix, last):
+    """Whether the block walk must scan ``prefix + (last,)``, read
     from the tables by name. A cap failure of the empty head at ``{}`` or at a
     prefix name decides the whole block. Otherwise the empty head's row decides
-    the guess, without a call, when its counts on tails of 1 to ``b`` names
+    the guess, without a scan, when its counts on tails of 1 to ``b`` names
     cannot escape ``sum_bound``, no subset of the guess is the union of an
     over-cap pair, and the last name's tails miss the prefix's remainder."""
     b, e = tables.b, frozenset()
@@ -1166,10 +1182,14 @@ def block_machines(draw):
     ones that some branch may overrun: built conditional-weight machines;
     hand-built tables, including forged ones whose partial sums escape;
     appearance machines under any cost model; appearance and
-    conditional-weight machines combined; and the always-rejecting machine."""
-    kind = draw(st.sampled_from(["cw", "tables", "appearance", "combined", "reject"]))
+    conditional-weight machines combined; combined machines nested up to
+    three levels deep (:func:`combined_machines`); and the always-rejecting
+    machine."""
+    kind = draw(st.sampled_from(["cw", "tables", "appearance", "combined", "nested", "reject"]))
     seed = draw(st.integers(0, 2**32 - 1))
-    if kind in ("cw", "combined"):
+    if kind == "nested":
+        machine = draw(combined_machines())
+    elif kind in ("cw", "combined"):
         cfg = InstanceConfig(
             n=draw(st.integers(1, 7)), k0=draw(st.integers(0, 4)), profile="cw",
             body_len=draw(st.integers(0, 8)), max_arity=draw(st.integers(1, 4)),
@@ -1209,24 +1229,6 @@ def fresh_copy(machine):
     return replace(machine, checker=replace(checker))
 
 
-class TestSiblingBlocks:
-    def test_blocks_list_the_nonempty_guesses_in_order(self):
-        for n in range(6):
-            names = tuple("abcdef"[:n])
-            for k0 in range(7):
-                blocks = list(sibling_blocks(names, k0))
-                assert all(lasts for _, lasts in blocks)
-                flat = [p + (x,) for p, lasts in blocks for x in lasts]
-                assert flat == [g for g in guesses(names, k0, True) if g], (n, k0)
-
-    def test_exact_blocks_hold_every_sibling(self):
-        blocks = list(sibling_blocks(tuple("abcd"), 3))
-        assert blocks == [(("a", "b"), ("c", "d")), (("a", "c"), ("d",)), (("b", "c"), ("d",))]
-
-    def test_a_guess_beyond_the_index_range_has_no_block(self):
-        assert list(sibling_blocks(("a",), 2**63)) == []
-
-
 @st.composite
 def combined_machines(draw):
     """Combined machines nested up to three levels deep, over the names of one
@@ -1264,10 +1266,10 @@ class TestCombinedCheck:
                 want = outcome(literal_combined_check, reference, combo, size)
                 assert outcome(checker.check, combo, size) == want, combo
         literal = partial(literal_combined_check, reference)
-        for prefix, lasts in sibling_blocks(machine.universe, machine.k0):
+        for state, prefix, lasts in grown_blocks(checker, machine.universe, machine.k0):
             steps = len(prefix) + 1
             want = outcome(per_last_block, literal, prefix, lasts, steps)
-            assert outcome(checker.check_block, prefix, lasts, steps) == want, prefix
+            assert outcome(checker.check_block, state, prefix, lasts, steps) == want, prefix
 
 
 class TestBlockWalk:
@@ -1293,22 +1295,22 @@ class TestBlockWalk:
         # Checked directly, not through simulate, whose re-walk of a raising
         # or overrunning block would hide a wrong block result.
         reference = replace(tables)
-        for prefix, lasts in sibling_blocks(tuple(NAMES[:6]), k0):
+        for state, prefix, lasts in grown_blocks(tables, tuple(NAMES[:6]), k0):
             steps = len(prefix) + 1
             want = outcome(per_last_block, reference.check, prefix, lasts, steps)
             literal = outcome(per_last_block, partial(literal_cw_check, reference), prefix, lasts, steps)
             assert want == literal
-            assert outcome(tables.check_block, prefix, lasts, steps) == want, prefix
+            assert outcome(tables.check_block, state, prefix, lasts, steps) == want, prefix
 
     @settings(max_examples=100, deadline=None)
     @given(inst=finite_bodies(("W", "explicit", "other")), cm=cost_models())
     def test_appearance_blocks_match_the_per_last_loop(self, inst, cm):
         checker = AppearanceChecker(inst.body, cm)
         k0 = max(inst.weight.k0, 1)
-        for prefix, lasts in sibling_blocks(inst.variables, k0):
+        for state, prefix, lasts in grown_blocks(checker, inst.variables, k0):
             steps = len(prefix) + 1
             want = per_last_block(checker.check, prefix, lasts, steps)
-            assert checker.check_block(prefix, lasts, steps) == want, prefix
+            assert checker.check_block(state, prefix, lasts, steps) == want, prefix
 
     def test_appearance_blocks_judge_the_prefix_once_for_untouched_lasts(self, monkeypatch):
         # Only a0 is in a constraint and no last is a0, so each block judges
@@ -1339,30 +1341,30 @@ class TestBlockWalk:
         assume(isinstance(result, SimulationResult))  # a raising block is walked again branch by branch
         walked = list(islice(guesses(machine.universe, k0, True), result.branches_explored))
         checked = []
-        real = CWChecker.check
+        real = CWChecker._scan
 
-        def counting(self, combo, steps):
+        def counting(self, guess, combo, steps):
             checked.append(combo)
-            return real(self, combo, steps)
+            return real(self, guess, combo, steps)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CWChecker, "check", counting)
+            patch.setattr(CWChecker, "_scan", counting)
             assert simulate(machine) == result
-        assert checked == [g for g in walked if not g or calls_check(tables, g[:-1], g[-1])]
+        assert checked == [g for g in walked if not g or needs_scan(tables, g[:-1], g[-1])]
 
     def test_a_built_machine_scans_only_what_its_row_leaves_open(self, monkeypatch):
         # With x the one tail of CW(d=0){1}, every guess without x misses the
-        # empty head's row; only {a, x} runs check, and it accepts.
+        # empty head's row; only {a, x} is scanned, and it accepts.
         machine = reduce_cw(exact("abcdx", 2, Constraint(CWRelation(WS1, head=0, tail=1), ("x",))))
         want = literal_simulate(fresh_copy(machine))
         checked = []
-        real = CWChecker.check
+        real = CWChecker._scan
 
-        def counting(self, combo, steps):
+        def counting(self, guess, combo, steps):
             checked.append(combo)
-            return real(self, combo, steps)
+            return real(self, guess, combo, steps)
 
-        monkeypatch.setattr(CWChecker, "check", counting)
+        monkeypatch.setattr(CWChecker, "_scan", counting)
         result = simulate(machine)
         assert result == want
         assert (result.witness, result.branches_explored) == (frozenset("ax"), 4)
@@ -1381,7 +1383,7 @@ class TestBlockWalk:
         decided = literal_cw_check(tables, ("a", "c"), 2)[1]
         assert scanned < decided
         machine = GuessCheckMachine(("a", "b", "c", "z"), 2, scanned, tables)
-        assert tables.check_block(("a",), ("b", "c"), 2) == (None, 2, decided)
+        assert tables.check_block(tables.grow(None, "a"), ("a",), ("b", "c"), 2) == (None, 2, decided)
         message = f"branch ('a', 'c') used {decided} steps against budget {scanned}"
         with pytest.raises(BudgetExceededError) as raised:
             simulate(machine)
@@ -1390,7 +1392,7 @@ class TestBlockWalk:
 
     def test_a_pair_column_moves_a_last_onto_the_row(self, monkeypatch):
         # Under b = 2, {a, c} reaches the empty head's row only through the
-        # pair {a, c}: 1 + 2 - 1 = 2. {a, b} misses it without a call.
+        # pair {a, c}: 1 + 2 - 1 = 2. {a, b} misses it without a scan.
         e, a, c = frozenset(), frozenset("a"), frozenset("c")
         tables = CWChecker(
             b=2, delta_sizes={(e, a): 1, (e, c): 2, (e, a | c): 1}, lambda_caps={},
@@ -1400,18 +1402,18 @@ class TestBlockWalk:
         want = literal_simulate(fresh_copy(machine))
         assert (want.witness, want.branches_explored) == (a | c, 2)
         checked = []
-        real = CWChecker.check
+        real = CWChecker._scan
 
-        def counting(self, combo, steps):
+        def counting(self, guess, combo, steps):
             checked.append(combo)
-            return real(self, combo, steps)
+            return real(self, guess, combo, steps)
 
-        monkeypatch.setattr(CWChecker, "check", counting)
+        monkeypatch.setattr(CWChecker, "_scan", counting)
         assert simulate(machine) == want
         assert checked == [("a", "c")]
 
     def test_an_overrun_before_a_raising_branch_is_named_first(self):
-        # {a, c} misses the empty head's row and is charged without a call;
+        # {a, c} misses the empty head's row and is charged without a scan;
         # {a, d} reaches it, then head {a} sums 2 against a bound of 1 and
         # raises. With room for neither, the overrun at {a, c} comes first.
         e, a, d = frozenset(), frozenset("a"), frozenset("d")
