@@ -54,7 +54,6 @@ from .instances import (
     weight_relation,
 )
 from .machines import (
-    ALWAYS_REJECT,
     AlwaysReject,
     AppearanceChecker,
     CombinedChecker,

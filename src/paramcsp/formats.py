@@ -19,7 +19,6 @@ from typing import Any, TypeVar
 from .errors import CapacityError, UsageError, ValidationError
 from .instances import Constraint, Instance, WeightKind, WeightParameter, weight_relation
 from .machines import (
-    ALWAYS_REJECT,
     AlwaysReject,
     AppearanceChecker,
     CombinedChecker,
@@ -331,7 +330,7 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
     _require_derived(_field(obj, "exact", path, bool), True, f"{path}.exact", "every machine has")
     budget = _field(obj, "budget", path, int, 0)
     if kind == "always-reject":
-        checker: Any = ALWAYS_REJECT
+        checker: Any = AlwaysReject()
         derived_budget = 0
     elif kind == "appearance":
         cost_model = _cost_model_from_doc(_get(obj, "cost_model", path), f"{path}.cost_model")

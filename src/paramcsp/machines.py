@@ -7,12 +7,13 @@ every branch and raises if one is exceeded, since that can only mean the
 budget arithmetic or the checker is wrong.
 
 Two checkers are compiled from instances. The appearance checker stores, per
-variable, the constraints it appears in, the set of constraints that reject
-the empty tuple, and the constraint table itself; a branch passes when every
-touched constraint accepts its selected positions and every empty-rejecting
-constraint is touched. The conditional-weight checker stores counting tables
-keyed by head-image and tail-image sets and accepts via an inclusion-exclusion
-identity, without ever looking at a concrete constraint during the branch.
+variable, the constraints it appears in with its scope positions in each, the
+constraints that reject the empty tuple, and the constraint table itself; a
+branch passes when every touched constraint accepts its selected positions
+and every empty-rejecting constraint is touched. The conditional-weight
+checker stores counting tables keyed by head-image and tail-image sets and
+accepts via an inclusion-exclusion identity, without ever looking at a
+concrete constraint during the branch.
 It runs on integer masks: each name in a table key owns one bit, and each
 stored head keeps a row (tail mask -> signed count) and its tail masks over
 the cap. A branch walks only the stored entries inside its guess, never its
@@ -21,11 +22,13 @@ Every head and pair up to the first failure is charged in closed form from
 the failing subset's rank in the literal every-head, every-pair scan, so
 steps match that scan and an accepting branch costs exactly the budget.
 
-:func:`simulate` walks guess prefixes depth first. Every checker answers
-``grow(state, name)``, the state of a prefix extended by one name (None: of
-the empty prefix, and of every prefix of a checker that keeps nothing), and
-``check_block(state, prefix, lasts, steps)``, which judges ``prefix + (x,)``
-for each last name ``x``; ``check(combo, steps)`` judges one guess alone.
+:func:`simulate` walks guess prefixes depth first and counts the branches.
+Every checker answers ``grow(state, name)``, the state of a prefix extended
+by one name (None: of the empty prefix, and of every prefix of a checker that
+keeps nothing), and ``check_block(state, prefix, lasts, steps)``, which judges
+``prefix + (x,)`` for each last name ``x`` up to the first accept and returns
+its index (or None) and the top step count. ``check(combo, steps)`` judges a
+single guess.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ from .relations import (
 )
 
 
-# ``check_block``'s accepting last index or None, lasts judged, and top step count.
-BlockResult = tuple[int | None, int, int]
+# ``check_block``'s accepting last index or None, and its top step count.
+BlockResult = tuple[int | None, int]
 
 
 @dataclass(frozen=True)
@@ -95,72 +98,64 @@ class AlwaysReject:
         return False, steps
 
     def check_block(self, state: None, prefix: tuple[str, ...], lasts: Sequence[str], steps: int) -> BlockResult:
-        return None, len(lasts), steps
-
-
-ALWAYS_REJECT = AlwaysReject()
+        return None, steps
 
 
 @dataclass(frozen=True)
 class AppearanceChecker:
     """Tables for the occurrence-based checker, all derived from the constraints.
 
-    ``e_v`` maps each variable to the 1-based body indices it appears in;
-    ``d_set`` lists the indices rejecting the empty tuple; ``positions`` maps
-    index -> variable -> scope positions. ``index_factors`` holds each
-    constraint's ``CostModel._index_factor``, the index part of :meth:`CostModel.cost`,
-    so a check calls only ``checker_cost`` per touched constraint.
+    ``occurrences`` maps each variable to its ``(index, scope positions)``
+    pairs, one per 1-based body index it appears in, in index order; ``e_v``
+    is its index column and ``d_set`` lists the indices rejecting the empty
+    tuple. A check reads each guessed name's row once into the selected
+    positions per touched constraint, then judges those in index order and the
+    ``d_set`` last. ``index_factors`` holds each ``CostModel._index_factor``,
+    the index part of :meth:`CostModel.cost`, so a check calls only
+    ``checker_cost`` per touched constraint.
     """
 
     constraints: tuple[Constraint, ...]
     cost_model: CostModel
     e_v: dict[str, tuple[int, ...]] = field(init=False)
     d_set: tuple[int, ...] = field(init=False)
-    positions: dict[int, dict[str, tuple[int, ...]]] = field(init=False, repr=False, compare=False)
+    occurrences: dict[str, tuple[tuple[int, tuple[int, ...]], ...]] = field(init=False, repr=False, compare=False)
     index_factors: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        occurrences: dict[str, list[int]] = {}
+        occurrences: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
         empty_rejecting: list[int] = []
-        pos: dict[int, dict[str, tuple[int, ...]]] = {}
         for i, c in enumerate(self.constraints, start=1):
             per: dict[str, list[int]] = {}
             for p, v in enumerate(c.scope, start=1):
                 per.setdefault(v, []).append(p)
-            pos[i] = {v: tuple(ps) for v, ps in per.items()}
-            for v in per:
-                occurrences.setdefault(v, []).append(i)
+            for v, ps in per.items():
+                occurrences.setdefault(v, []).append((i, tuple(ps)))
             if not c.relation._contains(frozenset()):
                 empty_rejecting.append(i)
-        object.__setattr__(self, "e_v", {v: tuple(ix) for v, ix in sorted(occurrences.items())})
+        rows = {v: tuple(row) for v, row in sorted(occurrences.items())}
+        object.__setattr__(self, "occurrences", rows)
+        object.__setattr__(self, "e_v", {v: tuple(i for i, _ in row) for v, row in rows.items()})
         object.__setattr__(self, "d_set", tuple(empty_rejecting))
-        object.__setattr__(self, "positions", pos)
         factors = tuple(self.cost_model._index_factor(c.relation.index) for c in self.constraints)
         object.__setattr__(self, "index_factors", factors)
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
         checker_cost = self.cost_model.checker_cost
-        touched: set[int] = set()
+        selected: dict[int, list[int]] = {}
         for v in combo:
-            ev = self.e_v.get(v)
-            if ev:
-                steps += len(ev)
-                touched.update(ev)
-        for i in sorted(touched):
-            c = self.constraints[i - 1]
-            pos = self.positions[i]
-            sel: list[int] = []
-            for v in combo:
-                ps = pos.get(v)
-                if ps:
-                    sel.extend(ps)
-            steps += len(sel)
-            steps += checker_cost(len(sel)) * self.index_factors[i - 1]
-            if not c.relation._contains(frozenset(sel)):
+            row = self.occurrences.get(v, ())
+            steps += len(row)
+            for i, ps in row:
+                selected.setdefault(i, []).extend(ps)
+        for i in sorted(selected):
+            sel = selected[i]
+            steps += len(sel) + checker_cost(len(sel)) * self.index_factors[i - 1]
+            if not self.constraints[i - 1].relation._contains(frozenset(sel)):
                 return False, steps
         steps += len(self.d_set)
         for i in self.d_set:
-            if i not in touched:
+            if i not in selected:
                 return False, steps
         return True, steps
 
@@ -169,20 +164,20 @@ class AppearanceChecker:
 
     def check_block(self, state: None, prefix: tuple[str, ...], lasts: Sequence[str], steps: int) -> BlockResult:
         """Check ``prefix + (x,)`` for each ``x`` in ``lasts``. A last in no
-        constraint adds no occurrence, position or constraint to the walk, so
-        it gets the verdict and charge of ``prefix`` itself, judged once."""
+        constraint has no row, so it gets the verdict and charge of
+        ``prefix`` itself, judged once."""
         top = 0
         untouched = None
         for i, last in enumerate(lasts):
-            if last in self.e_v:
+            if last in self.occurrences:
                 accepted, charged = self.check(prefix + (last,), steps)
             else:  # a verdict pair is never empty, so it is judged once
                 accepted, charged = untouched = untouched or self.check(prefix, steps)
             if charged > top:
                 top = charged
             if accepted:
-                return i, i + 1, top
-        return None, len(lasts), top
+                return i, top
+        return None, top
 
 
 TableKey = tuple[frozenset[str], frozenset[str]]
@@ -213,11 +208,14 @@ def _tail_scans(k: int, b: int) -> tuple[int, int, int, int]:
 
 
 @lru_cache(maxsize=256)
-def _miss_charge(k: int, b: int) -> int:
-    """The charge of a guess of ``k`` names that passes the cap scan and
-    misses the empty head's row: every head's pairs, then the empty head's terms."""
-    pairs, pair_scan, _, term_scan = _tail_scans(k, b)
-    return pairs * (k << k >> 1) + (pair_scan << k) + term_scan
+def _scan_charges(k: int, b: int) -> tuple[int, int, int]:
+    """``(cap_pass, miss, accept)``: the literal scan's charge of a guess of
+    ``k`` names after every head's pairs, after the empty head's terms too
+    (missing its row), and after every head's terms (accepting)."""
+    pairs, pair_scan, terms, term_scan = _tail_scans(k, b)
+    head_sizes = k << k >> 1  # sum i * C(k, i): the names in the 2**k heads
+    cap_pass = pairs * head_sizes + (pair_scan << k)
+    return cap_pass, cap_pass + term_scan, cap_pass + (terms + 1) * head_sizes + (term_scan << k)
 
 
 def _low_bits(mask: int) -> list[int]:
@@ -378,7 +376,7 @@ class CWChecker:
         under its prefix's state grown from the root; returns (accepted, steps)."""
         if not combo:
             return self._scan(0, combo, steps)
-        found, _, top = self.check_block(reduce(self.grow, combo[:-1], None), combo[:-1], combo[-1:], steps)
+        found, top = self.check_block(reduce(self.grow, combo[:-1], None), combo[:-1], combo[-1:], steps)
         return found is not None, top
 
     def _scan(self, guess: int, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
@@ -386,7 +384,7 @@ class CWChecker:
         k = len(combo)
         outside = ~guess
         pairs, pair_scan, terms, term_scan = _tail_scans(k, self.b)
-        head_sizes = k << k >> 1  # the summed sizes of the 2**k heads
+        cap_pass, _, accept = _scan_charges(k, self.b)
         for head, capped in self.over_cap.items():
             if not head & outside:
                 failing = [g for g in capped if not g & outside]
@@ -398,13 +396,12 @@ class CWChecker:
                     sizes += tail.bit_count()
                     steps += pairs * before + rank * pair_scan
                     return False, steps + (head.bit_count() + 1) * j + sizes
-        steps += pairs * head_sizes + (pair_scan << k)
         for head, row in self.rows.items():
             if not head & outside and self._tail_sum(row, guess, self.b) != -row.get(0, 0):
                 rank, before = self._rank_of(combo, head)
                 sizes = before + head.bit_count()  # of the heads up to this one
-                return False, steps + (terms + 1) * sizes + (rank + 1) * term_scan
-        return True, steps + (terms + 1) * head_sizes + (term_scan << k)
+                return False, steps + cap_pass + (terms + 1) * sizes + (rank + 1) * term_scan
+        return True, steps + accept
 
     def _rank_of(self, combo: tuple[str, ...], mask: int) -> tuple[int, int]:
         """:func:`_rank` of the subset of ``combo`` whose keyed names make ``mask``."""
@@ -422,8 +419,8 @@ class CWChecker:
         reaches the prefix's remainder are scanned; the rest miss the row."""
         size, mask, cap_charge, sums, closers, missing = state or self.root
         if cap_charge is not None:
-            return None, len(lasts), steps + cap_charge
-        miss = steps + _miss_charge(size + 1, self.b)
+            return None, steps + cap_charge
+        miss = steps + _scan_charges(size + 1, self.b)[1]
         top = 0
         for i, last in enumerate(lasts):
             bit = self.bits.get(last)  # None for names in no key: they read zero
@@ -434,8 +431,8 @@ class CWChecker:
             if charged > top:
                 top = charged
             if accepted:
-                return i, i + 1, top
-        return None, len(lasts), top
+                return i, top
+        return None, top
 
     def grow(self, state: _Prefix | None, name: str) -> _Prefix:
         """``state``'s prefix extended by ``name``; a name in no key reads
@@ -539,20 +536,20 @@ class CombinedChecker:
         would, each part judging the guess as a block of one from its state."""
         k = len(prefix) + 1
         if k != self.first.k0:
-            return None, len(lasts), steps + k
+            return None, steps + k
         first, second = self.first.checker.check_block, self.second.checker.check_block
         first_state, second_state = state or (None, None)
         top, steps = 0, steps + k
         for i, last in enumerate(lasts):
             one = (last,)
-            found, _, charged = first(first_state, prefix, one, steps)
+            found, charged = first(first_state, prefix, one, steps)
             if found is not None:
-                found, _, charged = second(second_state, prefix, one, charged + k)
+                found, charged = second(second_state, prefix, one, charged + k)
             if charged > top:
                 top = charged
             if found is not None:
-                return i, i + 1, top
-        return None, len(lasts), top
+                return i, top
+        return None, top
 
 
 Checker = AlwaysReject | AppearanceChecker | CWChecker | CombinedChecker
@@ -601,7 +598,7 @@ def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> Gu
     universe = tuple(sorted(inst.variables))
     checker = AppearanceChecker(inst.body, cm)
     if len(checker.d_set) > k0 * t0:
-        return GuessCheckMachine(universe, k0, 0, ALWAYS_REJECT)
+        return GuessCheckMachine(universe, k0, 0, AlwaysReject())
     weight_cap = k0 * e0
     # A check costs base(w) * log-factor(index), both at least 0 and
     # nondecreasing, so the largest index at weight_cap bounds every check.
@@ -620,9 +617,7 @@ def _cw_shared_bound(inst: Instance) -> int:
         ws = rel.weights
         cb = len(ws.values)
         if ws.kind is not WeightSetKind.FINITE or ws.values != tuple(range(1, cb + 1)):
-            raise NotApplicableError(
-                f"constraint {i} tail weights must be an initial segment 1..b"
-            )
+            raise NotApplicableError(f"constraint {i} tail weights must be an initial segment 1..b")
         if bound is None:
             bound = cb
         elif bound != cb:
@@ -663,14 +658,7 @@ def build_cw_tables(inst: Instance, k0: int) -> CWChecker:
         raise ParamCSPError(f"{entries} stored table entries exceed the cap {cap}")
     if not all(len(bset) <= k0 and len(g) <= g_cap for bset, g in delta_sizes):
         raise ParamCSPError("oversized table key")
-    sum_bound = n_size * _tail_scans(k0, b)[2]
-    return CWChecker(
-        b=b,
-        delta_sizes=delta_sizes,
-        lambda_caps=lambda_caps,
-        delta_empty=delta_empty,
-        sum_bound=sum_bound,
-    )
+    return CWChecker(b, delta_sizes, lambda_caps, delta_empty, sum_bound=n_size * _tail_scans(k0, b)[2])
 
 
 def inclusion_exclusion_union(
@@ -699,20 +687,12 @@ def inclusion_exclusion_union(
 
 
 def _cw_budget(k0: int, b: int) -> int:
-    """Exact cost of one full conditional-weight check at guess size ``k0``.
-
-    Writing the guess costs ``k0``; every head ``B`` then costs
-    ``|B| * (pairs + terms + 1) + pair_scan + term_scan`` (see
-    :func:`_tail_scans`). Summed over the heads, ``sum C(k0, i)`` is ``2**k0``
-    and ``sum i * C(k0, i)`` is ``k0 * 2**(k0 - 1)``.
-    """
+    """Exact cost of one full conditional-weight check at guess size ``k0``:
+    ``k0`` for writing the guess, then the charge of an accepting scan
+    (:func:`_scan_charges`). A ``k0`` above the guess cap is refused first."""
     if k0 > _GUESS_CAP:
-        raise CapacityError(
-            f"guess size {k0} above the conditional-weight bound {_GUESS_CAP}"
-        )
-    pairs, pair_scan, terms, term_scan = _tail_scans(k0, b)
-    heads = 2**k0
-    return k0 + k0 * heads // 2 * (pairs + terms + 1) + heads * (pair_scan + term_scan)
+        raise CapacityError(f"guess size {k0} above the conditional-weight bound {_GUESS_CAP}")
+    return k0 + _scan_charges(k0, b)[2]
 
 
 def reduce_cw(inst: Instance) -> GuessCheckMachine:
@@ -721,12 +701,7 @@ def reduce_cw(inst: Instance) -> GuessCheckMachine:
         raise NotApplicableError("table machines need an exact weight bound; lift first")
     k0 = inst.weight.k0
     checker = build_cw_tables(inst, k0)
-    return GuessCheckMachine(
-        universe=tuple(sorted(inst.variables)),
-        k0=k0,
-        budget=_cw_budget(k0, checker.b),
-        checker=checker,
-    )
+    return GuessCheckMachine(tuple(sorted(inst.variables)), k0, _cw_budget(k0, checker.b), checker)
 
 
 def combine_machines(first: GuessCheckMachine, second: GuessCheckMachine) -> GuessCheckMachine:
@@ -755,13 +730,14 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
     later last name, goes to ``check_block``, and its largest step count is
     held against the budget. A block that overruns it or raises is walked again
     through ``run_branch``, so the error names the first guess that overruns or
-    raises, as a per-branch loop would.
+    raises, as a per-branch loop would. A block adds to ``branches_explored``
+    its guesses up to the accepting one, or all of them.
     """
     names, k0, budget = machine.universe, machine.k0, machine.budget
     if isinstance(machine.checker, AlwaysReject) or k0 > len(names):
         return SimulationResult(False, None, 0, 0)
     if k0 == 0:
-        found, _, steps = _per_branch(machine, [()])
+        found, steps = _per_branch(machine, [()])
         return SimulationResult(found is not None, frozenset() if found is not None else None, steps, 1)
     grow, check_block = machine.checker.grow, machine.checker.check_block
     max_steps = explored = 0
@@ -780,14 +756,14 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
             states.append(grow(states[-1], name))
         previous, lasts = prefix, names[after[prefix[-1]] :] if prefix else names
         try:
-            found, count, top = check_block(states[-1], prefix, lasts, k0)
+            found, top = check_block(states[-1], prefix, lasts, k0)
         except Exception:  # whatever a check raises, the walk below raises again
             top = budget + 1
         if top > budget:
             # Walk the block branch by branch, so that the error names the
             # first guess that raises or overruns, as a per-branch loop does.
-            found, count, top = _per_branch(machine, (prefix + (last,) for last in lasts))
-        explored += count
+            found, top = _per_branch(machine, (prefix + (last,) for last in lasts))
+        explored += len(lasts) if found is None else found + 1
         if top > max_steps:
             max_steps = top
         if found is not None:
@@ -798,15 +774,15 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
 def _per_branch(machine: GuessCheckMachine, combos: Iterable[tuple[str, ...]]) -> BlockResult:
     """Run each guess through ``run_branch`` until one accepts, as a
     ``check_block`` result; the first branch over the budget raises."""
-    top = count = 0
-    for combo in combos:
+    top = 0
+    for i, combo in enumerate(combos):
         accepted, steps = machine.run_branch(combo)
         if steps > machine.budget:
             raise BudgetExceededError(f"branch {combo!r} used {steps} steps against budget {machine.budget}")
-        top, count = max(top, steps), count + 1
+        top = max(top, steps)
         if accepted:
-            return count - 1, count, top
-    return None, count, top
+            return i, top
+    return None, top
 
 
 @dataclass(frozen=True)

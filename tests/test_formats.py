@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from corpus_helpers import atmost_config, instances, machine_config
 from paramcsp import (
-    ALWAYS_REJECT,
     PROFILES,
     AffineCost,
+    AlwaysReject,
     CapacityError,
     Constraint,
     CostModel,
@@ -485,7 +485,7 @@ class TestMachineDocuments:
         assert back.checker.cost_model == CostModel(2, AffineCost(3, 1))
 
     def test_integers_too_long_to_print_are_a_capacity_fault(self):
-        huge = GuessCheckMachine(("a",), 1, 10**5000, ALWAYS_REJECT)
+        huge = GuessCheckMachine(("a",), 1, 10**5000, AlwaysReject())
         with pytest.raises(CapacityError, match="cannot write the document"):
             serialize_machine(huge)
         with pytest.raises(CapacityError, match="cannot write the document"):

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations, islice, product
 from math import comb
 
 import pytest
@@ -26,10 +27,13 @@ from paramcsp import (
     WRelation,
     brute_force_solve,
     compute_h,
+    lift_kle_to_k,
     param_e,
     profile_classes,
+    reduce_appearance,
     satisfies,
     shared_weight_set,
+    simulate,
     solve_w_kt,
     solve_w_kt_with_stats,
     solve_w_kue,
@@ -315,3 +319,65 @@ class TestSolveKt:
                 if got is not None:
                     assert satisfies(inst, got)
         assert ran >= 150
+
+
+# Every weight set over small weights: finite or cofinite over each subset of
+# {0..3}, even and odd (34 sets).
+SMALL_WEIGHTS = [
+    make(values)
+    for make in (WeightSet.finite, WeightSet.cofinite)
+    for size in range(5)
+    for values in combinations(range(4), size)
+] + [WeightSet.even(), WeightSet.odd()]
+
+
+def small_scope_bodies(every_pair=1):
+    """Weight-set bodies over a, b, c: for each weight set, each constraint
+    of arity 1-3 (names may repeat) alone and, every ``every_pair``-th in
+    order, in unordered pairs of distinct constraints sharing that set."""
+    scopes = [scope for arity in range(1, 4) for scope in product("abc", repeat=arity)]
+    bodies = []
+    for weights in SMALL_WEIGHTS:
+        ones = [Constraint(WRelation(weights, len(scope)), scope) for scope in scopes]
+        bodies += [(c,) for c in ones] + list(islice(combinations(ones, 2), 0, None, every_pair))
+    return bodies
+
+
+def assert_small_scope(bodies):
+    """Over universe a-d, with d in no constraint, ``k0`` from 0 to 3, exact
+    and at-most: both fpt solvers (the count bound only on weight sets without
+    0) agree with brute force on the accept bit and give satisfying witnesses,
+    and the appearance machine of the lifted instance accepts as brute force
+    does, with brute force's witness on exact instances."""
+    for body in bodies:
+        solvers = (solve_w_kue,) if body[0].relation.weights.contains(0) else (solve_w_kue, solve_w_kt)
+        for kind in (EXACT, ATMOST):
+            for k0 in range(4):
+                inst = Instance(tuple("abcd"), WeightParameter(kind, k0), body)
+                want = brute_force_solve(inst)
+                for solve in solvers:
+                    got = solve(inst)
+                    assert (got is None) == (want is None), (solve.__name__, inst)
+                    assert got is None or satisfies(inst, got), (solve.__name__, inst)
+                result = simulate(reduce_appearance(inst if kind is EXACT else lift_kle_to_k(inst)))
+                assert result.accepted == (want is not None), inst
+                if result.accepted:
+                    witness = result.witness.intersection(inst.variables)
+                    assert (witness == want) if kind is EXACT else satisfies(inst, witness), inst
+
+
+class TestSmallScope:
+    """Every small weight-set instance, after the small-scope hypothesis
+    (Jackson, Software Abstractions, 2006): tier-1 runs the one-constraint
+    bodies and every tenth pair, the ``slow`` run all pairs."""
+
+    def test_one_constraint_and_every_tenth_pair(self):
+        bodies = small_scope_bodies(every_pair=10)
+        assert len(bodies) * 8 == 31_008
+        assert_small_scope(bodies)
+
+    @pytest.mark.slow
+    def test_every_pair(self):
+        bodies = small_scope_bodies()
+        assert len(bodies) * 8 == 212_160
+        assert_small_scope(bodies)

@@ -41,8 +41,8 @@ from oracles import (
     union_premise_holds,
 )
 from paramcsp import (
-    ALWAYS_REJECT,
     AffineCost,
+    AlwaysReject,
     AppearanceChecker,
     BudgetExceededError,
     CapacityError,
@@ -193,24 +193,24 @@ ONE_OF_TWO = exact(
 class TestGuessCheckMachine:
     def test_universe_must_be_sorted(self):
         with pytest.raises(ValidationError, match="sorted"):
-            GuessCheckMachine(("b", "a"), 1, 0, ALWAYS_REJECT)
+            GuessCheckMachine(("b", "a"), 1, 0, AlwaysReject())
 
     def test_universe_must_be_duplicate_free(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            GuessCheckMachine(("a", "a"), 1, 0, ALWAYS_REJECT)
+            GuessCheckMachine(("a", "a"), 1, 0, AlwaysReject())
 
     @pytest.mark.parametrize("k0", [-1, True, "2"])
     def test_rejects_bad_guess_bounds(self, k0):
         with pytest.raises(ValidationError):
-            GuessCheckMachine(("a",), k0, 0, ALWAYS_REJECT)
+            GuessCheckMachine(("a",), k0, 0, AlwaysReject())
 
     def test_rejects_negative_budget(self):
         with pytest.raises(ValidationError, match="budget"):
-            GuessCheckMachine(("a",), 1, -3, ALWAYS_REJECT)
+            GuessCheckMachine(("a",), 1, -3, AlwaysReject())
 
     def test_rejects_boolean_budget(self):
         with pytest.raises(ValidationError, match="budget"):
-            GuessCheckMachine(("x",), 0, True, ALWAYS_REJECT)
+            GuessCheckMachine(("x",), 0, True, AlwaysReject())
 
     def test_exact_branch_rejects_wrong_size(self):
         m = GuessCheckMachine(("a", "b"), 2, 10, trivial_cw_checker())
@@ -326,7 +326,7 @@ class TestReduceAppearance:
             Constraint(WRelation(WS1, 1), (v,)) for v in ("x", "y", "z")
         )
         m = reduce_appearance(exact("xyz", 1, *body))
-        assert m.checker is ALWAYS_REJECT
+        assert m.checker == AlwaysReject()
         assert m.budget == 0
         assert simulate(m) == SimulationResult(False, None, 0, 0)
         assert brute_force_solve(exact("xyz", 1, *body)) is None
@@ -339,7 +339,7 @@ class TestReduceAppearance:
         ck = AppearanceChecker(body, CostModel())
         assert ck.e_v == {"x": (1, 2), "y": (1,)}
         assert ck.d_set == (1,)
-        assert ck.positions == {1: {"y": (1, 3), "x": (2,)}, 2: {"x": (1,)}}
+        assert ck.occurrences == {"x": ((1, (2,)), (2, (1,))), "y": ((1, (1, 3)),)}
         assert ck == reduce_appearance(exact("xy", 1, *body)).checker
         with pytest.raises(TypeError):
             AppearanceChecker(body, CostModel(), e_v={}, d_set=())
@@ -352,7 +352,7 @@ class TestReduceAppearance:
         # every constraint at every weight.
         inst = replace(inst, weight=WeightParameter(WeightKind.EXACT, k0))
         m = reduce_appearance(inst, cm)
-        if m.checker is ALWAYS_REJECT:
+        if m.checker == AlwaysReject():
             return
         kt = k0 * param_t(inst)
         weight_cap = k0 * param_e(inst)
@@ -397,7 +397,7 @@ class TestReduceAppearance:
     def test_occurrence_lists_respect_parameters(self):
         for case, inst in instances(60, machine_config, salt=14):
             m = reduce_appearance(inst)
-            if m.checker is ALWAYS_REJECT:
+            if m.checker == AlwaysReject():
                 continue
             t0 = param_t(inst)
             for v, hit in m.checker.e_v.items():
@@ -436,8 +436,8 @@ class TestCombineMachines:
     @pytest.mark.parametrize(
         "second,needle",
         [
-            (GuessCheckMachine(("b",), 1, 1, ALWAYS_REJECT), "machines disagree on the universe"),
-            (GuessCheckMachine(("a",), 2, 1, ALWAYS_REJECT), "machines disagree on the guess bound"),
+            (GuessCheckMachine(("b",), 1, 1, AlwaysReject()), "machines disagree on the universe"),
+            (GuessCheckMachine(("a",), 2, 1, AlwaysReject()), "machines disagree on the guess bound"),
         ],
         ids=["universe", "guess-bound"],
     )
@@ -462,7 +462,7 @@ class TestCombineMachines:
 
     def test_rejecting_first_part_rejects_everything(self):
         m = reduce_appearance(POSITIVE_X)
-        reject = GuessCheckMachine(m.universe, m.k0, 0, ALWAYS_REJECT)
+        reject = GuessCheckMachine(m.universe, m.k0, 0, AlwaysReject())
         res = simulate(combine_machines(reject, m))
         assert not res.accepted
         assert res.witness is None
@@ -488,7 +488,7 @@ class TestCombineMachines:
     def test_self_conjunction_agrees_on_corpus(self):
         for case, inst in instances(40, machine_config, salt=16):
             m = reduce_appearance(inst)
-            if m.checker is ALWAYS_REJECT:
+            if m.checker == AlwaysReject():
                 continue
             single = simulate(m)
             double = simulate(combine_machines(m, m))
@@ -629,6 +629,13 @@ class TestInclusionExclusionUnion:
     def test_zero_bound_means_zero(self):
         t = build_cw_tables(ONE_OF_TWO, 2)
         assert inclusion_exclusion_union(t, {"x"}, {"y"}, 0) == 0
+
+    @pytest.mark.parametrize("head", [{"w"}, {"x", "w"}])
+    def test_a_head_name_in_no_key_means_zero(self, head):
+        # w is in no table key, so no stored head holds it.
+        t = build_cw_tables(ONE_OF_TWO, 2)
+        assert "w" not in t.bits
+        assert inclusion_exclusion_union(t, head, {"y", "z"}, 2) == literal_union(t, head, {"y", "z"}, 2) == 0
 
     @pytest.mark.parametrize(
         "head,cands,want", [({"x"}, {"y"}, 1), ({"x"}, {"z"}, 1), ({"y"}, {"z"}, 0)]
@@ -1144,8 +1151,8 @@ def per_last_block(check, prefix, lasts, steps):
         accepted, charged = check(prefix + (last,), steps)
         top = max(top, charged)
         if accepted:
-            return i, i + 1, top
-    return None, len(lasts), top
+            return i, top
+    return None, top
 
 
 def needs_scan(tables, prefix, last):
@@ -1203,7 +1210,7 @@ def block_machines(draw):
         machine = reduce_appearance(draw(finite_bodies(("W", "explicit", "other"))), draw(cost_models()))
     else:
         names = tuple(sorted(draw(st.sets(st.sampled_from(NAMES[:6]), max_size=6))))
-        checker = ALWAYS_REJECT
+        checker = AlwaysReject()
         if kind == "tables":
             checker = draw(st.one_of(hand_built_tables(), prefix_tables()))
         machine = GuessCheckMachine(names, draw(st.integers(0, 4)), 10**6, checker)
@@ -1242,7 +1249,7 @@ def combined_machines(draw):
     )
     first, second = (random_instance(draw(st.integers(0, 2**32 - 1)), cfg) for _ in range(2))
     cw = reduce_cw(first)
-    reject = GuessCheckMachine(cw.universe, cw.k0, 0, ALWAYS_REJECT)
+    reject = GuessCheckMachine(cw.universe, cw.k0, 0, AlwaysReject())
     leaves = [reduce_appearance(first), cw, reduce_cw(second), reject]
 
     def part(depth):
@@ -1270,6 +1277,17 @@ class TestCombinedCheck:
             steps = len(prefix) + 1
             want = outcome(per_last_block, literal, prefix, lasts, steps)
             assert outcome(checker.check_block, state, prefix, lasts, steps) == want, prefix
+
+
+    def test_blocks_of_the_wrong_guess_size_reject_as_check_does(self):
+        # k0 = 2: blocks under a prefix of 0 or 2 names judge guesses of 1 or 3.
+        inst = exact("abcd", 2, Constraint(CWRelation(WS1, head=0, tail=1), ("a",)))
+        checker = combine_machines(reduce_appearance(inst), reduce_cw(inst)).checker
+        for prefix, lasts in [((), ("a", "b", "c", "d")), (("a", "b"), ("c", "d"))]:
+            for steps in (0, 5):
+                want = per_last_block(checker.check, prefix, lasts, steps)
+                assert want == (None, steps + len(prefix) + 1)
+                assert checker.check_block(reduce(checker.grow, prefix, None), prefix, lasts, steps) == want
 
 
 class TestBlockWalk:
@@ -1383,7 +1401,7 @@ class TestBlockWalk:
         decided = literal_cw_check(tables, ("a", "c"), 2)[1]
         assert scanned < decided
         machine = GuessCheckMachine(("a", "b", "c", "z"), 2, scanned, tables)
-        assert tables.check_block(tables.grow(None, "a"), ("a",), ("b", "c"), 2) == (None, 2, decided)
+        assert tables.check_block(tables.grow(None, "a"), ("a",), ("b", "c"), 2) == (None, decided)
         message = f"branch ('a', 'c') used {decided} steps against budget {scanned}"
         with pytest.raises(BudgetExceededError) as raised:
             simulate(machine)
