@@ -18,11 +18,7 @@ from .errors import (
     ValidationError,
 )
 from .fpt_solvers import (
-    ProfileClass,
     SolveStats,
-    compute_h,
-    profile_classes,
-    shared_weight_set,
     solve_w_kt,
     solve_w_kt_with_stats,
     solve_w_kue,

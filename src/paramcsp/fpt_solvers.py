@@ -25,17 +25,8 @@ from dataclasses import dataclass
 from itertools import filterfalse
 
 from .errors import NotApplicableError, ParamCSPError
-from .instances import Instance, WeightKind, param_e, param_t, satisfies
+from .instances import Instance, WeightKind, _meets, param_e, param_t
 from .relations import WeightSet, WeightSetKind, WRelation
-
-
-@dataclass(frozen=True)
-class ProfileClass:
-    """Variables sharing one capped occurrence profile across the body."""
-
-    profile: tuple[int, ...]
-    count: int
-    representatives: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -48,7 +39,7 @@ class SolveStats:
     pruned: bool = False
 
 
-def shared_weight_set(inst: Instance) -> WeightSet | None:
+def _shared_weight_set(inst: Instance) -> WeightSet | None:
     """The single weight set used by every body constraint; None for an empty body."""
     shared: WeightSet | None = None
     for i, c in enumerate(inst.body, start=1):
@@ -62,24 +53,21 @@ def shared_weight_set(inst: Instance) -> WeightSet | None:
     return shared
 
 
-def compute_h(inst: Instance, weights: WeightSet) -> int:
+def _cap(inst: Instance, weights: WeightSet | None) -> int:
     """Occurrence cap: min of the instance's per-constraint bound and the
-    largest structurally relevant weight of the shared set."""
-    shared = shared_weight_set(inst)
-    if shared is not None and shared != weights:
-        raise NotApplicableError("the body does not share the given weight set")
-    candidates = [param_e(inst)]
-    if weights.kind in (WeightSetKind.FINITE, WeightSetKind.COFINITE) and weights.values:
-        candidates.append(max(weights.values))
-    return min(candidates)
+    largest structurally relevant weight of the shared set (0 for an empty body)."""
+    h = param_e(inst)
+    if weights is not None and weights.kind in (WeightSetKind.FINITE, WeightSetKind.COFINITE) and weights.values:
+        h = min(h, max(weights.values))
+    return h
 
 
-def profile_classes(inst: Instance, h: int) -> tuple[ProfileClass, ...]:
+def _profile_classes(inst: Instance, h: int) -> list[tuple[tuple[int, ...], list[str]]]:
     """Group variables by their occurrence profiles, capped at ``h + 1`` (``h >= 0``).
 
-    Classes come in profile order, each listing its names sorted. Rows are
-    counted per scope for the touched variables only; the all-zero class is
-    the sorted names filtered by the rows in one C-level pass.
+    Classes come as ``(profile, names)`` pairs in profile order, names sorted.
+    Rows are counted per scope for the touched variables only; the all-zero
+    class is the sorted names filtered by the rows in one C-level pass.
     """
     over = h + 1
     width = len(inst.body)
@@ -100,26 +88,23 @@ def profile_classes(inst: Instance, h: int) -> tuple[ProfileClass, ...]:
         groups[(0,) * width] = untouched
     for v in sorted(rows):
         groups.setdefault(tuple(rows[v]), []).append(v)
-    return tuple(
-        ProfileClass(prof, len(names), tuple(names))
-        for prof, names in sorted(groups.items())
-    )
+    return sorted(groups.items())
 
 
 def _feasible(
     weights: WeightSet,
     h: int,
-    classes: tuple[ProfileClass, ...],
+    classes: list[tuple[tuple[int, ...], list[str]]],
     vector: tuple[int, ...],
     body_len: int,
 ) -> bool:
     for i in range(body_len):
         total = 0
         capped = False
-        for cls, n in zip(classes, vector):
+        for (profile, _), n in zip(classes, vector):
             if not n:
                 continue
-            m = cls.profile[i]
+            m = profile[i]
             if m > h:
                 capped = True
                 break
@@ -135,24 +120,23 @@ def _feasible(
     return True
 
 
-def _count_vectors(classes: tuple[ProfileClass, ...], target: int):
-    """All ways to pick ``target`` variables across classes, lexicographically."""
-    caps = [cls.count for cls in classes]
-    room_after = [0] * (len(classes) + 1)
-    for j in range(len(classes) - 1, -1, -1):
+def _count_vectors(caps: list[int], target: int):
+    """All ways to pick ``target`` variables across classes of sizes ``caps``, lexicographically."""
+    room_after = [0] * (len(caps) + 1)
+    for j in range(len(caps) - 1, -1, -1):
         room_after[j] = room_after[j + 1] + caps[j]
-    counts = [0] * len(classes)
+    counts = [0] * len(caps)
     raised, remaining = -1, target
     while True:
         if remaining > room_after[raised + 1]:
             return
         # Place ``remaining`` after the raised class as late as the caps allow.
-        for j in range(raised + 1, len(classes)):
+        for j in range(raised + 1, len(caps)):
             counts[j] = max(0, remaining - room_after[j + 1])
             remaining -= counts[j]
         yield tuple(counts)
         # Raise the rightmost count that can take one variable from the classes after it.
-        for raised in range(len(classes) - 1, -1, -1):
+        for raised in range(len(caps) - 1, -1, -1):
             if remaining and counts[raised] < caps[raised]:
                 counts[raised] += 1
                 remaining -= 1
@@ -162,30 +146,37 @@ def _count_vectors(classes: tuple[ProfileClass, ...], target: int):
             return
 
 
-def solve_w_kue_with_stats(inst: Instance) -> tuple[frozenset[str] | None, SolveStats]:
-    """Profile-class solver; returns the witness and instrumentation counters."""
-    weights = shared_weight_set(inst)
-    h = compute_h(inst, weights) if weights is not None else 0
-    classes = profile_classes(inst, h)
+def _solve(inst: Instance, weights: WeightSet | None) -> tuple[frozenset[str] | None, SolveStats]:
+    """Enumerate count vectors over the profile classes of ``inst``, whose
+    body shares ``weights`` (None for an empty body)."""
+    h = _cap(inst, weights)
+    classes = _profile_classes(inst, h)
+    sizes = [len(names) for _, names in classes]
     body_len = len(inst.body)
     k0 = inst.weight.k0
     # No count vector sums past the variable count, so larger targets are skipped.
     targets = (k0,) if inst.weight.kind is WeightKind.EXACT else range(min(k0, len(inst.variables)) + 1)
     tested = 0
     for target in targets:
-        for vector in _count_vectors(classes, target):
+        for vector in _count_vectors(sizes, target):
             tested += 1
             if body_len and not _feasible(weights, h, classes, vector, body_len):
                 continue
             witness = frozenset(
                 name
-                for cls, n in zip(classes, vector)
-                for name in cls.representatives[:n]
+                for (_, names), n in zip(classes, vector)
+                for name in names[:n]
             )
-            if not satisfies(inst, witness):
+            # The witness is drawn from the classes, so it holds only declared names.
+            if not _meets(inst, witness):
                 raise ParamCSPError("representative witness failed its instance")
             return witness, SolveStats(h, len(classes), tested)
     return None, SolveStats(h, len(classes), tested)
+
+
+def solve_w_kue_with_stats(inst: Instance) -> tuple[frozenset[str] | None, SolveStats]:
+    """Profile-class solver; returns the witness and instrumentation counters."""
+    return _solve(inst, _shared_weight_set(inst))
 
 
 def solve_w_kue(inst: Instance) -> frozenset[str] | None:
@@ -200,13 +191,12 @@ def solve_w_kt_with_stats(inst: Instance) -> tuple[frozenset[str] | None, SolveS
     cannot all be touched by k0 variables and the instance is rejected
     without enumerating anything.
     """
-    weights = shared_weight_set(inst)
-    if weights is not None and weights.contains(0):
+    weights = _shared_weight_set(inst)
+    if weights is not None and weights._contains(0):
         raise NotApplicableError("weight sets containing 0 defeat the count bound")
     if len(inst.body) > param_t(inst) * inst.weight.k0:
-        h = compute_h(inst, weights) if weights is not None else 0
-        return None, SolveStats(h, 0, 0, pruned=True)
-    return solve_w_kue_with_stats(inst)
+        return None, SolveStats(_cap(inst, weights), 0, 0, pruned=True)
+    return _solve(inst, weights)
 
 
 def solve_w_kt(inst: Instance) -> frozenset[str] | None:

@@ -500,7 +500,7 @@ _COMBINE_DEPTH_CAP = 64
 class CombinedChecker:
     """Two machines over one universe and ``k0`` (else :class:`UsageError`),
     run in turn on one guess; the second only if the first accepts. Each part
-    is charged as its own ``run_branch`` would be: ``len(combo)`` for the
+    is charged what its own ``run_branch`` charges: ``len(combo)`` for the
     guess, then its checker. Nesting past 64 levels raises :class:`CapacityError`."""
 
     first: "GuessCheckMachine"
@@ -518,13 +518,11 @@ class CombinedChecker:
         object.__setattr__(self, "_depth", depth)
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
-        k = len(combo)
-        if k != self.first.k0:
-            return False, steps + k
-        accepted, steps = self.first.checker.check(combo, steps + k)
-        if not accepted:
-            return False, steps
-        return self.second.checker.check(combo, steps + k)
+        accepted, used = self.first.run_branch(combo)
+        if accepted:
+            accepted, more = self.second.run_branch(combo)
+            used += more
+        return accepted, steps + used
 
     def grow(self, state: tuple | None, name: str) -> tuple:
         """The pair of the parts' states, each grown by ``name``."""
@@ -707,11 +705,12 @@ def reduce_cw(inst: Instance) -> GuessCheckMachine:
 def combine_machines(first: GuessCheckMachine, second: GuessCheckMachine) -> GuessCheckMachine:
     """Chain two machines through a :class:`CombinedChecker`.
 
-    The combined budget is the sum of the parts plus ``k0`` for writing the
-    shared guess once more when handing it to the second checker.
+    The combined budget is the sum of the parts, where an always-reject part
+    counts the ``k0`` its guess is charged in place of its budget of 0, plus
+    ``k0`` for writing the shared guess once more for the second checker.
     """
-    checker = CombinedChecker(first, second)
-    return GuessCheckMachine(first.universe, first.k0, first.budget + second.budget + first.k0, checker)
+    parts = sum(first.k0 if isinstance(m.checker, AlwaysReject) else m.budget for m in (first, second))
+    return GuessCheckMachine(first.universe, first.k0, parts + first.k0, CombinedChecker(first, second))
 
 
 def simulate(machine: GuessCheckMachine) -> SimulationResult:

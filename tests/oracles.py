@@ -26,7 +26,6 @@ from paramcsp import (
     DomainError,
     Instance,
     ParamCSPError,
-    ProfileClass,
     SimulationResult,
     ValidationError,
     satisfies,
@@ -217,18 +216,16 @@ def literal_check_cap(inst: Instance, cost_model: CostModel, weight_cap: int) ->
     return check_cap
 
 
-def dense_profile_classes(inst: Instance, h: int) -> tuple[ProfileClass, ...]:
-    """Profile classes read densely: every variable against every constraint."""
+def dense_profile_classes(inst: Instance, h: int) -> list[tuple[tuple[int, ...], list[str]]]:
+    """Profile classes as ``(profile, names)`` pairs, read densely: every
+    variable against every constraint."""
     over = h + 1
     per_constraint = [Counter(c.scope) for c in inst.body]
     groups: dict[tuple[int, ...], list[str]] = {}
     for v in sorted(inst.variables):
         prof = tuple(min(counts.get(v, 0), over) for counts in per_constraint)
         groups.setdefault(prof, []).append(v)
-    return tuple(
-        ProfileClass(prof, len(names), tuple(names))
-        for prof, names in sorted(groups.items())
-    )
+    return sorted(groups.items())
 
 
 def validate_in_order(variables, body) -> None:

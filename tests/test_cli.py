@@ -415,6 +415,22 @@ class TestReduceAndSimulate:
         assert run(["simulate", str(path)]) == EXIT_UNSAT
         assert lines(capsys) == ["REJECT"]
 
+    def test_a_combined_machine_with_an_always_reject_part_rejects(self, tmp_path, capsys):
+        # Its branch on {x} once overran the budget by k0 and exited 4; the
+        # budget that parts used to imply is now refused.
+        one = WeightParameter(WeightKind.EXACT, 1)
+        cw = reduce_cw(Instance(("x", "y"), one, (Constraint(CWRelation(WS1, 0, 1), ("x",)),)))
+        reject = reduce_appearance(Instance(("x", "y"), one, tuple(Constraint(WRelation(WS1, 1), (v,)) for v in "xyx")))
+        doc = json.loads(serialize_machine(combine_machines(cw, reject)))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["simulate", str(path), "--budget-report"]) == EXIT_UNSAT
+        assert lines(capsys) == ["REJECT", "budget: 23", "max-branch-steps: 23", "branches-explored: 2"]
+        doc["machine"]["budget"] = 22
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["simulate", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: machine.budget: 22 is not the budget 23 its checker implies\n")
+
     def test_reduce_cw_on_clauses_is_not_applicable(self, doc, capsys):
         assert run(["reduce", doc(POSITIVE_X), "--to", "cw"]) == EXIT_NOT_APPLICABLE
         _, err = capsys.readouterr()
@@ -836,7 +852,7 @@ class TestArgumentHandling:
     @pytest.mark.parametrize(
         "method,target,fake,message",
         [
-            ("fpt-kue", "paramcsp.fpt_solvers.satisfies", lambda inst, witness: False,
+            ("fpt-kue", "paramcsp.fpt_solvers._meets", lambda inst, witness: False,
              "representative witness failed its instance"),
             ("completion-pipeline", "paramcsp.machines.simulate",
              lambda machine: SimulationResult(True, frozenset({"y"}), 0, 1),

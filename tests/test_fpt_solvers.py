@@ -26,20 +26,17 @@ from paramcsp import (
     WeightSet,
     WRelation,
     brute_force_solve,
-    compute_h,
     lift_kle_to_k,
     param_e,
-    profile_classes,
     reduce_appearance,
     satisfies,
-    shared_weight_set,
     simulate,
     solve_w_kt,
     solve_w_kt_with_stats,
     solve_w_kue,
     solve_w_kue_with_stats,
 )
-from paramcsp.fpt_solvers import ProfileClass, _feasible
+from paramcsp.fpt_solvers import _cap, _feasible, _profile_classes, _shared_weight_set
 from corpus_helpers import SOLVER_PROFILES, instances, solver_config
 from oracles import dense_profile_classes
 
@@ -58,7 +55,7 @@ def single_constraint(weights: WeightSet, scope: tuple[str, ...], k0: int, kind=
 
 class TestSharedWeightSet:
     def test_empty_body_has_no_shared_set(self):
-        assert shared_weight_set(Instance(("x",), WeightParameter(EXACT, 0))) is None
+        assert _shared_weight_set(Instance(("x",), WeightParameter(EXACT, 0))) is None
 
     def test_mixed_weight_sets_are_not_applicable(self):
         inst = Instance(
@@ -70,7 +67,7 @@ class TestSharedWeightSet:
             ),
         )
         with pytest.raises(NotApplicableError):
-            shared_weight_set(inst)
+            _shared_weight_set(inst)
 
     def test_non_weight_relations_are_not_applicable(self):
         inst = Instance(
@@ -79,7 +76,7 @@ class TestSharedWeightSet:
             (Constraint(CWRelation(WeightSet.finite([1]), 1, 1), ("x", "y")),),
         )
         with pytest.raises(NotApplicableError):
-            shared_weight_set(inst)
+            _shared_weight_set(inst)
         with pytest.raises(NotApplicableError):
             solve_w_kue(inst)
 
@@ -100,11 +97,11 @@ class TestFeasibilityInvariant:
     def test_parity_cap_holds_under_optimization(self):
         # A count above the cap h under a parity set breaks the module's premise.
         with pytest.raises(ParamCSPError, match="^parity sets cannot hit the cap$"):
-            _feasible(WeightSet.even(), 0, (ProfileClass((1,), 1, ("a",)),), (1,), 1)
+            _feasible(WeightSet.even(), 0, [((1,), ["a"])], (1,), 1)
         code = (
             "from paramcsp import WeightSet\n"
-            "from paramcsp.fpt_solvers import ProfileClass, _feasible\n"
-            "print(_feasible(WeightSet.even(), 0, (ProfileClass((1,), 1, ('a',)),), (1,), 1))\n"
+            "from paramcsp.fpt_solvers import _feasible\n"
+            "print(_feasible(WeightSet.even(), 0, [((1,), ['a'])], (1,), 1))\n"
         )
         done = subprocess.run(
             [sys.executable, "-O", "-c", code],
@@ -121,20 +118,15 @@ class TestComputeH:
     def test_finite_maximum_wins_over_the_occurrence_bound(self):
         inst = single_constraint(WeightSet.finite([1]), ("x",) * 5, 1)
         assert param_e(inst) == 5
-        assert compute_h(inst, WeightSet.finite([1])) == 1
+        assert _cap(inst, WeightSet.finite([1])) == 1
 
     def test_cofinite_largest_excluded_value(self):
         inst = single_constraint(WeightSet.cofinite([0]), ("x",) * 3, 1)
-        assert compute_h(inst, WeightSet.cofinite([0])) == 0
+        assert _cap(inst, WeightSet.cofinite([0])) == 0
 
     def test_parity_falls_back_to_the_occurrence_bound(self):
         inst = single_constraint(WeightSet.even(), ("x", "x", "y"), 1)
-        assert compute_h(inst, WeightSet.even()) == 2
-
-    def test_weights_must_match_the_body(self):
-        inst = single_constraint(WeightSet.finite([1]), ("x", "y"), 1)
-        with pytest.raises(NotApplicableError):
-            compute_h(inst, WeightSet.finite([2]))
+        assert _cap(inst, WeightSet.even()) == 2
 
 
 class TestProfileClasses:
@@ -144,11 +136,11 @@ class TestProfileClasses:
             WeightParameter(EXACT, 1),
             (Constraint(WRelation(WeightSet.even(), 4), ("a", "a", "a", "b")),),
         )
-        classes = profile_classes(inst, h=2)
-        profiles = {cls.profile: cls.representatives for cls in classes}
+        classes = _profile_classes(inst, h=2)
+        profiles = dict(classes)
         # Three occurrences cap to the sentinel h + 1 = 3.
-        assert profiles == {(0,): ("c", "d"), (1,): ("b",), (3,): ("a",)}
-        assert sum(cls.count for cls in classes) == 4
+        assert profiles == {(0,): ["c", "d"], (1,): ["b"], (3,): ["a"]}
+        assert sum(len(names) for _, names in classes) == 4
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), h=st.integers(0, 3))
@@ -168,7 +160,7 @@ class TestProfileClasses:
             WeightParameter(EXACT, 1),
             tuple(Constraint(WRelation(WeightSet.even(), len(s)), tuple(s)) for s in scopes),
         )
-        assert profile_classes(inst, h) == dense_profile_classes(inst, h)
+        assert _profile_classes(inst, h) == dense_profile_classes(inst, h)
 
     def test_many_untouched_variables_declared_out_of_order(self):
         names = [f"v{i:03d}" for i in range(600)]
@@ -179,11 +171,11 @@ class TestProfileClasses:
             WeightParameter(EXACT, 2),
             tuple(Constraint(WRelation(WeightSet.odd(), len(s)), s) for s in scopes),
         )
-        classes = profile_classes(inst, 1)
+        classes = _profile_classes(inst, 1)
         assert classes == dense_profile_classes(inst, 1)
-        untouched = classes[0]
-        assert untouched.profile == (0, 0, 0) and untouched.count == 596
-        assert untouched.representatives == tuple(sorted(set(names) - {"v000", "v010", "v300", "v599"}))
+        profile, untouched = classes[0]
+        assert profile == (0, 0, 0) and len(untouched) == 596
+        assert untouched == sorted(set(names) - {"v000", "v010", "v300", "v599"})
 
 
 class TestSolveKue:
@@ -307,7 +299,7 @@ class TestSolveKt:
         ran = 0
         for profile in ("w-finite", "w-cofinite", "w-odd"):
             for case, inst in instances(120, solver_config, profile, salt=23):
-                weights = shared_weight_set(inst)
+                weights = _shared_weight_set(inst)
                 if weights is not None and weights.contains(0):
                     with pytest.raises(NotApplicableError):
                         solve_w_kt(inst)

@@ -1,0 +1,190 @@
+"""A fail-closed fuzzer over the instance and machine documents the CLI reads.
+
+Each example starts from a document the library wrote for a generated
+instance or machine over at most four variables, mutates it (drops,
+duplicates or retypes a key or a row, or swaps an integer for a huge,
+negative or boolean one) and feeds it in-process to ``cli.run`` through
+stdin. Whatever the mutant holds, the run must exit
+with 0, 1, 2 or 3, print one ``error:`` line exactly when it exits 2 or 3,
+and print no traceback. Tier-1 runs a sample; ``pytest -m slow`` runs ten
+times as many examples.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from paramcsp import (
+    PROFILES,
+    AlwaysReject,
+    GuessCheckMachine,
+    InstanceConfig,
+    combine_machines,
+    random_instance,
+    reduce_appearance,
+    reduce_cw,
+    serialize_instance,
+    serialize_machine,
+)
+from paramcsp.cli import REDUCE_TARGETS, SOLVE_METHODS, run
+
+INSTANCE_COMMANDS = (
+    [["stats"], ["partials", "--constraint", "1", "--instance"]]
+    + [["solve", "--method", method] for method in SOLVE_METHODS]
+    + [["reduce", "--to", target] for target in REDUCE_TARGETS]
+)
+MACHINE_COMMANDS = [["simulate"], ["simulate", "--budget-report"]]
+
+# Huge, negative and boolean stand-ins for an integer.
+ODD_INTEGERS = (2**63, 2**64 + 1, 10**30, -1, -(2**63), True, False)
+# Stand-ins of another type for any value.
+OTHER_TYPES = ("x", 1.5, None, [], {}, [1], {"k": 1})
+
+
+@st.composite
+def instance_documents(draw):
+    """An instance document of at most four variables. ``k0`` stays at 2 or
+    below: the completion pipeline at 3 takes over a second per instance."""
+    cfg = InstanceConfig(
+        n=draw(st.integers(1, 4)), k0=draw(st.integers(0, 2)), profile=draw(st.sampled_from(PROFILES)),
+        body_len=draw(st.integers(0, 3)), max_arity=draw(st.integers(1, 3)), atmost=draw(st.booleans()),
+        cw_bound=draw(st.integers(1, 2)),
+    )
+    return json.loads(serialize_instance(random_instance(draw(st.integers(0, 2**32 - 1)), cfg)))
+
+
+@st.composite
+def machine_documents(draw):
+    """A machine document over at most four variables: the appearance machine
+    of an exact instance, the conditional-weight machine of an exact ``cw``
+    instance, the always-reject machine, or two of them combined, once or
+    twice over."""
+    n, k0 = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+
+    def exact(profile):
+        cfg = InstanceConfig(
+            n=n, k0=k0, profile=profile, body_len=draw(st.integers(0, 3)),
+            max_arity=draw(st.integers(1, 3)), cw_bound=draw(st.integers(1, 2)),
+        )
+        return random_instance(draw(st.integers(0, 2**32 - 1)), cfg)
+
+    appearance = reduce_appearance(exact(draw(st.sampled_from(PROFILES))))
+    leaves = [appearance, reduce_cw(exact("cw")), GuessCheckMachine(appearance.universe, k0, 0, AlwaysReject())]
+
+    def part(depth):
+        if depth and draw(st.booleans()):
+            return combine_machines(part(depth - 1), part(depth - 1))
+        return draw(st.sampled_from(leaves))
+
+    return json.loads(serialize_machine(part(2)))
+
+
+def nodes(value, path=()):
+    """Every ``(path, value)`` of a JSON tree, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from nodes(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from nodes(child, path + (i,))
+
+
+def dump(value, extra=None, path=()):
+    """JSON text of ``value``; ``extra = (path, key, value, last)`` writes a
+    second ``key`` into the object at ``path``, before or after the first."""
+    if isinstance(value, dict):
+        parts = [f"{json.dumps(k)}: {dump(v, extra, path + (k,))}" for k, v in value.items()]
+        if extra is not None and extra[0] == path:
+            parts.insert(len(parts) if extra[3] else 0, f"{json.dumps(extra[1])}: {dump(extra[2])}")
+        return "{" + ", ".join(parts) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(dump(v, extra, path + (i,)) for i, v in enumerate(value)) + "]"
+    return json.dumps(value)
+
+
+@st.composite
+def mutants(draw, documents):
+    """The JSON text of a document after one to three mutations."""
+    doc = copy.deepcopy(draw(documents))
+    extra = None
+    for _ in range(draw(st.integers(1, 3))):
+        everything = list(nodes(doc))
+        path, value = everything[draw(st.integers(0, len(everything) - 1))]
+        op = draw(st.sampled_from(["drop", "duplicate", "retype"]))
+        if isinstance(value, int) and not isinstance(value, bool) and draw(st.booleans()):
+            op = "odd-integer"
+        if not path:  # the root can only be retyped
+            if op == "retype":
+                doc = copy.deepcopy(draw(st.sampled_from(OTHER_TYPES)))
+            continue
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        last = path[-1]
+        if op == "drop":
+            del parent[last]
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(last, copy.deepcopy(value))
+        elif op == "duplicate":
+            extra = (path[:-1], last, draw(st.sampled_from(OTHER_TYPES + ODD_INTEGERS)), draw(st.booleans()))
+        elif op == "retype":
+            parent[last] = copy.deepcopy(draw(st.sampled_from(OTHER_TYPES)))
+        else:
+            parent[last] = draw(st.sampled_from(ODD_INTEGERS))
+    return dump(doc, extra)
+
+
+def assert_fails_closed(text, command):
+    argv = command + ["-"]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (0, 1, 2, 3), (argv, text, err.getvalue())
+    assert len(errors) == (code in (2, 3)), (argv, text, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, text, err.getvalue())
+
+
+def instance_case():
+    return given(text=mutants(instance_documents()), command=st.sampled_from(INSTANCE_COMMANDS))
+
+
+def machine_case():
+    return given(text=mutants(machine_documents()), command=st.sampled_from(MACHINE_COMMANDS))
+
+
+def fuzz_settings(examples):
+    return settings(max_examples=examples, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestDocumentFuzzing:
+    @fuzz_settings(150)
+    @instance_case()
+    def test_instance_documents(self, text, command):
+        assert_fails_closed(text, command)
+
+    @fuzz_settings(150)
+    @machine_case()
+    def test_machine_documents(self, text, command):
+        assert_fails_closed(text, command)
+
+    @pytest.mark.slow
+    @fuzz_settings(1500)
+    @instance_case()
+    def test_instance_documents_at_length(self, text, command):
+        assert_fails_closed(text, command)
+
+    @pytest.mark.slow
+    @fuzz_settings(1500)
+    @machine_case()
+    def test_machine_documents_at_length(self, text, command):
+        assert_fails_closed(text, command)

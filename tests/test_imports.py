@@ -1,0 +1,39 @@
+"""Every module of the package uses each name it imports.
+
+Read with the standard library's ``ast``: a name counts as used when the
+module reads it anywhere, annotations included. ``__init__.py`` is left out,
+since its imports are the public names it re-exports, and so are
+``__future__`` imports, which switch on a language feature.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import paramcsp
+
+MODULES = sorted(p for p in Path(paramcsp.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_found():
+    source = "from __future__ import annotations\nimport os\nfrom math import comb, gcd\nprint(comb(2, 1), os)\n"
+    assert unused_imports(source) == ["line 3: gcd"]

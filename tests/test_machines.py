@@ -468,6 +468,17 @@ class TestCombineMachines:
         assert res.witness is None
         assert res.branches_explored == 2
 
+    def test_an_always_reject_part_counts_the_guess_it_is_charged(self):
+        # Each part is charged k0 for its guess, the always-reject one too,
+        # though its budget is 0: the conditional-weight part accepts {x} at
+        # its whole budget, so the combined branch once overran by k0.
+        cw = reduce_cw(exact("xy", 1, Constraint(CWRelation(WS1, 0, 1), ("x",))))
+        reject = reduce_appearance(exact("xy", 1, *(Constraint(WRelation(WS1, 1), (v,)) for v in "xyx")))
+        assert reject.checker == AlwaysReject() and cw.run_branch(("x",)) == (True, cw.budget)
+        both = combine_machines(cw, reject)
+        assert both.budget == cw.budget + 2 == 23
+        assert simulate(both) == SimulationResult(False, None, 23, 2)
+
     def test_nesting_up_to_the_bound_simulates(self):
         m = reduce_appearance(POSITIVE_X)
         nested = reduce(combine_machines, [m] * 65)  # 64 levels
@@ -1261,6 +1272,12 @@ def combined_machines(draw):
 
 
 class TestCombinedCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(machine=combined_machines())
+    def test_built_machines_stay_within_their_budgets(self, machine):
+        # simulate raises BudgetExceededError on the first branch over budget.
+        assert simulate(machine).max_branch_steps <= machine.budget
+
     @settings(max_examples=150, deadline=None)
     @given(machine=combined_machines())
     def test_check_matches_the_parts_own_branches(self, machine):

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "PROFILES",
     "ParamCSPError",
     "PartialsTable",
-    "ProfileClass",
     "Relation",
     "SimulationResult",
     "SolveStats",
@@ -46,7 +45,6 @@ PUBLIC_NAMES = [
     "combine_machines",
     "completion_reduction",
     "completions",
-    "compute_h",
     "compute_partials",
     "default_checker_cost",
     "explicitize_w_body",
@@ -58,7 +56,6 @@ PUBLIC_NAMES = [
     "parse_instance",
     "parse_machine",
     "parse_relation",
-    "profile_classes",
     "random_instance",
     "reduce_appearance",
     "reduce_cw",
@@ -67,7 +64,6 @@ PUBLIC_NAMES = [
     "satisfies",
     "serialize_instance",
     "serialize_machine",
-    "shared_weight_set",
     "simulate",
     "solve_w_kt",
     "solve_w_kt_with_stats",
@@ -83,5 +79,5 @@ def test_the_public_names_are_pinned():
 
 
 def test_every_public_name_is_importable_once():
-    assert len(set(paramcsp.__all__)) == len(paramcsp.__all__) == 68
+    assert len(set(paramcsp.__all__)) == len(paramcsp.__all__) == 64
     assert all(hasattr(paramcsp, name) for name in PUBLIC_NAMES)
