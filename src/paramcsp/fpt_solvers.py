@@ -6,11 +6,13 @@ interchangeable, so only the number chosen from each profile class matters.
 The solver enumerates count vectors over profile classes instead of variable
 subsets, which is what makes it parameterized rather than exponential in n.
 
-Profiles are counted from the constraint scopes: building them costs
-O(sum of arities + touched * |body|) in Python, where ``touched`` is the
-number of variables in some scope. Every untouched variable has the all-zero
-profile, so they form one class together, built by one sort of the names and
-one filter against the touched ones, both C-level passes.
+Profiles are counted from the constraint scopes in one pass, which also
+reads off the cap: it costs O(sum of arities + touched * |body|), where
+``touched`` is the number of variables in some scope, and never walks all n
+names. Every untouched variable has the all-zero profile, so they form one
+class whose size is the variable count less the touched count. No count
+vector takes more than ``k0`` names from it, so it holds only its first
+``k0``, read from the instance's sorted names past the touched ones.
 
 Capping is sound because a count can only exceed ``h`` when ``h`` came from
 the weight set rather than from the instance: for a finite set the constraint
@@ -22,10 +24,10 @@ sets never cap, since there ``h`` equals the instance's own bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import filterfalse, islice
 
 from .errors import NotApplicableError, ParamCSPError
-from .instances import Instance, WeightKind, _meets, param_e, param_t
+from .instances import Instance, WeightKind, _meets, param_t
 from .relations import WeightSet, WeightSetKind, WRelation
 
 
@@ -53,55 +55,71 @@ def _shared_weight_set(inst: Instance) -> WeightSet | None:
     return shared
 
 
-def _cap(inst: Instance, weights: WeightSet | None) -> int:
-    """Occurrence cap: min of the instance's per-constraint bound and the
-    largest structurally relevant weight of the shared set (0 for an empty body)."""
-    h = param_e(inst)
-    if weights is not None and weights.kind in (WeightSetKind.FINITE, WeightSetKind.COFINITE) and weights.values:
-        h = min(h, max(weights.values))
-    return h
+def _occurrences(inst: Instance, weights: WeightSet | None) -> tuple[int, dict[str, list[int]]]:
+    """The occurrence cap ``h`` of ``inst``, whose body shares ``weights``
+    (None for an empty body), and each touched variable's row of occurrence
+    counts per constraint, capped at ``h + 1``, from one pass over the scopes.
 
-
-def _profile_classes(inst: Instance, h: int) -> list[tuple[tuple[int, ...], list[str]]]:
-    """Group variables by their occurrence profiles, capped at ``h + 1`` (``h >= 0``).
-
-    Classes come as ``(profile, names)`` pairs in profile order, names sorted.
-    Rows are counted per scope for the touched variables only; the all-zero
-    class is the sorted names filtered by the rows in one C-level pass.
+    ``h`` is the least of the largest occurrence count of one variable in one
+    scope and the largest structurally relevant weight of a finite or
+    cofinite set.
     """
-    over = h + 1
-    width = len(inst.body)
+    body = inst.body
+    width = len(body)
+    if weights is not None and weights.kind in (WeightSetKind.FINITE, WeightSetKind.COFINITE) and weights.values:
+        bound = max(weights.values)
+    else:  # no count exceeds its scope's length
+        bound = max((len(c.scope) for c in body), default=0)
+    over = bound + 1
     rows: dict[str, list[int]] = {}
-    for i, c in enumerate(inst.body):
+    for i, c in enumerate(body):
         for v in c.scope:
             row = rows.get(v)
             if row is None:
                 row = rows[v] = [0] * width
             if row[i] < over:
                 row[i] += 1
+    # Counts stop at bound + 1, which only a count above the bound reaches,
+    # so h = min(largest count, bound) reads the same off the capped rows;
+    # and h + 1 caps them as bound + 1 did.
+    return min(max(map(max, rows.values()), default=0), bound), rows
+
+
+def _profile_classes(
+    inst: Instance, weights: WeightSet | None
+) -> tuple[int, list[tuple[tuple[int, ...], int, list[str]]]]:
+    """The cap ``h`` and the profile classes of ``inst`` (see :func:`_occurrences`).
+
+    Classes come as ``(profile, size, names)`` triples in profile order,
+    names sorted; the all-zero class holds only its first ``min(k0, size)``.
+    """
+    h, rows = _occurrences(inst, weights)
+    width = len(inst.body)
     groups: dict[tuple[int, ...], list[str]] = {}
-    # Every touched row counts at least one occurrence, so only untouched
-    # variables have the all-zero profile. Sorting the declared tuple, not a
-    # set, keeps the sort linear when the names are declared in order.
-    untouched = list(filterfalse(rows.__contains__, sorted(inst.variables)))
-    if untouched:
-        groups[(0,) * width] = untouched
     for v in sorted(rows):
         groups.setdefault(tuple(rows[v]), []).append(v)
-    return sorted(groups.items())
+    classes = [(profile, len(names), names) for profile, names in groups.items()]
+    # Every touched row counts at least one occurrence, so only untouched
+    # variables have the all-zero profile.
+    size = len(inst.variables) - len(rows)
+    if size:
+        first = list(islice(filterfalse(rows.__contains__, inst.sorted_variables), min(inst.weight.k0, size)))
+        classes.append(((0,) * width, size, first))
+    classes.sort()
+    return h, classes
 
 
 def _feasible(
     weights: WeightSet,
     h: int,
-    classes: list[tuple[tuple[int, ...], list[str]]],
+    profiles: list[tuple[int, ...]],
     vector: tuple[int, ...],
     body_len: int,
 ) -> bool:
     for i in range(body_len):
         total = 0
         capped = False
-        for (profile, _), n in zip(classes, vector):
+        for profile, n in zip(profiles, vector):
             if not n:
                 continue
             m = profile[i]
@@ -149,9 +167,9 @@ def _count_vectors(caps: list[int], target: int):
 def _solve(inst: Instance, weights: WeightSet | None) -> tuple[frozenset[str] | None, SolveStats]:
     """Enumerate count vectors over the profile classes of ``inst``, whose
     body shares ``weights`` (None for an empty body)."""
-    h = _cap(inst, weights)
-    classes = _profile_classes(inst, h)
-    sizes = [len(names) for _, names in classes]
+    h, classes = _profile_classes(inst, weights)
+    profiles = [profile for profile, _, _ in classes]
+    sizes = [size for _, size, _ in classes]
     body_len = len(inst.body)
     k0 = inst.weight.k0
     # No count vector sums past the variable count, so larger targets are skipped.
@@ -160,11 +178,11 @@ def _solve(inst: Instance, weights: WeightSet | None) -> tuple[frozenset[str] | 
     for target in targets:
         for vector in _count_vectors(sizes, target):
             tested += 1
-            if body_len and not _feasible(weights, h, classes, vector, body_len):
+            if body_len and not _feasible(weights, h, profiles, vector, body_len):
                 continue
             witness = frozenset(
                 name
-                for (_, names), n in zip(classes, vector)
+                for (_, _, names), n in zip(classes, vector)
                 for name in names[:n]
             )
             # The witness is drawn from the classes, so it holds only declared names.
@@ -195,7 +213,7 @@ def solve_w_kt_with_stats(inst: Instance) -> tuple[frozenset[str] | None, SolveS
     if weights is not None and weights._contains(0):
         raise NotApplicableError("weight sets containing 0 defeat the count bound")
     if len(inst.body) > param_t(inst) * inst.weight.k0:
-        return None, SolveStats(_cap(inst, weights), 0, 0, pruned=True)
+        return None, SolveStats(_occurrences(inst, weights)[0], 0, 0, pruned=True)
     return _solve(inst, weights)
 
 

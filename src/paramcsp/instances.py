@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
@@ -70,11 +71,17 @@ class Constraint:
 
 @dataclass(frozen=True)
 class Instance:
-    """A weighted satisfiability instance over named Boolean variables."""
+    """A weighted satisfiability instance over named Boolean variables.
+
+    ``sorted_variables`` is derived: the declared names in sorted order, the
+    ``variables`` tuple itself when it is already sorted. It takes no part in
+    equality, hashing or ``repr``.
+    """
 
     variables: tuple[str, ...]
     weight: WeightParameter
     body: tuple[Constraint, ...] = ()
+    sorted_variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         variables = tuple(self.variables)
@@ -91,6 +98,10 @@ class Instance:
                 and "" not in declared
                 and declared.issuperset(chain.from_iterable(c.scope for c in body))
             ):
+                # Sorting a sorted tuple is one linear pass; keeping the
+                # declared tuple then costs no memory.
+                ordered = tuple(sorted(variables))
+                object.__setattr__(self, "sorted_variables", variables if ordered == variables else ordered)
                 return
         except (TypeError, AttributeError):
             pass
@@ -112,9 +123,19 @@ class Instance:
         return frozenset(self.variables)
 
 
+def _declared(names: tuple[str, ...], v: object) -> bool:
+    """Whether ``v`` is one of the sorted ``names``; only a ``str`` can be, and
+    only a ``str`` is compared with them."""
+    if not isinstance(v, str):
+        return False
+    i = bisect_left(names, v)
+    return i < len(names) and names[i] == v
+
+
 def _check_assignment(inst: Instance, assignment: Iterable[str]) -> frozenset[str]:
     aset = frozenset(assignment)
-    extra = aset.difference(inst.variables)
+    names = inst.sorted_variables
+    extra = [v for v in aset if not _declared(names, v)]
     if extra:
         raise DomainError(f"assignment uses undeclared variables: {sorted(extra)}")
     return aset
@@ -168,7 +189,7 @@ def brute_force_solve(inst: Instance) -> frozenset[str] | None:
     first, so its machine walks a padded universe). ``None`` if unsatisfiable.
     """
     exact = inst.weight.kind is WeightKind.EXACT
-    for combo in guesses(sorted(inst.variables), inst.weight.k0, exact):
+    for combo in guesses(inst.sorted_variables, inst.weight.k0, exact):
         aset = frozenset(combo)
         if _meets(inst, aset):
             return aset
@@ -183,10 +204,12 @@ _PAD_STEM = "pad"
 _GUESS_CAP = 2**16
 
 
-def _fresh_prefix(stem: str, taken: Iterable[str]) -> str:
-    names = list(taken)
+def _fresh_prefix(stem: str, names: tuple[str, ...]) -> str:
+    """``stem`` behind the fewest underscores that no sorted name in ``names``
+    starts with. The names starting with a prefix sort together, from the
+    first name not below it, so each try is one bisection."""
     prefix = stem
-    while any(name.startswith(prefix) for name in names):
+    while (i := bisect_left(names, prefix)) < len(names) and names[i].startswith(prefix):
         prefix = "_" + prefix
     return prefix
 
@@ -204,7 +227,7 @@ def lift_kle_to_k(inst: Instance) -> Instance:
     k0 = inst.weight.k0
     if k0 > _GUESS_CAP:
         raise CapacityError(f"at-most bound {k0} above the padding bound {_GUESS_CAP}")
-    prefix = _fresh_prefix(_PAD_STEM, inst.variables)
+    prefix = _fresh_prefix(_PAD_STEM, inst.sorted_variables)
     pads = tuple(f"{prefix}{j:03d}" for j in range(1, k0 + 1))
     return Instance(
         variables=inst.variables + pads,
@@ -242,7 +265,7 @@ def reduce_parity_multiplicity(inst: Instance) -> Instance:
             contradiction = True
             break
     if contradiction:
-        v = min(inst.variables)
+        v = inst.sorted_variables[0]
         new_body = [
             Constraint(WRelation(WeightSet.odd(), arity=1), (v,)),
             Constraint(WRelation(WeightSet.even(), arity=1), (v,)),

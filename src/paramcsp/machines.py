@@ -531,18 +531,20 @@ class CombinedChecker:
 
     def check_block(self, state: tuple | None, prefix: tuple[str, ...], lasts: Sequence[str], steps: int) -> BlockResult:
         """Check ``prefix + (x,)`` for each ``x`` in ``lasts`` as :meth:`check`
-        would, each part judging the guess as a block of one from its state."""
-        k = len(prefix) + 1
-        if k != self.first.k0:
-            return None, steps + k
+        would, each part judging the guess as a block of one from its state.
+        The parts' ``k0`` agree, so each part's write of the guess is charged
+        what the first part's guess rule charges."""
+        checked, write = self.first._write(len(prefix) + 1, 0)
+        if not checked:
+            return None, steps + write
         first, second = self.first.checker.check_block, self.second.checker.check_block
         first_state, second_state = state or (None, None)
-        top, steps = 0, steps + k
+        top, steps = 0, steps + write
         for i, last in enumerate(lasts):
             one = (last,)
             found, charged = first(first_state, prefix, one, steps)
             if found is not None:
-                found, charged = second(second_state, prefix, one, charged + k)
+                found, charged = second(second_state, prefix, one, charged + write)
             if charged > top:
                 top = charged
             if found is not None:
@@ -572,12 +574,15 @@ class GuessCheckMachine:
         require_int(self.k0, "k0", ValidationError)
         require_int(self.budget, "budget", ValidationError)
 
+    def _write(self, k: int, steps: int) -> tuple[bool, int]:
+        """The guess rule: writing a ``k``-name guess adds ``k`` to ``steps``,
+        and only a guess of ``k0`` names goes on to the checker."""
+        return k == self.k0, steps + k
+
     def run_branch(self, combo: tuple[str, ...]) -> tuple[bool, int]:
         """Run one guess; returns (accepted, steps charged). ``combo`` must be sorted."""
-        steps = len(combo)
-        if steps != self.k0:
-            return False, steps
-        return self.checker.check(combo, steps)
+        checked, steps = self._write(len(combo), 0)
+        return self.checker.check(combo, steps) if checked else (False, steps)
 
 
 def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> GuessCheckMachine:
@@ -593,7 +598,7 @@ def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> Gu
     k0 = inst.weight.k0
     t0 = param_t(inst)
     e0 = param_e(inst)
-    universe = tuple(sorted(inst.variables))
+    universe = inst.sorted_variables
     checker = AppearanceChecker(inst.body, cm)
     if len(checker.d_set) > k0 * t0:
         return GuessCheckMachine(universe, k0, 0, AlwaysReject())
@@ -699,7 +704,7 @@ def reduce_cw(inst: Instance) -> GuessCheckMachine:
         raise NotApplicableError("table machines need an exact weight bound; lift first")
     k0 = inst.weight.k0
     checker = build_cw_tables(inst, k0)
-    return GuessCheckMachine(tuple(sorted(inst.variables)), k0, _cw_budget(k0, checker.b), checker)
+    return GuessCheckMachine(inst.sorted_variables, k0, _cw_budget(k0, checker.b), checker)
 
 
 def combine_machines(first: GuessCheckMachine, second: GuessCheckMachine) -> GuessCheckMachine:
@@ -739,6 +744,7 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
         found, steps = _per_branch(machine, [()])
         return SimulationResult(found is not None, frozenset() if found is not None else None, steps, 1)
     grow, check_block = machine.checker.grow, machine.checker.check_block
+    _, write = machine._write(k0, 0)  # every guess below has k0 names
     max_steps = explored = 0
     after = {name: i + 1 for i, name in enumerate(names)}
     tail = names[len(names) - k0 :]  # tail[i]: the last name prefix place i takes
@@ -755,7 +761,7 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
             states.append(grow(states[-1], name))
         previous, lasts = prefix, names[after[prefix[-1]] :] if prefix else names
         try:
-            found, top = check_block(states[-1], prefix, lasts, k0)
+            found, top = check_block(states[-1], prefix, lasts, write)
         except Exception:  # whatever a check raises, the walk below raises again
             top = budget + 1
         if top > budget:
@@ -881,7 +887,7 @@ def completion_reduction(inst: Instance, d: int) -> CompletionReduction:
             images = {frozenset(c.scope[p - 1] for p in u) for u in table.completions[t]}
             records.add((key, tuple(sorted(images, key=sorted))))
     ordered_keys = sorted({k for key, comp_keys in records for k in (key, *comp_keys)}, key=sorted)
-    prefix = _fresh_prefix(_INDICATOR_STEM, inst.variables)
+    prefix = _fresh_prefix(_INDICATOR_STEM, inst.sorted_variables)
     width = max(3, len(str(len(ordered_keys))))
     name_of = {key: f"{prefix}{i:0{width}d}" for i, key in enumerate(ordered_keys, start=1)}
     bound = 2**d
@@ -935,7 +941,7 @@ def solve_wd_pipeline(inst: Instance, d: int) -> frozenset[str] | None:
         if not all(c.relation._contains(frozenset()) for c in inst.body):
             return None
         forbidden = {v for c in inst.body for v in c.scope}
-        allowed = sorted(set(inst.variables) - forbidden)
+        allowed = [v for v in inst.sorted_variables if v not in forbidden]
         if inst.weight.k0 > len(allowed):
             return None
         witness = frozenset(allowed[: inst.weight.k0])

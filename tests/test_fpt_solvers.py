@@ -24,6 +24,7 @@ from paramcsp import (
     WeightKind,
     WeightParameter,
     WeightSet,
+    WeightSetKind,
     WRelation,
     brute_force_solve,
     lift_kle_to_k,
@@ -36,7 +37,7 @@ from paramcsp import (
     solve_w_kue,
     solve_w_kue_with_stats,
 )
-from paramcsp.fpt_solvers import _cap, _feasible, _profile_classes, _shared_weight_set
+from paramcsp.fpt_solvers import _count_vectors, _feasible, _profile_classes, _shared_weight_set
 from corpus_helpers import SOLVER_PROFILES, instances, solver_config
 from oracles import dense_profile_classes
 
@@ -97,11 +98,11 @@ class TestFeasibilityInvariant:
     def test_parity_cap_holds_under_optimization(self):
         # A count above the cap h under a parity set breaks the module's premise.
         with pytest.raises(ParamCSPError, match="^parity sets cannot hit the cap$"):
-            _feasible(WeightSet.even(), 0, [((1,), ["a"])], (1,), 1)
+            _feasible(WeightSet.even(), 0, [(1,)], (1,), 1)
         code = (
             "from paramcsp import WeightSet\n"
             "from paramcsp.fpt_solvers import _feasible\n"
-            "print(_feasible(WeightSet.even(), 0, [((1,), ['a'])], (1,), 1))\n"
+            "print(_feasible(WeightSet.even(), 0, [(1,)], (1,), 1))\n"
         )
         done = subprocess.run(
             [sys.executable, "-O", "-c", code],
@@ -114,37 +115,64 @@ class TestFeasibilityInvariant:
         assert "ParamCSPError: parity sets cannot hit the cap" in done.stderr
 
 
+def cap(inst: Instance, weights: WeightSet | None) -> int:
+    """The occurrence cap read densely: ``param_e`` against the largest value
+    of a finite or cofinite set."""
+    h = param_e(inst)
+    if weights is not None and weights.kind in (WeightSetKind.FINITE, WeightSetKind.COFINITE) and weights.values:
+        h = min(h, max(weights.values))
+    return h
+
+
+def assert_matches_the_dense_classes(inst: Instance, weights: WeightSet | None) -> None:
+    """``_profile_classes`` gives the dense cap and the dense classes'
+    profiles, sizes and first names: all of them, but only ``min(k0, size)``
+    of the all-zero class."""
+    h, classes = _profile_classes(inst, weights)
+    assert h == cap(inst, weights)
+    dense = dense_profile_classes(inst, h)
+    assert [(profile, size) for profile, size, _ in classes] == [(p, len(names)) for p, names in dense]
+    for (profile, size, names), (_, all_names) in zip(classes, dense):
+        kept = min(inst.weight.k0, size) if not any(profile) else size
+        assert names == all_names[:kept]
+
+
 class TestComputeH:
     def test_finite_maximum_wins_over_the_occurrence_bound(self):
         inst = single_constraint(WeightSet.finite([1]), ("x",) * 5, 1)
         assert param_e(inst) == 5
-        assert _cap(inst, WeightSet.finite([1])) == 1
+        assert _profile_classes(inst, WeightSet.finite([1]))[0] == 1
 
     def test_cofinite_largest_excluded_value(self):
         inst = single_constraint(WeightSet.cofinite([0]), ("x",) * 3, 1)
-        assert _cap(inst, WeightSet.cofinite([0])) == 0
+        assert _profile_classes(inst, WeightSet.cofinite([0]))[0] == 0
 
     def test_parity_falls_back_to_the_occurrence_bound(self):
         inst = single_constraint(WeightSet.even(), ("x", "x", "y"), 1)
-        assert _cap(inst, WeightSet.even()) == 2
+        assert _profile_classes(inst, WeightSet.even())[0] == 2
+
+    def test_an_empty_body_has_cap_zero(self):
+        assert _profile_classes(Instance(("x", "y"), WeightParameter(EXACT, 1)), None) == (0, [((), 2, ["x"])])
 
 
 class TestProfileClasses:
     def test_groups_variables_by_capped_occurrences(self):
+        weights = WeightSet.finite([0, 1, 2])
         inst = Instance(
             ("a", "b", "c", "d"),
             WeightParameter(EXACT, 1),
-            (Constraint(WRelation(WeightSet.even(), 4), ("a", "a", "a", "b")),),
+            (Constraint(WRelation(weights, 4), ("a", "a", "a", "b")),),
         )
-        classes = _profile_classes(inst, h=2)
-        profiles = dict(classes)
-        # Three occurrences cap to the sentinel h + 1 = 3.
-        assert profiles == {(0,): ["c", "d"], (1,): ["b"], (3,): ["a"]}
-        assert sum(len(names) for _, names in classes) == 4
+        h, classes = _profile_classes(inst, weights)
+        # Three occurrences cap to the sentinel h + 1 = 3; the all-zero
+        # class counts c and d but holds only k0 = 1 of them.
+        assert h == 2
+        assert classes == [((0,), 2, ["c"]), ((1,), 1, ["b"]), ((3,), 1, ["a"])]
+        assert_matches_the_dense_classes(inst, weights)
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), h=st.integers(0, 3))
-    def test_matches_the_dense_profiles(self, data, h):
+    @given(data=st.data(), k0=st.integers(0, 4))
+    def test_matches_the_dense_profiles(self, data, k0):
         # Names are declared in drawn order, scopes repeat entries and leave
         # variables untouched, and bodies may be empty.
         names = data.draw(st.lists(
@@ -155,27 +183,28 @@ class TestProfileClasses:
         scopes = data.draw(st.lists(
             st.lists(st.sampled_from(pool), min_size=1, max_size=6), max_size=5,
         ))
+        weights = data.draw(st.sampled_from(SMALL_WEIGHTS))
         inst = Instance(
             tuple(names),
-            WeightParameter(EXACT, 1),
-            tuple(Constraint(WRelation(WeightSet.even(), len(s)), tuple(s)) for s in scopes),
+            WeightParameter(EXACT, k0),
+            tuple(Constraint(WRelation(weights, len(s)), tuple(s)) for s in scopes),
         )
-        assert _profile_classes(inst, h) == dense_profile_classes(inst, h)
+        assert_matches_the_dense_classes(inst, weights if scopes else None)
 
     def test_many_untouched_variables_declared_out_of_order(self):
         names = [f"v{i:03d}" for i in range(600)]
         random.Random(7).shuffle(names)
         scopes = (("v599", "v010", "v599"), ("v010", "v300"), ("v000",))
+        weights = WeightSet.odd()
         inst = Instance(
             tuple(names),
             WeightParameter(EXACT, 2),
-            tuple(Constraint(WRelation(WeightSet.odd(), len(s)), s) for s in scopes),
+            tuple(Constraint(WRelation(weights, len(s)), s) for s in scopes),
         )
-        classes = _profile_classes(inst, 1)
-        assert classes == dense_profile_classes(inst, 1)
-        profile, untouched = classes[0]
-        assert profile == (0, 0, 0) and len(untouched) == 596
-        assert untouched == sorted(set(names) - {"v000", "v010", "v300", "v599"})
+        assert_matches_the_dense_classes(inst, weights)
+        profile, size, untouched = _profile_classes(inst, weights)[1][0]
+        assert profile == (0, 0, 0) and size == 596
+        assert untouched == ["v001", "v002"]
 
 
 class TestSolveKue:
@@ -373,3 +402,145 @@ class TestSmallScope:
         bodies = small_scope_bodies()
         assert len(bodies) * 8 == 212_160
         assert_small_scope(bodies)
+
+
+def dense_solve(inst: Instance, weights: WeightSet | None) -> tuple[frozenset[str] | None, SolveStats]:
+    """The profile-class solve read densely: the dense cap and classes, every
+    class holding all its names, and the count vectors in order."""
+    h = cap(inst, weights)
+    classes = dense_profile_classes(inst, h)
+    profiles = [profile for profile, _ in classes]
+    k0 = inst.weight.k0
+    targets = (k0,) if inst.weight.kind is EXACT else range(min(k0, len(inst.variables)) + 1)
+    tested = 0
+    for target in targets:
+        for vector in _count_vectors([len(names) for _, names in classes], target):
+            tested += 1
+            if not inst.body or _feasible(weights, h, profiles, vector, len(inst.body)):
+                witness = frozenset(v for (_, names), n in zip(classes, vector) for v in names[:n])
+                return witness, SolveStats(h, len(classes), tested)
+    return None, SolveStats(h, len(classes), tested)
+
+
+# Untouched names that sort before, between and after the generated x001..x014.
+FILLERS = ("a", "x0025", "y")
+
+
+def shuffled(case: int, inst: Instance) -> Instance:
+    """``inst`` with the fillers added and every name declared in a shuffled order."""
+    names = list(inst.variables + FILLERS)
+    random.Random(case).shuffle(names)
+    return Instance(tuple(names), inst.weight, inst.body)
+
+
+# ``solve_w_kue``'s (h, class_count, multisets_enumerated) on shuffled cases
+# 0-9 of the solver corpus (salt 25), whether ``solve_w_kt`` applies (where
+# it does, it gives the same witness and stats), and the witness's sorted
+# names or None. Recorded while the classes were still built by sorting and
+# filtering every declared name.
+RECORDED = {
+    "w-finite": [
+        (0, 1, 1, True, ''),
+        (1, 2, 1, False, ''),
+        (1, 3, 4, False, 'a x002'),
+        (3, 5, 32, True, None),
+        (1, 5, 16, True, None),
+        (0, 1, 1, True, ''),
+        (1, 3, 2, True, 'x008'),
+        (2, 4, 7, True, 'x005 x010'),
+        (1, 4, 1, True, 'x003 x007 x010'),
+        (1, 5, 87, True, None),
+    ],
+    "w-cofinite": [
+        (0, 1, 1, True, ''),
+        (1, 2, 3, True, None),
+        (1, 3, 1, True, 'x001 x005'),
+        (3, 5, 1, False, ''),
+        (1, 5, 1, False, 'x001 x002 x004 x005'),
+        (0, 1, 1, True, ''),
+        (1, 3, 1, False, 'x006'),
+        (2, 4, 12, True, None),
+        (1, 4, 8, False, 'a x001 x002'),
+        (1, 5, 1, False, ''),
+    ],
+    "w-even": [
+        (0, 1, 1, True, ''),
+        (1, 2, 1, False, ''),
+        (2, 3, 2, False, 'a x005'),
+        (3, 4, 1, False, ''),
+        (1, 5, 16, False, 'a x0025 x003 x005'),
+        (0, 1, 1, True, ''),
+        (1, 2, 2, False, 'a'),
+        (2, 4, 1, False, ''),
+        (1, 3, 4, False, 'a x001 x002'),
+        (1, 4, 1, False, ''),
+    ],
+    "w-odd": [
+        (0, 1, 1, True, ''),
+        (1, 2, 2, True, 'x002'),
+        (2, 3, 4, True, None),
+        (3, 4, 13, True, 'x003 x004 x006'),
+        (1, 5, 1, True, 'x001 x002 x004 x007'),
+        (0, 1, 1, True, ''),
+        (1, 2, 1, True, 'x007'),
+        (2, 4, 3, True, 'x007'),
+        (1, 3, 1, True, 'a x003 x010'),
+        (1, 4, 14, True, 'x005 x006 x007'),
+    ],
+}
+
+
+@st.composite
+def shuffled_instances(draw):
+    """Shared-weight-set bodies over some of the names a-j, every name
+    declared in a drawn order, so untouched names fall before, between and
+    after the touched ones."""
+    names = draw(st.lists(st.sampled_from("abcdefghij"), min_size=1, max_size=10, unique=True))
+    pool = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4))
+    scopes = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=5), max_size=4))
+    weights = draw(st.sampled_from(SMALL_WEIGHTS))
+    weight = WeightParameter(draw(st.sampled_from((EXACT, ATMOST))), draw(st.integers(0, 4)))
+    body = tuple(Constraint(WRelation(weights, len(s)), tuple(s)) for s in scopes)
+    return Instance(tuple(names), weight, body), weights if body else None
+
+
+class TestShuffledDeclarations:
+    @settings(max_examples=400, deadline=None)
+    @given(drawn=shuffled_instances())
+    def test_both_solvers_match_brute_force_and_the_dense_solve(self, drawn):
+        # Brute force gives the accept bit; the dense solve gives the exact
+        # witness, a class's lex-least names, and the stats.
+        inst, weights = drawn
+        want = brute_force_solve(inst)
+        dense = dense_solve(inst, weights)
+        declared_sorted = Instance(tuple(sorted(inst.variables)), inst.weight, inst.body)
+        solvers = [solve_w_kue_with_stats]
+        if weights is None or not weights.contains(0):
+            solvers.append(solve_w_kt_with_stats)
+        for solve in solvers:
+            witness, stats = got = solve(inst)
+            assert (witness is None) == (want is None), solve.__name__
+            assert witness is None or satisfies(inst, witness), solve.__name__
+            if stats.pruned:
+                assert got == (None, SolveStats(cap(inst, weights), 0, 0, pruned=True))
+            else:
+                assert got == dense, solve.__name__
+            # Declared order never changes a witness or a count.
+            assert solve(declared_sorted) == got, solve.__name__
+
+    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
+    def test_witnesses_and_stats_match_the_recorded_values(self, profile):
+        got = []
+        for case, inst in instances(10, solver_config, profile, salt=25):
+            inst = shuffled(case, inst)
+            witness, stats = solve_w_kue_with_stats(inst)
+            assert (witness is None) == (brute_force_solve(inst) is None), case
+            try:
+                kt = solve_w_kt_with_stats(inst)
+            except NotApplicableError:
+                kt = None
+            else:
+                assert kt == (witness, stats), case
+            names = None if witness is None else " ".join(sorted(witness))
+            got.append((stats.h, stats.class_count, stats.multisets_enumerated, kt is not None, names))
+        assert got == RECORDED[profile]

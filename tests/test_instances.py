@@ -3,6 +3,9 @@ and the seeded generator."""
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,12 +27,14 @@ from paramcsp import (
     WRelation,
     brute_force_solve,
     lift_kle_to_k,
+    parse_instance,
     param_e,
     param_t,
     param_u,
     random_instance,
     reduce_parity_multiplicity,
     satisfies,
+    serialize_instance,
     weight_relation,
 )
 from corpus_helpers import atmost_config, instances, parity_config
@@ -131,6 +136,49 @@ class TestValidation:
         assert c.selected_positions(frozenset({"x"})) == frozenset({1, 3})
 
 
+class TestSortedVariables:
+    def test_a_sorted_declaration_is_kept_as_is(self):
+        inst = xyz_instance()
+        assert inst.sorted_variables is inst.variables
+        generated = random_instance(3, InstanceConfig(n=1200, k0=2, profile="w-odd", body_len=3))
+        assert generated.sorted_variables is generated.variables
+
+    @settings(max_examples=200, deadline=None)
+    @given(names=st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=8, unique=True))
+    def test_any_declaration_sorts_once(self, names):
+        inst = Instance(tuple(names), WeightParameter(EXACT, 1))
+        assert inst.sorted_variables == tuple(sorted(names))
+        assert inst.variables == tuple(names)
+
+    def test_takes_no_part_in_equality_hashing_or_repr(self):
+        shuffled = Instance(("z", "x", "y"), WeightParameter(EXACT, 1))
+        ordered = Instance(("x", "y", "z"), WeightParameter(EXACT, 1))
+        assert shuffled.sorted_variables == ordered.sorted_variables
+        assert shuffled != ordered
+        object.__setattr__(ordered, "sorted_variables", ("stale",))
+        assert ordered == Instance(("x", "y", "z"), WeightParameter(EXACT, 1))
+        assert hash(ordered) == hash(Instance(("x", "y", "z"), WeightParameter(EXACT, 1)))
+        assert "sorted_variables" not in repr(shuffled)
+        assert repr(shuffled).startswith("Instance(variables=('z', 'x', 'y'), weight=")
+        assert repr(shuffled).endswith(", body=())")
+
+    def test_survives_replace(self):
+        inst = Instance(("z", "x", "y"), WeightParameter(EXACT, 1))
+        body = (Constraint(w([1], 1), ("y",)),)
+        assert replace(inst, body=body).sorted_variables == ("x", "y", "z")
+        renamed = replace(inst, variables=("b", "a"), body=())
+        assert renamed.sorted_variables == ("a", "b")
+
+    def test_documents_round_trip_byte_identical(self):
+        for names in (("z", "x", "y"), ("x", "y", "z")):
+            inst = Instance(names, WeightParameter(EXACT, 1), (Constraint(w([1], 2), ("y", "z")),))
+            text = serialize_instance(inst)
+            parsed = parse_instance(text)
+            assert parsed == inst and parsed.variables == names
+            assert serialize_instance(parsed) == text
+            assert '"variables": [' in text and "sorted_variables" not in text
+
+
 class TestSatisfies:
     def test_exact_weight_and_body(self):
         inst = xyz_instance()
@@ -166,6 +214,17 @@ class TestSatisfies:
         with pytest.raises(DomainError, match=r"assignment uses undeclared variables: \['a', 'nope'\]"):
             satisfies(inst, {"y", "nope", "a"})
         assert reads == []
+
+    def test_undeclared_members_of_any_type_are_named_in_sorted_order(self):
+        # A non-str member is never compared with the declared names.
+        inst = xyz_instance()
+        for assignment, extras in (({1, 3}, "[1, 3]"), ({"y", ("x",)}, "[('x',)]"), ({"w", "a"}, "['a', 'w']")):
+            message = re.escape(f"assignment uses undeclared variables: {extras}")
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                satisfies(inst, assignment)
+        assert satisfies(Instance((), WeightParameter(EXACT, 0)), ()) is True
+        with pytest.raises(DomainError):
+            satisfies(Instance((), WeightParameter(EXACT, 0)), {"x"})
 
 
 class TestParameters:
@@ -273,6 +332,16 @@ class TestLift:
         for k0 in (2**16 + 1, 2**63):
             with pytest.raises(CapacityError, match=f"^at-most bound {k0} above the padding bound 65536$"):
                 lift_kle_to_k(Instance(("x",), WeightParameter(ATMOST, k0)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(names=st.lists(st.text(alphabet="_padx", min_size=1, max_size=5), max_size=8, unique=True))
+    def test_padding_takes_the_shortest_prefix_no_name_starts_with(self, names):
+        lifted = lift_kle_to_k(Instance(tuple(names), WeightParameter(ATMOST, 1)))
+        (pad,) = lifted.variables[len(names):]
+        prefix = pad.removesuffix("001")
+        assert prefix.lstrip("_") == "pad"
+        assert not any(v.startswith(prefix) for v in names)
+        assert prefix == "pad" or any(v.startswith(prefix[1:]) for v in names)
 
     def test_padding_avoids_name_collisions(self):
         inst = Instance(("pad001", "x"), WeightParameter(ATMOST, 1))
