@@ -147,7 +147,7 @@ def _decide(
         machine = _MACHINE_BUILDERS[method](lifted)
         result = simulate(machine)
         witness, machine_run = result.witness, (result, machine.budget)
-    return None if witness is None else witness & inst.variable_set, machine_run
+    return None if witness is None else witness.difference(lifted.variables[len(inst.variables) :]), machine_run
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

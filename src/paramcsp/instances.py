@@ -254,7 +254,6 @@ def reduce_parity_multiplicity(inst: Instance) -> Instance:
         ):
             raise NotApplicableError("parity reduction needs parity weight sets throughout")
     new_body: list[Constraint] = []
-    contradiction = False
     for c in inst.body:
         counts = Counter(c.scope)
         odd_vars = tuple(sorted(v for v, k in counts.items() if k % 2))
@@ -262,14 +261,12 @@ def reduce_parity_multiplicity(inst: Instance) -> Instance:
             rel = WRelation(c.relation.weights, arity=len(odd_vars))
             new_body.append(Constraint(rel, odd_vars))
         elif c.relation.weights.kind is WeightSetKind.ODD:
-            contradiction = True
-            break
-    if contradiction:
-        v = inst.sorted_variables[0]
-        new_body = [
-            Constraint(WRelation(WeightSet.odd(), arity=1), (v,)),
-            Constraint(WRelation(WeightSet.even(), arity=1), (v,)),
-        ]
+            v = inst.sorted_variables[0]
+            pair = (
+                Constraint(WRelation(WeightSet.odd(), arity=1), (v,)),
+                Constraint(WRelation(WeightSet.even(), arity=1), (v,)),
+            )
+            return replace(inst, body=pair)
     return replace(inst, body=tuple(new_body))
 
 

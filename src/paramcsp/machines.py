@@ -33,10 +33,11 @@ single guess.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, filterfalse, islice
 from math import comb
 from typing import NamedTuple
 
@@ -569,7 +570,9 @@ class GuessCheckMachine:
     def __post_init__(self) -> None:
         names = tuple(self.universe)
         object.__setattr__(self, "universe", names)
-        if list(names) != sorted(set(names)):
+        if "" in names:
+            raise ValidationError("machine universe names must be nonempty strings, got ''")
+        if not all(map(operator.lt, names, names[1:])):
             raise ValidationError("machine universe must be sorted and duplicate-free")
         require_int(self.k0, "k0", ValidationError)
         require_int(self.budget, "budget", ValidationError)
@@ -604,8 +607,8 @@ def reduce_appearance(inst: Instance, cost_model: CostModel | None = None) -> Gu
         return GuessCheckMachine(universe, k0, 0, AlwaysReject())
     weight_cap = k0 * e0
     # A check costs base(w) * log-factor(index), both at least 0 and
-    # nondecreasing, so the largest index at weight_cap bounds every check.
-    check_cap = cm.cost(max(c.relation.index for c in inst.body), weight_cap) if inst.body else 0
+    # nondecreasing, so base(weight_cap) times the largest factor bounds every check.
+    check_cap = cm.checker_cost(weight_cap) * max(checker.index_factors, default=0)
     budget = k0 + k0 * t0 + (k0 * t0) * (weight_cap + check_cap) + k0 * t0
     return GuessCheckMachine(universe, k0, budget, checker)
 
@@ -710,11 +713,11 @@ def reduce_cw(inst: Instance) -> GuessCheckMachine:
 def combine_machines(first: GuessCheckMachine, second: GuessCheckMachine) -> GuessCheckMachine:
     """Chain two machines through a :class:`CombinedChecker`.
 
-    The combined budget is the sum of the parts, where an always-reject part
-    counts the ``k0`` its guess is charged in place of its budget of 0, plus
-    ``k0`` for writing the shared guess once more for the second checker.
+    The combined budget is the sum of the parts, each counting the larger of
+    its budget and the ``k0`` its guess is charged (an always-reject part has
+    budget 0), plus ``k0`` for writing the shared guess once more.
     """
-    parts = sum(first.k0 if isinstance(m.checker, AlwaysReject) else m.budget for m in (first, second))
+    parts = sum(max(m.budget, m.k0) for m in (first, second))
     return GuessCheckMachine(first.universe, first.k0, parts + first.k0, CombinedChecker(first, second))
 
 
@@ -857,7 +860,8 @@ def completion_reduction(inst: Instance, d: int) -> CompletionReduction:
     requires a true completion indicator whenever the partial's own indicator
     is true. The records depend only on membership, so a finite-weight
     relation reduces exactly as its listed members would, without listing them.
-    The output weight is at most ``k0 + 2**k0``.
+    The output weight is at most ``k0 + 2**k0``. The body's first constraint
+    is its one weight constraint; every later one is conditional.
     A bound ``d`` above ``DEFAULT_CAPACITY``, more than any member can reach,
     raises :class:`CapacityError`, since the tail weights run to ``2**d``;
     so does a ``k0`` whose reduced guess the conditional-weight machine
@@ -941,26 +945,19 @@ def solve_wd_pipeline(inst: Instance, d: int) -> frozenset[str] | None:
         if not all(c.relation._contains(frozenset()) for c in inst.body):
             return None
         forbidden = {v for c in inst.body for v in c.scope}
-        allowed = [v for v in inst.sorted_variables if v not in forbidden]
-        if inst.weight.k0 > len(allowed):
+        allowed = filterfalse(forbidden.__contains__, inst.sorted_variables)
+        witness = frozenset(islice(allowed, min(inst.weight.k0, len(inst.variables))))
+        if len(witness) < inst.weight.k0:
             return None
-        witness = frozenset(allowed[: inst.weight.k0])
     else:
         reduction = completion_reduction(inst, d)
         lifted = lift_kle_to_k(reduction.instance)
-        w_part = replace(
-            lifted,
-            body=tuple(c for c in lifted.body if isinstance(c.relation, WRelation)),
-        )
-        cw_part = replace(
-            lifted,
-            body=tuple(c for c in lifted.body if isinstance(c.relation, CWRelation)),
-        )
-        machine = combine_machines(reduce_appearance(w_part), reduce_cw(cw_part))
-        result = simulate(machine)
+        weight, *conditional = lifted.body
+        parts = reduce_appearance(replace(lifted, body=(weight,))), reduce_cw(replace(lifted, body=conditional))
+        result = simulate(combine_machines(*parts))
         if result.witness is None:
             return None
-        witness = result.witness.intersection(inst.variables)
+        witness = result.witness.difference(lifted.variables[len(inst.variables) :])
     if not satisfies(inst, witness):
         raise ParamCSPError("pipeline produced an invalid witness")
     return witness

@@ -111,12 +111,11 @@ def compute_partials(rel: Relation, *, capacity: int = DEFAULT_CAPACITY) -> Part
             ok = comps is None or any(u & ~mask == 0 for u in comps)
         if ok:
             partial_comps[mask] = _minimal_supersets(mask, member_list)
-    partials = canonical_sets(_mask_to_set(m) for m in partial_comps)
     table = {
         tuple(sorted(_mask_to_set(m))): canonical_sets(_mask_to_set(u) for u in comps)
         for m, comps in partial_comps.items()
     }
-    return PartialsTable(relation=rel, partials=partials, completions=table)
+    return PartialsTable(relation=rel, partials=tuple(sorted(table)), completions=table)
 
 
 def characterize_membership(table: PartialsTable, positions: Iterable[int]) -> bool:

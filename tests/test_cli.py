@@ -533,6 +533,16 @@ class TestReduceAndSimulate:
         assert out == ""
         assert err == "error: machine.sum_bound: 0 is below 2, the least bound its tables allow\n"
 
+    def test_simulate_refuses_the_empty_name_in_a_universe(self, tmp_path, capsys):
+        # It once printed ACCEPT and a bare WITNESS, the output of a k0 = 0
+        # machine accepting the empty guess.
+        budget = reduce_cw(Instance(("x",), WeightParameter(WeightKind.EXACT, 1))).budget
+        machine = {"kind": "cw", "universe": [""], "k0": 1, "exact": True, "budget": budget, "b": 0, "sum_bound": 0}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format_version": "1", "machine": dict(machine, tables=[])}), encoding="utf-8")
+        assert run(["simulate", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: machine: machine universe names must be nonempty strings, got ''\n")
+
     def test_integers_too_long_to_print_are_a_capacity_fault(self, tmp_path, capsys):
         # A 4,001-digit k0 reads, but the appearance budget, about k0**2, has
         # more than 4300 digits.

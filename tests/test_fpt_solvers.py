@@ -406,18 +406,19 @@ class TestSmallScope:
 
 def dense_solve(inst: Instance, weights: WeightSet | None) -> tuple[frozenset[str] | None, SolveStats]:
     """The profile-class solve read densely: the dense cap and classes, every
-    class holding all its names, and the count vectors in order."""
+    class holding all its names, and the count vectors in order, each decided
+    by ``satisfies`` on its representative witness rather than the solver's
+    own feasibility test."""
     h = cap(inst, weights)
     classes = dense_profile_classes(inst, h)
-    profiles = [profile for profile, _ in classes]
     k0 = inst.weight.k0
     targets = (k0,) if inst.weight.kind is EXACT else range(min(k0, len(inst.variables)) + 1)
     tested = 0
     for target in targets:
         for vector in _count_vectors([len(names) for _, names in classes], target):
             tested += 1
-            if not inst.body or _feasible(weights, h, profiles, vector, len(inst.body)):
-                witness = frozenset(v for (_, names), n in zip(classes, vector) for v in names[:n])
+            witness = frozenset(v for (_, names), n in zip(classes, vector) for v in names[:n])
+            if satisfies(inst, witness):
                 return witness, SolveStats(h, len(classes), tested)
     return None, SolveStats(h, len(classes), tested)
 

@@ -1,10 +1,13 @@
 """A fail-closed fuzzer over the instance and machine documents the CLI reads.
 
 Each example starts from a document the library wrote for a generated
-instance or machine over at most four variables, mutates it (drops,
-duplicates or retypes a key or a row, or swaps an integer for a huge,
-negative or boolean one) and feeds it in-process to ``cli.run`` through
-stdin. Whatever the mutant holds, the run must exit
+instance, relation or machine over at most four variables, mutates it
+(drops, duplicates or retypes a key or a row, swaps an integer for a huge,
+negative or boolean one, or reorders an object's keys) and feeds it
+in-process to ``cli.run``: through stdin, or for a relation as the argument
+of ``partials --relation``. Machine universes are also given the empty name,
+a repeated name or the reverse order, which every machine refuses.
+Whatever the mutant holds, the run must exit
 with 0, 1, 2 or 3, print one ``error:`` line exactly when it exits 2 or 3,
 and print no traceback. Tier-1 runs a sample; ``pytest -m slow`` runs ten
 times as many examples.
@@ -42,6 +45,7 @@ INSTANCE_COMMANDS = (
     + [["reduce", "--to", target] for target in REDUCE_TARGETS]
 )
 MACHINE_COMMANDS = [["simulate"], ["simulate", "--budget-report"]]
+RELATION_COMMANDS = [["partials", "--relation"], ["partials", "--capacity", "14", "--relation"]]
 
 # Huge, negative and boolean stand-ins for an integer.
 ODD_INTEGERS = (2**63, 2**64 + 1, 10**30, -1, -(2**63), True, False)
@@ -59,6 +63,13 @@ def instance_documents(draw):
         cw_bound=draw(st.integers(1, 2)),
     )
     return json.loads(serialize_instance(random_instance(draw(st.integers(0, 2**32 - 1)), cfg)))
+
+
+@st.composite
+def relation_documents(draw):
+    """The relation document of one constraint of an instance document."""
+    constraints = draw(instance_documents().filter(lambda doc: doc["constraints"]))["constraints"]
+    return draw(st.sampled_from(constraints))["relation"]
 
 
 @st.composite
@@ -85,6 +96,19 @@ def machine_documents(draw):
         return draw(st.sampled_from(leaves))
 
     return json.loads(serialize_machine(part(2)))
+
+
+@st.composite
+def odd_universes(draw):
+    """The JSON text of a machine document in which one machine, the whole
+    or a combined part, holds the empty name, a repeated name, or its names
+    in reverse order."""
+    doc = draw(machine_documents())
+    part = draw(st.sampled_from([value for _, value in nodes(doc) if isinstance(value, dict) and "universe" in value]))
+    names = part["universe"]
+    odd = [names[:i] + [""] + names[i:] for i in range(len(names) + 1)] + [names + names[-1:]]
+    part["universe"] = draw(st.sampled_from(odd + [names[::-1]] * (len(names) > 1)))
+    return json.dumps(doc)
 
 
 def nodes(value, path=()):
@@ -122,6 +146,11 @@ def mutants(draw, documents):
         op = draw(st.sampled_from(["drop", "duplicate", "retype"]))
         if isinstance(value, int) and not isinstance(value, bool) and draw(st.booleans()):
             op = "odd-integer"
+        if isinstance(value, dict) and draw(st.booleans()):  # the same keys and values, reordered
+            items = draw(st.permutations(list(value.items())))
+            value.clear()
+            value.update(items)
+            continue
         if not path:  # the root can only be retyped
             if op == "retype":
                 doc = copy.deepcopy(draw(st.sampled_from(OTHER_TYPES)))
@@ -144,7 +173,9 @@ def mutants(draw, documents):
 
 
 def assert_fails_closed(text, command):
-    argv = command + ["-"]
+    """Run ``command`` on ``text``: the argument of a trailing ``--relation``,
+    else stdin. Returns the exit code."""
+    argv = command + [text if command[-1] == "--relation" else "-"]
     out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
@@ -152,6 +183,7 @@ def assert_fails_closed(text, command):
     assert code in (0, 1, 2, 3), (argv, text, err.getvalue())
     assert len(errors) == (code in (2, 3)), (argv, text, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, text, err.getvalue())
+    return code
 
 
 def instance_case():
@@ -160,6 +192,14 @@ def instance_case():
 
 def machine_case():
     return given(text=mutants(machine_documents()), command=st.sampled_from(MACHINE_COMMANDS))
+
+
+def relation_case():
+    return given(text=mutants(relation_documents()), command=st.sampled_from(RELATION_COMMANDS))
+
+
+def universe_case():
+    return given(text=odd_universes(), command=st.sampled_from(MACHINE_COMMANDS))
 
 
 def fuzz_settings(examples):
@@ -177,6 +217,16 @@ class TestDocumentFuzzing:
     def test_machine_documents(self, text, command):
         assert_fails_closed(text, command)
 
+    @fuzz_settings(150)
+    @relation_case()
+    def test_relation_documents(self, text, command):
+        assert_fails_closed(text, command)
+
+    @fuzz_settings(100)
+    @universe_case()
+    def test_odd_machine_universes_are_refused(self, text, command):
+        assert assert_fails_closed(text, command) == 2
+
     @pytest.mark.slow
     @fuzz_settings(1500)
     @instance_case()
@@ -188,3 +238,15 @@ class TestDocumentFuzzing:
     @machine_case()
     def test_machine_documents_at_length(self, text, command):
         assert_fails_closed(text, command)
+
+    @pytest.mark.slow
+    @fuzz_settings(1500)
+    @relation_case()
+    def test_relation_documents_at_length(self, text, command):
+        assert_fails_closed(text, command)
+
+    @pytest.mark.slow
+    @fuzz_settings(1000)
+    @universe_case()
+    def test_odd_machine_universes_are_refused_at_length(self, text, command):
+        assert assert_fails_closed(text, command) == 2

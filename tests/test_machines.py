@@ -199,6 +199,13 @@ class TestGuessCheckMachine:
         with pytest.raises(ValidationError, match="duplicate"):
             GuessCheckMachine(("a", "a"), 1, 0, AlwaysReject())
 
+    @pytest.mark.parametrize("universe", [("",), ("", "a"), ("b", "")], ids=["alone", "first", "unsorted"])
+    def test_universe_names_must_be_nonempty(self, universe):
+        # Instances refuse the empty name; a machine over it once accepted the
+        # guess {""}, printed as the empty witness of a k0 = 0 machine.
+        with pytest.raises(ValidationError, match="^machine universe names must be nonempty strings, got ''$"):
+            GuessCheckMachine(universe, 1, 0, AlwaysReject())
+
     @pytest.mark.parametrize("k0", [-1, True, "2"])
     def test_rejects_bad_guess_bounds(self, k0):
         with pytest.raises(ValidationError):
@@ -1844,7 +1851,8 @@ class TestSolveWdPipeline:
             "xyz", 1, Constraint(WRelation(WeightSet.finite((0,)), 2), ("x", "y"))
         )
         assert solve_wd_pipeline(inst, 0) == frozenset({"z"})
-        assert solve_wd_pipeline(replace(inst, weight=WeightParameter(WeightKind.EXACT, 2)), 0) is None
+        for k0 in (2, 2**63):  # the scan of allowed names stops at the name count
+            assert solve_wd_pipeline(replace(inst, weight=WeightParameter(WeightKind.EXACT, k0)), 0) is None
 
     def test_zero_bound_empty_weight_set_is_contradiction(self):
         inst = exact("x", 0, Constraint(WRelation(WeightSet.finite(()), 1), ("x",)))
