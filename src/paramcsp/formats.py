@@ -184,6 +184,15 @@ def _constraints_to_doc(constraints: tuple[Constraint, ...]) -> list[dict[str, A
     ]
 
 
+def _names_from_doc(value: Any, path: str, declared: set[str]) -> tuple[str, ...]:
+    """Read a list of names that may only be ``declared`` variables."""
+    names = _as_list_of(value, path, str)
+    for j, v in enumerate(names):
+        if v not in declared:
+            raise ValidationError(f"{path}[{j}]: undeclared variable {v!r}")
+    return names
+
+
 def _constraints_from_doc(value: Any, path: str, declared: set[str]) -> tuple[Constraint, ...]:
     """Parse a constraint list whose scopes may only name ``declared`` variables."""
     body = []
@@ -191,10 +200,7 @@ def _constraints_from_doc(value: Any, path: str, declared: set[str]) -> tuple[Co
         cpath = f"{path}[{i}]"
         obj = _as(entry, cpath, dict)
         rel = _relation_from_doc(_get(obj, "relation", cpath), f"{cpath}.relation")
-        scope = _as_list_of(_get(obj, "scope", cpath), f"{cpath}.scope", str)
-        for j, v in enumerate(scope):
-            if v not in declared:
-                raise ValidationError(f"{cpath}.scope[{j}]: undeclared variable {v!r}")
+        scope = _names_from_doc(_get(obj, "scope", cpath), f"{cpath}.scope", declared)
         body.append(_at(cpath, Constraint, rel, scope))
     return tuple(body)
 
@@ -326,6 +332,7 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
     obj = _as(value, path, dict)
     kind = _field(obj, "kind", path, str)
     universe = _as_list_of(_get(obj, "universe", path), f"{path}.universe", str)
+    declared = set(universe)
     k0 = _field(obj, "k0", path, int, 0)
     _require_derived(_field(obj, "exact", path, bool), True, f"{path}.exact", "every machine has")
     budget = _field(obj, "budget", path, int, 0)
@@ -334,9 +341,7 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
         derived_budget = 0
     elif kind == "appearance":
         cost_model = _cost_model_from_doc(_get(obj, "cost_model", path), f"{path}.cost_model")
-        constraints = _constraints_from_doc(
-            _get(obj, "constraints", path), f"{path}.constraints", set(universe)
-        )
+        constraints = _constraints_from_doc(_get(obj, "constraints", path), f"{path}.constraints", declared)
         inst = _at(path, Instance, universe, WeightParameter(WeightKind.EXACT, k0), constraints)
         rebuilt = reduce_appearance(inst, cost_model)
         if isinstance(rebuilt.checker, AlwaysReject):
@@ -358,8 +363,8 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
         for i, entry in enumerate(_field(obj, "tables", path, list)):
             rpath = f"{path}.tables[{i}]"
             row = _as(entry, rpath, dict)
-            head = frozenset(_as_list_of(_get(row, "head", rpath), f"{rpath}.head", str))
-            tail = frozenset(_as_list_of(_get(row, "tail", rpath), f"{rpath}.tail", str))
+            head = frozenset(_names_from_doc(_get(row, "head", rpath), f"{rpath}.head", declared))
+            tail = frozenset(_names_from_doc(_get(row, "tail", rpath), f"{rpath}.tail", declared))
             count = _field(row, "count", rpath, int, 0)
             if (head, tail) in rows:
                 raise ValidationError(f"{rpath}: duplicate table key")

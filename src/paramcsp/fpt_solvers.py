@@ -15,10 +15,8 @@ vector takes more than ``k0`` names from it, so it holds only its first
 ``k0``, read from the instance's sorted names past the touched ones.
 
 Capping is sound because a count can only exceed ``h`` when ``h`` came from
-the weight set rather than from the instance: for a finite set the constraint
-sum then necessarily overshoots every admissible weight (infeasible), for a
-cofinite set it overshoots every excluded weight (automatically fine). Parity
-sets never cap, since there ``h`` equals the instance's own bound.
+the weight set rather than from the instance, so the weight set judges every
+capped sum as it would the true one (see :func:`_feasible`).
 """
 
 from __future__ import annotations
@@ -109,30 +107,17 @@ def _profile_classes(
     return h, classes
 
 
-def _feasible(
-    weights: WeightSet,
-    h: int,
-    profiles: list[tuple[int, ...]],
-    vector: tuple[int, ...],
-    body_len: int,
-) -> bool:
+def _feasible(weights: WeightSet, profiles: list[tuple[int, ...]], vector: tuple[int, ...], body_len: int) -> bool:
+    """Whether ``vector`` meets every constraint. A count reaches the cap
+    ``h + 1`` only when ``h`` is the largest value of a finite or cofinite
+    set, so the capped sum lies above every value: a finite set refuses it and
+    a cofinite set admits it, as it would the true sum. Parity sets never cap,
+    because their bound is the longest scope."""
     for i in range(body_len):
         total = 0
-        capped = False
         for profile, n in zip(profiles, vector):
-            if not n:
-                continue
-            m = profile[i]
-            if m > h:
-                capped = True
-                break
-            total += m * n
-        if capped:
-            if weights.kind is WeightSetKind.FINITE:
-                return False
-            if weights.kind is not WeightSetKind.COFINITE:
-                raise ParamCSPError("parity sets cannot hit the cap")
-            continue
+            if n:
+                total += profile[i] * n
         if not weights._contains(total):
             return False
     return True
@@ -169,6 +154,8 @@ def _solve(inst: Instance, weights: WeightSet | None) -> tuple[frozenset[str] | 
     body shares ``weights`` (None for an empty body)."""
     h, classes = _profile_classes(inst, weights)
     profiles = [profile for profile, _, _ in classes]
+    if weights is not None and weights.kind in (WeightSetKind.EVEN, WeightSetKind.ODD) and max(map(max, profiles)) > h:
+        raise ParamCSPError("parity sets cannot hit the cap")
     sizes = [size for _, size, _ in classes]
     body_len = len(inst.body)
     k0 = inst.weight.k0
@@ -178,7 +165,7 @@ def _solve(inst: Instance, weights: WeightSet | None) -> tuple[frozenset[str] | 
     for target in targets:
         for vector in _count_vectors(sizes, target):
             tested += 1
-            if body_len and not _feasible(weights, h, profiles, vector, body_len):
+            if not _feasible(weights, profiles, vector, body_len):
                 continue
             witness = frozenset(
                 name

@@ -570,9 +570,15 @@ class GuessCheckMachine:
     def __post_init__(self) -> None:
         names = tuple(self.universe)
         object.__setattr__(self, "universe", names)
-        if "" in names:
-            raise ValidationError("machine universe names must be nonempty strings, got ''")
-        if not all(map(operator.lt, names, names[1:])):
+        try:
+            "".join(names)  # a C-level pass refuses every name but a string
+            valid = names[:1] != ("",) and all(map(operator.lt, names, names[1:]))  # sorted: "" could only be first
+        except TypeError:
+            valid = False
+        if not valid:
+            for v in names:  # report the first name at fault
+                if not isinstance(v, str) or not v:
+                    raise ValidationError(f"machine universe names must be nonempty strings, got {v!r}")
             raise ValidationError("machine universe must be sorted and duplicate-free")
         require_int(self.k0, "k0", ValidationError)
         require_int(self.budget, "budget", ValidationError)

@@ -543,6 +543,17 @@ class TestReduceAndSimulate:
         assert run(["simulate", str(path)]) == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: machine: machine universe names must be nonempty strings, got ''\n")
 
+    def test_simulate_refuses_table_names_outside_the_universe(self, tmp_path, capsys):
+        # It once simulated the machine as if the row were absent.
+        inst = Instance(("w", "x", "y", "z"), WeightParameter(WeightKind.EXACT, 2), ONE_OF_TWO.body)
+        machine = json.loads(serialize_machine(reduce_cw(inst)))
+        rows = machine["machine"]["tables"]
+        rows.append({"head": ["zz"], "tail": [], "count": 1})
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(machine), encoding="utf-8")
+        assert run(["simulate", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: machine.tables[{len(rows) - 1}].head[0]: undeclared variable 'zz'\n")
+
     def test_integers_too_long_to_print_are_a_capacity_fault(self, tmp_path, capsys):
         # A 4,001-digit k0 reads, but the appearance budget, about k0**2, has
         # more than 4300 digits.

@@ -292,6 +292,23 @@ class TestMachineDocuments:
             parse_machine(text)
 
     @pytest.mark.parametrize(
+        "row, needle",
+        [
+            ({"head": ["zz"], "tail": [], "count": 1}, "head[0]: undeclared variable 'zz'"),
+            ({"head": ["x"], "tail": ["y", "zz"], "count": 0, "max_positions": 0}, "tail[1]: undeclared variable 'zz'"),
+        ],
+        ids=["head", "tail"],
+    )
+    def test_cw_table_names_outside_the_universe(self, row, needle):
+        # Such a row was once parsed, and simulate answered as if it were absent.
+        doc = json.loads(serialize_machine(reduce_cw(ONE_OF_TWO)))
+        rows = doc["machine"]["tables"]
+        rows.append(row)
+        with pytest.raises(ValidationError) as err:
+            parse_machine(json.dumps(doc))
+        assert str(err.value) == f"machine.tables[{len(rows) - 1}].{needle}"
+
+    @pytest.mark.parametrize(
         "delta_sizes, lambda_caps, needle",
         [
             pytest.param(

@@ -37,7 +37,7 @@ from paramcsp import (
     solve_w_kue,
     solve_w_kue_with_stats,
 )
-from paramcsp.fpt_solvers import _count_vectors, _feasible, _profile_classes, _shared_weight_set
+from paramcsp.fpt_solvers import _count_vectors, _profile_classes, _shared_weight_set
 from corpus_helpers import SOLVER_PROFILES, instances, solver_config
 from oracles import dense_profile_classes
 
@@ -95,14 +95,17 @@ class TestManyProfileClasses:
 
 
 class TestFeasibilityInvariant:
-    def test_parity_cap_holds_under_optimization(self):
+    def test_parity_cap_holds_under_optimization(self, monkeypatch):
         # A count above the cap h under a parity set breaks the module's premise.
+        monkeypatch.setattr(paramcsp.fpt_solvers, "_profile_classes", lambda inst, weights: (0, [((1,), 1, ["x"])]))
         with pytest.raises(ParamCSPError, match="^parity sets cannot hit the cap$"):
-            _feasible(WeightSet.even(), 0, [(1,)], (1,), 1)
+            solve_w_kue(single_constraint(WeightSet.even(), ("x",), 1))
         code = (
-            "from paramcsp import WeightSet\n"
-            "from paramcsp.fpt_solvers import _feasible\n"
-            "print(_feasible(WeightSet.even(), 0, [(1,)], (1,), 1))\n"
+            "import paramcsp.fpt_solvers as fpt\n"
+            "from paramcsp import Constraint, Instance, WeightKind, WeightParameter, WeightSet, WRelation\n"
+            "fpt._profile_classes = lambda inst, weights: (0, [((1,), 1, ['x'])])\n"
+            "body = (Constraint(WRelation(WeightSet.even(), 1), ('x',)),)\n"
+            "print(fpt.solve_w_kue(Instance(('x',), WeightParameter(WeightKind.EXACT, 1), body)))\n"
         )
         done = subprocess.run(
             [sys.executable, "-O", "-c", code],

@@ -206,6 +206,12 @@ class TestGuessCheckMachine:
         with pytest.raises(ValidationError, match="^machine universe names must be nonempty strings, got ''$"):
             GuessCheckMachine(universe, 1, 0, AlwaysReject())
 
+    @pytest.mark.parametrize("universe", [(1, 2), ("a", 1), (1, "a")], ids=["numbers", "after", "before"])
+    def test_universe_names_must_be_strings(self, universe):
+        # (1, 2) once built a machine, and ("a", 1) raised a bare TypeError.
+        with pytest.raises(ValidationError, match="^machine universe names must be nonempty strings, got 1$"):
+            GuessCheckMachine(universe, 1, 0, AlwaysReject())
+
     @pytest.mark.parametrize("k0", [-1, True, "2"])
     def test_rejects_bad_guess_bounds(self, k0):
         with pytest.raises(ValidationError):

@@ -4,14 +4,19 @@ Brute force and the small scopes stop at a few dozen names, yet costs that
 grow with the name count show only in the thousands. A metamorphic relation
 needs no oracle: it says what a transform of an instance must keep. Under
 ``hypothesis``, instances of 200 to 5,000 names with small bodies are checked
-against two transforms:
+against three transforms:
 
 - appending untouched names keeps a SAT verdict SAT and every appearance and
   conditional-weight budget;
 - renaming the names of an exact instance in an order-preserving way maps
   every witness and keeps every counter of both profile-class solvers, and of
   ``simulate`` on appearance and conditional-weight machines where the guess
-  count ``comb(n, k0)`` stays at or below 10**5.
+  count ``comb(n, k0)`` stays at or below 10**5;
+- duplicating a body constraint keeps every accept bit, and brute force's
+  (where it tries at most 5,000 sets) and every machine's witness. A copy
+  appended at the end keeps the profile classes in their order, so it
+  keeps both solvers' witnesses too; a copy inserted earlier may reorder the
+  classes, and with them the witness the solvers pick.
 
 Two more tests pin that the machine builders and ``cli._decide`` make no
 pass over all the names: building a machine calls no ``sorted``, and the
@@ -55,22 +60,25 @@ SOLVERS = (solve_w_kue_with_stats, solve_w_kt_with_stats)
 BUILDERS = (reduce_appearance, reduce_cw)
 # Machines are simulated only where they guess at most this many times.
 GUESS_LIMIT = 10**5
+# Brute force runs only where it tries at most this many sets.
+BRUTE_LIMIT = 5000
 # Appended names sort before, among and after the generated x0001.. names,
 # and no generated name holds "_".
 APPENDED_PREFIXES = ("a", "x0", "x2", "y")
 
 
 @st.composite
-def large_instances(draw, exact_only=False):
-    """A generated instance of 200 to 5,000 names, ``k0`` up to 3 and at most
-    four constraints. A third of the draws keep ``n`` at or below 450, where
-    a ``k0 = 2`` machine guesses at most 10**5 times, and a third take 5,000."""
+def large_instances(draw, exact_only=False, min_body=0):
+    """A generated instance of 200 to 5,000 names, ``k0`` up to 3 and
+    ``min_body`` to four constraints. A third of the draws keep ``n`` at or
+    below 450, where a ``k0 = 2`` machine guesses at most 10**5 times, and a
+    third take 5,000."""
     n = draw(st.one_of(st.integers(200, 450), st.integers(200, 5000), st.just(5000)))
     cfg = InstanceConfig(
         n=n,
         k0=draw(st.integers(0, 3)),
         profile=draw(st.sampled_from(PROFILES)),
-        body_len=draw(st.integers(0, 4)),
+        body_len=draw(st.integers(min_body, 4)),
         max_arity=draw(st.integers(1, 4)),
         atmost=False if exact_only else draw(st.booleans()),
         cw_bound=draw(st.integers(1, 2)),
@@ -92,6 +100,12 @@ def applicable(run, inst):
 
 def simulable(machine: GuessCheckMachine) -> bool:
     return comb(len(machine.universe), machine.k0) <= GUESS_LIMIT
+
+
+def brute_forceable(inst: Instance) -> bool:
+    n, k0 = len(inst.variables), inst.weight.k0
+    sizes = (k0,) if inst.weight.kind is WeightKind.EXACT else range(k0 + 1)
+    return sum(comb(n, size) for size in sizes) <= BRUTE_LIMIT
 
 
 def metamorphic_settings(examples):
@@ -141,6 +155,47 @@ def check_renaming(inst: Instance, start: int, step: int) -> None:
         assert renamed_machine.budget == machine.budget, build.__name__
         result = simulate(machine)
         assert simulate(renamed_machine) == replace(result, witness=mapped(result.witness)), build.__name__
+
+
+def check_duplicating(inst: Instance, pick: int, where: int) -> None:
+    body = inst.body
+    copy = body[pick % len(body)]
+    at = where % (len(body) + 1)
+    appended = Instance(inst.variables, inst.weight, body + (copy,))
+    inserted = Instance(inst.variables, inst.weight, body[:at] + (copy,) + body[at:])
+    for solve in SOLVERS:
+        got = applicable(solve, inst)
+        if got is None:
+            for grown in (appended, inserted):
+                with pytest.raises(NotApplicableError):
+                    solve(grown)
+            continue
+        assert solve(appended)[0] == got[0], solve.__name__
+        assert (solve(inserted)[0] is None) == (got[0] is None), solve.__name__
+    if brute_forceable(inst):
+        want = brute_force_solve(inst)
+        assert brute_force_solve(appended) == brute_force_solve(inserted) == want
+    for build in BUILDERS:
+        machine = applicable(build, exact(inst))
+        if machine is None or not simulable(machine):
+            continue
+        result = simulate(machine)
+        for grown in (appended, inserted):
+            again = simulate(build(exact(grown)))
+            assert (again.accepted, again.witness) == (result.accepted, result.witness), build.__name__
+
+
+class TestDuplicatedConstraints:
+    @metamorphic_settings(200)
+    @given(inst=large_instances(min_body=1), pick=st.integers(0, 3), where=st.integers(0, 4))
+    def test_keeps_every_accept_bit_and_witness(self, inst, pick, where):
+        check_duplicating(inst, pick, where)
+
+    @pytest.mark.slow
+    @metamorphic_settings(2000)
+    @given(inst=large_instances(min_body=1), pick=st.integers(0, 3), where=st.integers(0, 4))
+    def test_keeps_every_accept_bit_and_witness_at_length(self, inst, pick, where):
+        check_duplicating(inst, pick, where)
 
 
 class TestAppendingUntouchedNames:
