@@ -24,11 +24,11 @@ steps match that scan and an accepting branch costs exactly the budget.
 
 :func:`simulate` walks guess prefixes depth first and counts the branches.
 Every checker answers ``grow(state, name)``, the state of a prefix extended
-by one name (None: of the empty prefix, and of every prefix of a checker that
-keeps nothing), and ``check_block(state, prefix, lasts, steps)``, which judges
-``prefix + (x,)`` for each last name ``x`` up to the first accept and returns
-its index (or None) and the top step count. ``check(combo, steps)`` judges a
-single guess.
+by one name (None at the empty prefix and under the always-reject checker;
+a count of the prefix's touched names under the appearance checker), and
+``check_block(state, prefix, lasts, steps)``, which judges ``prefix + (x,)``
+for each last name ``x`` up to the first accept and returns its index (or
+None) and the top step count. ``check(combo, steps)`` judges a single guess.
 """
 
 from __future__ import annotations
@@ -114,6 +114,15 @@ class AppearanceChecker:
     ``d_set`` last. ``index_factors`` holds each ``CostModel._index_factor``,
     the index part of :meth:`CostModel.cost`, so a check calls only
     ``checker_cost`` per touched constraint.
+
+    A check adds ``len(row)`` per guessed name, and a name in no constraint
+    (untouched) has an empty row, so a guess's verdict and charge depend only
+    on its touched names. :meth:`grow` counts a prefix's touched names, and
+    :meth:`check_block` judges the touched set of a guess holding an untouched
+    name once, keeping its verdict and charge from 0 in ``memo``. A guess
+    whose names are all touched is judged once anyway and stores nothing, so
+    over ``t`` touched names and ``k0``-name guesses ``memo`` holds at most
+    ``sum(comb(t, j) for j in range(k0))`` entries.
     """
 
     constraints: tuple[Constraint, ...]
@@ -122,6 +131,7 @@ class AppearanceChecker:
     d_set: tuple[int, ...] = field(init=False)
     occurrences: dict[str, tuple[tuple[int, tuple[int, ...]], ...]] = field(init=False, repr=False, compare=False)
     index_factors: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    memo: dict[tuple[str, ...], tuple[bool, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         occurrences: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
@@ -160,23 +170,29 @@ class AppearanceChecker:
                 return False, steps
         return True, steps
 
-    def grow(self, state: None, name: str) -> None:
-        return None
+    def grow(self, state: int | None, name: str) -> int:
+        """The number of touched names in ``state``'s prefix extended by ``name``."""
+        return (state or 0) + (name in self.occurrences)
 
-    def check_block(self, state: None, prefix: tuple[str, ...], lasts: Sequence[str], steps: int) -> BlockResult:
-        """Check ``prefix + (x,)`` for each ``x`` in ``lasts``. A last in no
-        constraint has no row, so it gets the verdict and charge of
-        ``prefix`` itself, judged once."""
-        top = 0
-        untouched = None
+    def check_block(self, state: int | None, prefix: tuple[str, ...], lasts: Sequence[str], steps: int) -> BlockResult:
+        """Check ``prefix + (x,)`` for each ``x`` in ``lasts`` by its touched
+        names, from ``state``, the prefix's count of them: a guess holding an
+        untouched name is judged once per touched set, through ``memo``."""
+        occurrences, memo = self.occurrences, self.memo
+        held = state or 0  # the touched prefix: all of it, none, or one C-level filter
+        base = prefix if held == len(prefix) else tuple(filter(occurrences.__contains__, prefix)) if held else ()
+        top, size = 0, len(prefix)
         for i, last in enumerate(lasts):
-            if last in self.occurrences:
-                accepted, charged = self.check(prefix + (last,), steps)
-            else:  # a verdict pair is never empty, so it is judged once
-                accepted, charged = untouched = untouched or self.check(prefix, steps)
+            touched = base + (last,) if last in occurrences else base
+            verdict = memo.get(touched)
+            if verdict is None:
+                verdict = self.check(touched, 0)
+                if len(touched) <= size:  # a guess with every name touched is judged once anyway
+                    memo[touched] = verdict
+            charged = steps + verdict[1]
             if charged > top:
                 top = charged
-            if accepted:
+            if verdict[0]:
                 return i, top
         return None, top
 
@@ -568,6 +584,8 @@ class GuessCheckMachine:
     checker: Checker
 
     def __post_init__(self) -> None:
+        if not isinstance(self.universe, (tuple, list)):
+            raise ValidationError(f"machine universe must be a tuple or a list, got {type(self.universe).__name__}")
         names = tuple(self.universe)
         object.__setattr__(self, "universe", names)
         try:

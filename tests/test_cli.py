@@ -373,6 +373,23 @@ class TestLongConditionalWeightGuessesFinish:
         assert (done.returncode, done.stdout, done.stderr) == (EXIT_UNSAT, "UNSAT\n", "")
 
 
+class TestLongAppearanceGuessesFinish:
+    """The appearance checker's state of a prefix is its count of touched
+    names: states that each held the prefix's touched names, on a 20,000-name
+    guess touching every name, ended in exit 3 (MemoryError) under the 1 GiB
+    limit."""
+
+    def test_appearance_machine_rejects(self, tmp_path):
+        path, machine = str(tmp_path / "inst.json"), str(tmp_path / "m.json")
+        gen = "--seed 3 --n 20000 --k0 20000 --profile w-finite --body 2 --materialize-weight-constraint"
+        done = cli_child(["gen", *gen.split(), "--out", path])
+        assert (done.returncode, done.stderr) == (EXIT_SAT, "")
+        done = cli_child(["reduce", path, "--to", "appearance", "--out", machine])
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_SAT, "", "")
+        done = cli_child(["simulate", machine])
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_UNSAT, "REJECT\n", "")
+
+
 class TestWideConditionalWeightGuessesFinish:
     """A conditional-weight guess of 30 names walks only its stored table
     entries; listing its ``2**30`` subsets once ended in exit 3 (MemoryError)."""

@@ -212,6 +212,15 @@ class TestGuessCheckMachine:
         with pytest.raises(ValidationError, match="^machine universe names must be nonempty strings, got 1$"):
             GuessCheckMachine(universe, 1, 0, AlwaysReject())
 
+    @pytest.mark.parametrize("universe, kind", [(5, "int"), ("ab", "str"), ({"a"}, "set"), (None, "NoneType")])
+    def test_universe_must_be_a_tuple_or_a_list(self, universe, kind):
+        # 5 once raised a bare TypeError, and "ab" built a machine over ("a", "b").
+        with pytest.raises(ValidationError, match=f"^machine universe must be a tuple or a list, got {kind}$"):
+            GuessCheckMachine(universe, 1, 0, AlwaysReject())
+
+    def test_a_list_universe_is_kept_as_a_tuple(self):
+        assert GuessCheckMachine(["a", "b"], 1, 0, AlwaysReject()).universe == ("a", "b")
+
     @pytest.mark.parametrize("k0", [-1, True, "2"])
     def test_rejects_bad_guess_bounds(self, k0):
         with pytest.raises(ValidationError):
@@ -1360,22 +1369,15 @@ class TestBlockWalk:
             want = per_last_block(checker.check, prefix, lasts, steps)
             assert checker.check_block(state, prefix, lasts, steps) == want, prefix
 
-    def test_appearance_blocks_judge_the_prefix_once_for_untouched_lasts(self, monkeypatch):
-        # Only a0 is in a constraint and no last is a0, so each block judges
-        # its prefix once and calls check on no last.
+    def test_appearance_walk_judges_each_touched_set_once(self, monkeypatch):
+        # Only a0 is in a constraint, so every guess holding a0 has the
+        # touched set (a0,) and every other one (): each is judged once.
         body = (Constraint(WRelation(WS1, 1), ("a0",)), Constraint(WRelation(WS0, 1), ("a0",)))
         machine = reduce_appearance(exact(("a0", "f1", "f2", "f3", "f4"), 2, *body))
         want = literal_simulate(fresh_copy(machine))
-        checked = []
-        real = AppearanceChecker.check
-
-        def counting(self, combo, steps):
-            checked.append(combo)
-            return real(self, combo, steps)
-
-        monkeypatch.setattr(AppearanceChecker, "check", counting)
+        checked = counted_checks(monkeypatch)
         assert simulate(machine) == want
-        assert checked == [("a0",), ("f1",), ("f2",), ("f3",)]
+        assert checked == [("a0",), ()]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1487,6 +1489,118 @@ class TestBlockWalk:
         message = f"branch ('a', 'b') used {decided} steps against budget {decided - 1}"
         assert outcome(literal_simulate, fresh_copy(tight)) == (BudgetExceededError, message)
         assert outcome(simulate, tight) == (BudgetExceededError, message)
+
+
+def counted_checks(patch):
+    """The guesses :meth:`AppearanceChecker.check` is called on from now
+    until ``patch`` is undone, in call order."""
+    checked = []
+    real = AppearanceChecker.check
+
+    def counting(self, combo, steps):
+        checked.append(combo)
+        return real(self, combo, steps)
+
+    patch.setattr(AppearanceChecker, "check", counting)
+    return checked
+
+
+@st.composite
+def scattered_bodies(draw):
+    """:func:`finite_bodies` instances with up to four more names in no
+    constraint, sorting before, between or after the others."""
+    inst = draw(finite_bodies())
+    extra = draw(st.sets(st.sampled_from(["u", "v", "v0u", "v2u", "w"]), max_size=4))
+    return replace(inst, variables=tuple(sorted(inst.variables + tuple(extra))))
+
+
+@st.composite
+def cw_over(draw, inst):
+    """A conditional-weight instance over ``inst``'s names and ``k0``: up to
+    three constraints of arity 1-3 sharing a tail bound of 1 or 2."""
+    weights = WeightSet.finite(range(1, draw(st.integers(1, 2)) + 1))
+    body = []
+    for _ in range(draw(st.integers(0, 3))):
+        arity = draw(st.integers(1, 3))
+        head = draw(st.integers(0, arity))
+        scope = tuple(draw(st.sampled_from(inst.variables)) for _ in range(arity))
+        body.append(Constraint(CWRelation(weights, head, arity - head), scope))
+    return replace(inst, body=tuple(body))
+
+
+class TestTouchedSetMemo:
+    """``AppearanceChecker`` judges each touched-name set once and keeps the
+    verdict in ``memo``; walks and blocks still equal the literal per-branch
+    reading on fresh copies."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=scattered_bodies(), cm=cost_models())
+    def test_appearance_walks_match_the_literal_walk(self, inst, cm):
+        machine = reduce_appearance(inst, cm)
+        want = literal_simulate(fresh_copy(machine))
+        assert simulate(machine) == want
+        assert simulate(machine) == want  # now through the first walk's memo
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_combined_walks_match_the_literal_walk(self, data):
+        inst = data.draw(scattered_bodies())
+        appearance, cw = reduce_appearance(inst), reduce_cw(data.draw(cw_over(inst)))
+        for machine in (combine_machines(appearance, cw), combine_machines(cw, appearance)):
+            want = outcome(literal_simulate, fresh_copy(machine))
+            assert outcome(simulate, machine) == want
+            assert outcome(simulate, machine) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=scattered_bodies(), cm=cost_models())
+    def test_a_walk_judges_each_touched_set_once(self, inst, cm):
+        machine = reduce_appearance(inst, cm)
+        assume(isinstance(machine.checker, AppearanceChecker))
+        want = literal_simulate(fresh_copy(machine))
+        walked = islice(guesses(machine.universe, machine.k0, True), want.branches_explored)
+        occurrences = machine.checker.occurrences
+        with pytest.MonkeyPatch.context() as patch:
+            checked = counted_checks(patch)
+            assert simulate(machine) == want
+        assert len(checked) == len(set(checked))
+        assert set(checked) == {tuple(filter(occurrences.__contains__, combo)) for combo in walked}
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=scattered_bodies(), cm=cost_models(), data=st.data())
+    def test_blocks_in_any_order_match_fresh_checks(self, inst, cm, data):
+        # One checker meets blocks of every guess size, shuffled and repeated;
+        # a fresh checker's check of each guess is the reference.
+        checker = AppearanceChecker(inst.body, cm)
+        blocks = [block for k0 in range(1, 5) for block in grown_blocks(checker, inst.variables, k0)]
+        blocks = data.draw(st.permutations(blocks)) + data.draw(st.lists(st.sampled_from(blocks), max_size=6))
+        for state, prefix, lasts in blocks:
+            steps = len(prefix) + 1 + data.draw(st.integers(0, 3))
+            want = per_last_block(replace(checker).check, prefix, lasts, steps)
+            assert checker.check_block(state, prefix, lasts, steps) == want, prefix
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=scattered_bodies(), cm=cost_models())
+    def test_an_all_touched_walk_stores_nothing(self, inst, cm):
+        # A constraint over every name, as a materialized weight constraint is.
+        names = inst.variables
+        every = Constraint(WRelation(WeightSet.finite((inst.weight.k0,)), len(names)), names)
+        machine = reduce_appearance(replace(inst, body=inst.body + (every,)), cm)
+        assume(isinstance(machine.checker, AppearanceChecker))
+        assert simulate(machine) == literal_simulate(fresh_copy(machine))
+        assert machine.checker.memo == {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), case=st.integers(0, 5))
+    def test_a_pipeline_walk_stores_at_most_the_touched_subsets(self, seed, case):
+        # The machine solve_wd_pipeline simulates: its appearance part reads
+        # only the original names, never the indicators or the padding.
+        lifted = lift_kle_to_k(completion_reduction(random_instance(seed, pipeline_config(case)), 1).instance)
+        weight, *conditional = lifted.body
+        first = reduce_appearance(replace(lifted, body=(weight,)))
+        machine = combine_machines(first, reduce_cw(replace(lifted, body=tuple(conditional))))
+        assert simulate(machine) == literal_simulate(fresh_copy(machine))
+        touched, k0 = len(first.checker.occurrences), machine.k0
+        assert len(first.checker.memo) <= sum(comb(touched, j) for j in range(k0))
 
 
 def small_scope_bodies(every_pair=1):
