@@ -34,6 +34,7 @@ None) and the top step count. ``check(combo, steps)`` judges a single guess.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
@@ -272,15 +273,14 @@ def _rank(k: int, positions: Sequence[int]) -> tuple[int, int]:
 
 class _Prefix(NamedTuple):
     """What :class:`CWChecker` keeps for the guesses that extend a prefix by
-    a last name: the prefix's size and keyed names' mask; the charge of an
-    empty-head cap failure inside it, if any; the last bits that close an
-    over-cap union (0: it holds one); and, when the empty head's row may
-    decide, each last bit's extended row sum (``sums``: the row over the tails
-    inside the prefix plus the bit; else None) and the sum a last must reach."""
+    a last name: the prefix's keyed names' mask; its first name whose single
+    over-caps the empty head, if any (``""``: ``G = {}`` does); the last bits
+    that close an over-cap union (0: it holds one); and, when the empty head's
+    row may decide, each last bit's extended row sum (``sums``: the row over the
+    tails inside the prefix plus the bit; else None) and the sum a last must reach."""
 
-    size: int
     mask: int
-    cap_charge: int | None
+    cap_name: str | None
     sums: dict[int, int] | None
     closers: frozenset[int]
     missing: int
@@ -321,17 +321,18 @@ class CWChecker:
     The first failing head and pair are charged from their ranks (:func:`_rank`).
 
     The walk's state of a prefix is a :class:`_Prefix`; the checker holds
-    only ``root``, the empty prefix's. :meth:`grow` adds a name reading only
-    the entries holding its bit in ``cap_unions``, the unions ``B | G`` of
-    the over-cap pairs (under 0 those of at most one name; the cap scan fails
-    exactly when the guess holds one), and in ``empty_tails``, the empty
-    head's tails of 1 to ``b`` names and their counts (under 0 its one-name
-    tails). ``empty_tails`` is None, and the row decides nothing from a
-    prefix, when the empty head has no row or the absolute values of these
-    counts sum past ``sum_bound``. Otherwise, the empty head coming first in
-    both scans, a branch failing its cap at ``G = {}`` or at a prefix name,
-    or passing the cap scan and missing the row, is charged in closed form,
-    and :meth:`check_block` scans only the lasts that reach the row.
+    only ``root``, the empty prefix's. A name in no key leaves a state as it
+    is; :meth:`grow` adds any other name reading only the entries holding its
+    bit in ``cap_unions``, the unions ``B | G`` of the over-cap pairs (under
+    0 those of at most one name; the cap scan fails exactly when the guess
+    holds one), and in ``empty_tails``, the empty head's tails of 1 to ``b``
+    names and their counts (under 0 its one-name tails). ``empty_tails`` is
+    None, and the row decides nothing from a prefix, when the empty head has
+    no row or the absolute values of these counts sum past ``sum_bound``.
+    Otherwise, the empty head coming first in both scans, a branch failing
+    its cap at ``G = {}`` or at a prefix name, or passing the cap scan and
+    missing the row, is charged in closed form, and :meth:`check_block`
+    scans only the lasts that reach the row.
     """
 
     b: int
@@ -384,9 +385,9 @@ class CWChecker:
                 for x in _low_bits(g) if g.bit_count() > 1 else (0, *_low_bits(g)):
                     empty_tails.setdefault(x, []).append((g, d))
         object.__setattr__(self, "empty_tails", empty_tails)
-        # The empty prefix grows from a state of size -1 by bit 0, reading the entries under 0.
-        no_names = _Prefix(-1, 0, None, {}, frozenset(), -rows.get(0, {}).get(0, 0))
-        object.__setattr__(self, "root", self._grow(no_names, 0))
+        # The empty prefix grows by bit 0 and the name "", reading the entries under 0.
+        no_names = _Prefix(0, None, {}, frozenset(), -rows.get(0, {}).get(0, 0))
+        object.__setattr__(self, "root", self._grow(no_names, 0, ""))
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
         """Check one guess of distinct names in sorted order, as a block of one
@@ -434,10 +435,10 @@ class CWChecker:
         ``prefix`` decides the block. Otherwise, when the empty head's row may
         decide, only the over-cap closers and the lasts whose extended row sum
         reaches the prefix's remainder are scanned; the rest miss the row."""
-        size, mask, cap_charge, sums, closers, missing = state or self.root
-        if cap_charge is not None:
-            return None, steps + cap_charge
-        miss = steps + _scan_charges(size + 1, self.b)[1]
+        mask, cap_name, sums, closers, missing = state or self.root
+        if cap_name is not None:  # at pair j = bisect_right(...) + 1 ("" sorts first); j pairs cost 2j - 1
+            return None, steps + 2 * bisect_right(prefix, cap_name) + 1
+        miss = steps + _scan_charges(len(prefix) + 1, self.b)[1]
         top = 0
         for i, last in enumerate(lasts):
             bit = self.bits.get(last)  # None for names in no key: they read zero
@@ -453,21 +454,18 @@ class CWChecker:
 
     def grow(self, state: _Prefix | None, name: str) -> _Prefix:
         """``state``'s prefix extended by ``name``; a name in no key reads
-        zero everywhere, so it adds only to the size."""
+        zero everywhere, so it leaves the state as it is."""
         parent = state or self.root
         bit = self.bits.get(name)
-        if bit is None:
-            return tuple.__new__(_Prefix, (parent.size + 1, *parent[1:]))
-        return self._grow(parent, bit)
+        return parent if bit is None else self._grow(parent, bit, name)
 
-    def _grow(self, parent: _Prefix, bit: int) -> _Prefix:
-        """``parent``'s prefix extended by the name of ``bit``: only entries
-        holding the bit add closers or tails, or a new empty-head cap failure."""
-        size, mask, cap_charge, sums, closers, missing = parent
-        size += 1
+    def _grow(self, parent: _Prefix, bit: int, name: str) -> _Prefix:
+        """``parent``'s prefix extended by ``name``, whose bit is ``bit``: only
+        entries holding the bit add closers or tails, or a new empty-head cap failure."""
+        mask, cap_name, sums, closers, missing = parent
         mask |= bit
-        if cap_charge is None and bit in self.over_cap.get(0, ()):
-            cap_charge = 2 * size + 1  # at the pair {name}, or G = {} at the root: j = size + 1 pairs cost 2j - 1
+        if cap_name is None and bit in self.over_cap.get(0, ()):
+            cap_name = name  # the pair {name}, or G = {} at the root
         outside = ~mask
         # a union is closed when at most one of its bits lies outside
         new = [rest for rest in (u & outside for u in self.cap_unions.get(bit, ())) if not rest & (rest - 1)]
@@ -485,8 +483,7 @@ class CWChecker:
                         missing -= d
                     elif not rest & (rest - 1):
                         sums[rest] = sums.get(rest, 0) + d
-        fields = (size, mask, cap_charge, sums, closers, missing)
-        return tuple.__new__(_Prefix, fields)  # skips the Python-level _Prefix.__new__
+        return tuple.__new__(_Prefix, (mask, cap_name, sums, closers, missing))  # skips _Prefix.__new__
 
     def _tail_sum(self, row: dict[int, int], inside: int, bound: int) -> int:
         """Sum of ``row`` over its tails of 1 to ``bound`` names inside the
@@ -759,9 +756,10 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
     the prefix, and the next prefix keeps those of the names it shares, so each
     prefix grows once, from its parent. Each prefix's block of guesses, one per
     later last name, goes to ``check_block``, and its largest step count is
-    held against the budget. A block that overruns it or raises is walked again
-    through ``run_branch``, so the error names the first guess that overruns or
-    raises, as a per-branch loop would. A block adds to ``branches_explored``
+    held against the budget. A block that overruns it or raises a
+    :class:`ParamCSPError` is walked again through ``run_branch``, so the error
+    names the first guess that overruns or raises, as a per-branch loop would;
+    any other exception is a fault and propagates. A block adds to ``branches_explored``
     its guesses up to the accepting one, or all of them.
     """
     names, k0, budget = machine.universe, machine.k0, machine.budget
@@ -789,7 +787,7 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
         previous, lasts = prefix, names[after[prefix[-1]] :] if prefix else names
         try:
             found, top = check_block(states[-1], prefix, lasts, write)
-        except Exception:  # whatever a check raises, the walk below raises again
+        except ParamCSPError:  # a partial sum out of bound: the walk below raises it again
             top = budget + 1
         if top > budget:
             # Walk the block branch by branch, so that the error names the

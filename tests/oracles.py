@@ -8,6 +8,14 @@ variable against every constraint, instance declarations are checked one
 name at a time in order, simulations walk every guess through the
 per-branch ``run_branch`` instead of the prefix walk's blocks, and combined checks
 run each part's own ``run_branch``.
+
+One path is shared on purpose: a conditional-weight machine's ``run_branch``
+reaches ``CWChecker.check_block`` through ``CWChecker.check``, which judges a
+guess as a block of one. So ``literal_simulate`` does not check the block's
+shortcuts on its own; the check-level tests against ``literal_cw_check`` do.
+With one step added to every miss that ``check_block`` charges without a
+scan, ``TestBlockWalk::test_simulation_matches_the_per_branch_loop`` still
+passes, while 44 other tests in ``tests/test_machines.py`` fail.
 """
 
 from __future__ import annotations

@@ -908,6 +908,18 @@ class TestArgumentHandling:
         assert run(["solve", doc(POSITIVE_X), "--method", method]) == 4
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_a_fault_in_a_block_check_exits_4(self, tmp_path, capsys, monkeypatch):
+        # simulate walks a block again per branch only for a ParamCSPError, so
+        # a fault in the appearance block check is not answered through run_branch.
+        def planted(self, state, prefix, lasts, steps):
+            raise TypeError("planted")
+
+        monkeypatch.setattr("paramcsp.machines.AppearanceChecker.check_block", planted)
+        path = tmp_path / "m.json"
+        path.write_text(serialize_machine(reduce_appearance(POSITIVE_X)), encoding="utf-8")
+        assert run(["simulate", str(path)]) == 4
+        assert capsys.readouterr() == ("", "error: TypeError: planted\n")
+
     @pytest.mark.parametrize(
         "fault, code, line",
         [

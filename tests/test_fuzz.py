@@ -3,7 +3,8 @@
 Each example starts from a document the library wrote for a generated
 instance, relation or machine over at most four variables, mutates it
 (drops, duplicates or retypes a key or a row, swaps an integer for a huge,
-negative or boolean one, or reorders an object's keys) and feeds it
+negative or boolean one, or for 0 or its neighbour on either side, or
+reorders an object's keys) and feeds it
 in-process to ``cli.run``: through stdin, or for a relation as the argument
 of ``partials --relation``. Machine universes are also given the empty name,
 a repeated name or the reverse order, which every machine refuses.
@@ -40,7 +41,8 @@ from paramcsp import (
 from paramcsp.cli import REDUCE_TARGETS, SOLVE_METHODS, run
 
 INSTANCE_COMMANDS = (
-    [["stats"], ["partials", "--constraint", "1", "--instance"]]
+    [["stats"]]
+    + [["partials", "--constraint", index, "--instance"] for index in ("0", "1", "5")]
     + [["solve", "--method", method] for method in SOLVE_METHODS]
     + [["reduce", "--to", target] for target in REDUCE_TARGETS]
 )
@@ -145,7 +147,7 @@ def mutants(draw, documents):
         path, value = everything[draw(st.integers(0, len(everything) - 1))]
         op = draw(st.sampled_from(["drop", "duplicate", "retype"]))
         if isinstance(value, int) and not isinstance(value, bool) and draw(st.booleans()):
-            op = "odd-integer"
+            op = draw(st.sampled_from(["odd-integer", "off-by-one"]))
         if isinstance(value, dict) and draw(st.booleans()):  # the same keys and values, reordered
             items = draw(st.permutations(list(value.items())))
             value.clear()
@@ -167,6 +169,8 @@ def mutants(draw, documents):
             extra = (path[:-1], last, draw(st.sampled_from(OTHER_TYPES + ODD_INTEGERS)), draw(st.booleans()))
         elif op == "retype":
             parent[last] = copy.deepcopy(draw(st.sampled_from(OTHER_TYPES)))
+        elif op == "off-by-one":
+            parent[last] = draw(st.sampled_from([0, value - 1, value + 1]))
         else:
             parent[last] = draw(st.sampled_from(ODD_INTEGERS))
     return dump(doc, extra)

@@ -1087,8 +1087,8 @@ class TestPrefixCache:
         built = []
         real = CWChecker._grow
 
-        def counting(self, parent, bit):
-            state = real(self, parent, bit)
+        def counting(self, parent, bit, name):
+            state = real(self, parent, bit, name)
             built.append(prefix_of.get(id(parent), ()) + (name_of[bit],))
             prefix_of[id(state)] = built[-1]
             return state
@@ -1098,6 +1098,26 @@ class TestPrefixCache:
         combos = list(combinations(machine.universe, 3))
         # Each proper prefix of a guess grows once, parents first.
         assert built == sorted({combo[:i] for combo in combos for i in (1, 2)})
+
+    def test_a_name_in_no_key_leaves_the_state_as_it_is(self):
+        # Only c is keyed; a, b and d read zero everywhere.
+        caps = {(frozenset(), frozenset("c")): 2}
+        checker = CWChecker(b=1, delta_sizes={}, lambda_caps=caps, delta_empty={}, sum_bound=2)
+        state = checker.grow(None, "c")
+        assert checker.grow(state, "d") is state
+        assert checker.grow(checker.root, "a") is checker.root
+
+    def test_a_cap_failure_is_priced_from_its_place_in_the_prefix(self):
+        # a and b are in no key, so the state of (a, b, c) is that of (c,);
+        # the cap fails at the pair ({}, {c}), the fourth pair of the empty
+        # head's scan: 2 * 4 - 1 = 7 steps after the 4 already charged.
+        caps = {(frozenset(), frozenset("c")): 2}
+        checker = CWChecker(b=1, delta_sizes={}, lambda_caps=caps, delta_empty={frozenset(): 1}, sum_bound=2)
+        prefix = ("a", "b", "c")
+        state = reduce(checker.grow, prefix, None)
+        assert checker.check_block(state, prefix, ("d", "e"), 4) == (None, 11)
+        for last in "de":
+            assert literal_cw_check(checker, prefix + (last,), 4) == (False, 11)
 
     @pytest.mark.parametrize("build", ["cap", "row"])
     def test_decided_branches_skip_the_scan(self, build, monkeypatch):
@@ -1489,6 +1509,26 @@ class TestBlockWalk:
         message = f"branch ('a', 'b') used {decided} steps against budget {decided - 1}"
         assert outcome(literal_simulate, fresh_copy(tight)) == (BudgetExceededError, message)
         assert outcome(simulate, tight) == (BudgetExceededError, message)
+
+    @pytest.mark.parametrize("kind", ["appearance", "cw", "combined"])
+    def test_a_fault_in_a_block_check_propagates(self, kind, monkeypatch):
+        # Only a ParamCSPError (a partial sum out of bound) sends a block back
+        # through run_branch. Any other exception is a fault in the block path;
+        # run_branch runs other code for appearance and combined checkers, so
+        # walking the block again there would turn the fault into an answer.
+        appearance = reduce_appearance(POSITIVE_X)
+        machine = {
+            "appearance": appearance,
+            "cw": reduce_cw(CW_TRIO),
+            "combined": combine_machines(appearance, reduce_appearance(POSITIVE_X)),
+        }[kind]
+
+        def planted(self, state, prefix, lasts, steps):
+            raise TypeError("planted")
+
+        monkeypatch.setattr(type(machine.checker), "check_block", planted)
+        with pytest.raises(TypeError, match="^planted$"):
+            simulate(machine)
 
 
 def counted_checks(patch):

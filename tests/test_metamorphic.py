@@ -4,7 +4,7 @@ Brute force and the small scopes stop at a few dozen names, yet costs that
 grow with the name count show only in the thousands. A metamorphic relation
 needs no oracle: it says what a transform of an instance must keep. Under
 ``hypothesis``, instances of 200 to 5,000 names with small bodies are checked
-against three transforms:
+against five transforms:
 
 - appending untouched names keeps a SAT verdict SAT and every appearance and
   conditional-weight budget;
@@ -16,7 +16,15 @@ against three transforms:
   (where it tries at most 5,000 sets) and every machine's witness. A copy
   appended at the end keeps the profile classes in their order, so it
   keeps both solvers' witnesses too; a copy inserted earlier may reorder the
-  classes, and with them the witness the solvers pick.
+  classes, and with them the witness the solvers pick;
+- permuting the body keeps every accept bit, and brute force's and both
+  machines' witnesses. A conditional-weight machine's tables are keyed by
+  images, so it keeps its serialized bytes and every counter too. An
+  appearance machine keeps its budget and ``branches_explored``, but not
+  always ``max_branch_steps``: a check charges constraints in index order;
+- declaring the names in shuffled order keeps the witnesses of brute force,
+  both profile-class solvers (with their counts) and both machines (with
+  their counters), and every serialized machine byte.
 
 Two more tests pin that the machine builders and ``cli._decide`` make no
 pass over all the names: building a machine calls no ``sorted``, and the
@@ -26,6 +34,7 @@ Tier-1 runs a sample; ``pytest -m slow`` runs ten times as many examples.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from math import comb
 
@@ -50,6 +59,7 @@ from paramcsp import (
     reduce_appearance,
     reduce_cw,
     satisfies,
+    serialize_machine,
     simulate,
     solve_w_kt_with_stats,
     solve_w_kue_with_stats,
@@ -68,16 +78,16 @@ APPENDED_PREFIXES = ("a", "x0", "x2", "y")
 
 
 @st.composite
-def large_instances(draw, exact_only=False, min_body=0):
+def large_instances(draw, exact_only=False, min_body=0, profiles=PROFILES):
     """A generated instance of 200 to 5,000 names, ``k0`` up to 3 and
-    ``min_body`` to four constraints. A third of the draws keep ``n`` at or
-    below 450, where a ``k0 = 2`` machine guesses at most 10**5 times, and a
-    third take 5,000."""
+    ``min_body`` to four constraints, of one of ``profiles``. A third of the
+    draws keep ``n`` at or below 450, where a ``k0 = 2`` machine guesses at
+    most 10**5 times, and a third take 5,000."""
     n = draw(st.one_of(st.integers(200, 450), st.integers(200, 5000), st.just(5000)))
     cfg = InstanceConfig(
         n=n,
         k0=draw(st.integers(0, 3)),
-        profile=draw(st.sampled_from(PROFILES)),
+        profile=draw(st.sampled_from(profiles)),
         body_len=draw(st.integers(min_body, 4)),
         max_arity=draw(st.integers(1, 4)),
         atmost=False if exact_only else draw(st.booleans()),
@@ -185,6 +195,57 @@ def check_duplicating(inst: Instance, pick: int, where: int) -> None:
             assert (again.accepted, again.witness) == (result.accepted, result.witness), build.__name__
 
 
+def check_permuting(inst: Instance, seed: int) -> None:
+    body = list(inst.body)
+    random.Random(seed).shuffle(body)
+    permuted = Instance(inst.variables, inst.weight, tuple(body))
+    for solve in SOLVERS:
+        got = applicable(solve, inst)
+        if got is None:
+            with pytest.raises(NotApplicableError):
+                solve(permuted)
+        else:
+            assert (solve(permuted)[0] is None) == (got[0] is None), solve.__name__
+    if brute_forceable(inst):
+        assert brute_force_solve(permuted) == brute_force_solve(inst)
+    appearance = applicable(reduce_appearance, exact(inst))
+    if appearance is not None:
+        again = reduce_appearance(exact(permuted))
+        assert again.budget == appearance.budget
+        if simulable(appearance):
+            # Only max_branch_steps may change, so both are set to 0 here.
+            assert replace(simulate(again), max_branch_steps=0) == replace(simulate(appearance), max_branch_steps=0)
+    cw = applicable(reduce_cw, exact(inst))
+    if cw is not None:
+        again = reduce_cw(exact(permuted))
+        assert serialize_machine(again) == serialize_machine(cw)
+        if simulable(cw):
+            assert simulate(again) == simulate(cw)
+
+
+def check_shuffling(inst: Instance, seed: int) -> None:
+    names = list(inst.variables)
+    random.Random(seed).shuffle(names)
+    shuffled = Instance(tuple(names), inst.weight, inst.body)
+    for solve in SOLVERS:
+        got = applicable(solve, inst)
+        if got is None:
+            with pytest.raises(NotApplicableError):
+                solve(shuffled)
+        else:
+            assert solve(shuffled) == got, solve.__name__
+    if brute_forceable(inst):
+        assert brute_force_solve(shuffled) == brute_force_solve(inst)
+    for build in BUILDERS:
+        machine = applicable(build, exact(inst))
+        if machine is None:
+            continue
+        again = build(exact(shuffled))
+        assert serialize_machine(again) == serialize_machine(machine), build.__name__
+        if simulable(machine):
+            assert simulate(again) == simulate(machine), build.__name__
+
+
 class TestDuplicatedConstraints:
     @metamorphic_settings(200)
     @given(inst=large_instances(min_body=1), pick=st.integers(0, 3), where=st.integers(0, 4))
@@ -222,6 +283,36 @@ class TestOrderPreservingRenaming:
     @given(inst=large_instances(exact_only=True), start=st.integers(0, 10**6), step=st.integers(1, 9))
     def test_maps_every_witness_and_keeps_every_counter_at_length(self, inst, start, step):
         check_renaming(inst, start, step)
+
+
+# Half the draws are conditional-weight bodies, the only ones a CW machine takes.
+PERMUTABLE = st.one_of(large_instances(min_body=2), large_instances(min_body=2, profiles=("cw",)))
+
+
+class TestPermutedBody:
+    @metamorphic_settings(200)
+    @given(inst=PERMUTABLE, seed=st.integers(0, 2**32 - 1))
+    def test_keeps_every_accept_bit_and_machine_witness(self, inst, seed):
+        check_permuting(inst, seed)
+
+    @pytest.mark.slow
+    @metamorphic_settings(2000)
+    @given(inst=PERMUTABLE, seed=st.integers(0, 2**32 - 1))
+    def test_keeps_every_accept_bit_and_machine_witness_at_length(self, inst, seed):
+        check_permuting(inst, seed)
+
+
+class TestShuffledDeclaredOrder:
+    @metamorphic_settings(200)
+    @given(inst=large_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_keeps_every_witness_and_machine_byte(self, inst, seed):
+        check_shuffling(inst, seed)
+
+    @pytest.mark.slow
+    @metamorphic_settings(2000)
+    @given(inst=large_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_keeps_every_witness_and_machine_byte_at_length(self, inst, seed):
+        check_shuffling(inst, seed)
 
 
 class TestNoPassOverAllNames:
