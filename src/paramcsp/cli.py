@@ -88,6 +88,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -12,6 +12,7 @@ convention. Weight values are plain nonnegative integers.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Callable
 from itertools import chain
 from typing import Any, TypeVar
@@ -80,6 +81,19 @@ def _as(value: Any, path: str, kind: type[T], low: int | None = None) -> T:
 def _as_list_of(value: Any, path: str, kind: type[T], low: int | None = None) -> tuple[T, ...]:
     """Read a list whose items are each a ``kind`` of at least ``low``."""
     return tuple(_as(v, f"{path}[{i}]", kind, low) for i, v in enumerate(_as(value, path, list)))
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _as_names(value: Any, path: str) -> tuple[str, ...]:
+    """Read a list of names, each a string that encodes as UTF-8: a lone
+    surrogate, which JSON can escape, could never be printed."""
+    names = _as_list_of(value, path, str)
+    if _SURROGATE.search("".join(names)):  # one C-level pass; then report the first name at fault
+        i = next(i for i, v in enumerate(names) if _SURROGATE.search(v))
+        raise ValidationError(f"{path}[{i}]: name {names[i]!r} is not UTF-8 text")
+    return names
 
 
 def _get(obj: dict[str, Any], key: str, path: str) -> Any:
@@ -228,7 +242,7 @@ def parse_instance(text: str) -> Instance:
     """Parse an instance document, naming the failing field on error."""
     top = _as(_load(text), "document", dict)
     _check_version(top, "document")
-    names = _as_list_of(_get(top, "variables", "document"), "variables", str)
+    names = _as_names(_get(top, "variables", "document"), "variables")
     param = _as(_get(top, "parameter", "document"), "parameter", dict)
     kind_name = _field(param, "kind", "parameter", str)
     try:
@@ -331,7 +345,7 @@ def _machine_from_doc(value: Any, path: str) -> GuessCheckMachine:
     only from the builders and a document whose copies differ is refused."""
     obj = _as(value, path, dict)
     kind = _field(obj, "kind", path, str)
-    universe = _as_list_of(_get(obj, "universe", path), f"{path}.universe", str)
+    universe = _as_names(_get(obj, "universe", path), f"{path}.universe")
     declared = set(universe)
     k0 = _field(obj, "k0", path, int, 0)
     _require_derived(_field(obj, "exact", path, bool), True, f"{path}.exact", "every machine has")

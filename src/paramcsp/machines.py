@@ -271,19 +271,36 @@ def _rank(k: int, positions: Sequence[int]) -> tuple[int, int]:
     return rank + lex, before + s * lex
 
 
+def _fold(tails: Iterable[tuple[int, int]], outside: int, sums: dict[int, int], missing: int) -> int:
+    """Fold a head's ``(tail mask, count)`` entries into ``sums``, each last
+    bit's extended row sum, for a prefix whose complement is ``outside``: a
+    tail inside the prefix comes off ``missing``, which is returned, and one
+    with a single bit outside it adds to that bit's sum."""
+    for g, d in tails:
+        rest = g & outside
+        if not rest:
+            missing -= d
+        elif not rest & (rest - 1):
+            sums[rest] = sums.get(rest, 0) + d
+    return missing
+
+
 class _Prefix(NamedTuple):
     """What :class:`CWChecker` keeps for the guesses that extend a prefix by
     a last name: the prefix's keyed names' mask; its first name whose single
     over-caps the empty head, if any (``""``: ``G = {}`` does); the last bits
-    that close an over-cap union (0: it holds one); and, when the empty head's
-    row may decide, each last bit's extended row sum (``sums``: the row over the
-    tails inside the prefix plus the bit; else None) and the sum a last must reach."""
+    that close an over-cap union (0: it holds one); and, when a row may
+    decide (else ``sums`` is None), the deciding head's ``sums``, each last
+    bit's extended row sum (``missing`` itself at a last that changes the row
+    of a met head before it, so that it is scanned), the sum a last must
+    reach, and the head's name (``""``: the empty head)."""
 
     mask: int
     cap_name: str | None
     sums: dict[int, int] | None
     closers: frozenset[int]
     missing: int
+    head: str
 
 
 @dataclass(frozen=True)
@@ -327,12 +344,21 @@ class CWChecker:
     0 those of at most one name; the cap scan fails exactly when the guess
     holds one), and in ``empty_tails``, the empty head's tails of 1 to ``b``
     names and their counts (under 0 its one-name tails). ``empty_tails`` is
-    None, and the row decides nothing from a prefix, when the empty head has
-    no row or the absolute values of these counts sum past ``sum_bound``.
-    Otherwise, the empty head coming first in both scans, a branch failing
-    its cap at ``G = {}`` or at a prefix name, or passing the cap scan and
-    missing the row, is charged in closed form, and :meth:`check_block`
-    scans only the lasts that reach the row.
+    None, and no row decides anything, when the empty head has no row or the
+    absolute values of these counts sum past ``sum_bound``.
+
+    Otherwise a row may decide a block. In both scans the empty head and then
+    the one-name heads of the prefix names, in prefix order, come before any
+    head holding the last name. So the first of these heads whose row the
+    prefix leaves unmet decides every last that passes the cap scan, does not
+    complete that row and leaves the row of each met head before it as it is:
+    each such branch misses that row. A one-name head's entries are gated as
+    the empty head's, and kept in ``heads`` the first time a walk asks for
+    them (:meth:`_head`); an ungated head, or none unmet, leaves the empty
+    head to decide the lasts that change its met row. No met head before the
+    decider can raise, its partial sums being gated. A branch failing its cap
+    at ``G = {}`` or at a prefix name, or missing the deciding row, is charged
+    in closed form, and :meth:`check_block` scans only the other lasts.
     """
 
     b: int
@@ -346,6 +372,9 @@ class CWChecker:
     cap_unions: dict[int, list[int]] = field(init=False, repr=False, compare=False)
     empty_tails: dict[int, list[tuple[int, int]]] | None = field(init=False, repr=False, compare=False)
     root: _Prefix = field(init=False, repr=False, compare=False)
+    heads: dict[int, tuple[str, int, list[tuple[int, int]] | None] | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         require_int(self.b, "the tail bound", ValidationError)
@@ -377,16 +406,16 @@ class CWChecker:
         object.__setattr__(self, "rows", {h: rows[h] for h in sorted(rows, key=_scan_key)})
         object.__setattr__(self, "over_cap", {h: over_cap[h] for h in sorted(over_cap, key=_scan_key)})
         object.__setattr__(self, "cap_unions", cap_unions)
-        tails = [(g, d) for g, d in rows.get(0, {}).items() if 0 < g.bit_count() <= self.b]
+        _, required, tails = self._head(0) or ("", 0, None)
         empty_tails: dict[int, list[tuple[int, int]]] | None = None
-        if 0 in rows and sum(abs(d) for _, d in tails) <= self.sum_bound:
+        if tails is not None:
             empty_tails = {}
             for g, d in tails:
                 for x in _low_bits(g) if g.bit_count() > 1 else (0, *_low_bits(g)):
                     empty_tails.setdefault(x, []).append((g, d))
         object.__setattr__(self, "empty_tails", empty_tails)
         # The empty prefix grows by bit 0 and the name "", reading the entries under 0.
-        no_names = _Prefix(0, None, {}, frozenset(), -rows.get(0, {}).get(0, 0))
+        no_names = _Prefix(0, None, {}, frozenset(), required, "")
         object.__setattr__(self, "root", self._grow(no_names, 0, ""))
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
@@ -432,13 +461,16 @@ class CWChecker:
     ) -> BlockResult:
         """Check ``prefix + (x,)`` for each ``x`` in ``lasts``, names after
         ``prefix``, from ``state``, its :class:`_Prefix`. A cap failure inside
-        ``prefix`` decides the block. Otherwise, when the empty head's row may
-        decide, only the over-cap closers and the lasts whose extended row sum
-        reaches the prefix's remainder are scanned; the rest miss the row."""
-        mask, cap_name, sums, closers, missing = state or self.root
+        ``prefix`` decides the block. Otherwise, when a row may decide, only the
+        over-cap closers and the lasts whose extended row sum reaches the
+        prefix's remainder are scanned; the rest miss the deciding head's row."""
+        mask, cap_name, sums, closers, missing, head = state or self.root
         if cap_name is not None:  # at pair j = bisect_right(...) + 1 ("" sorts first); j pairs cost 2j - 1
             return None, steps + 2 * bisect_right(prefix, cap_name) + 1
         miss = steps + _scan_charges(len(prefix) + 1, self.b)[1]
+        if head:  # the r one-name heads before it and its own terms come first
+            _, _, terms, term_scan = _tail_scans(len(prefix) + 1, self.b)
+            miss += bisect_right(prefix, head) * (terms + 1 + term_scan)
         top = 0
         for i, last in enumerate(lasts):
             bit = self.bits.get(last)  # None for names in no key: they read zero
@@ -461,8 +493,10 @@ class CWChecker:
 
     def _grow(self, parent: _Prefix, bit: int, name: str) -> _Prefix:
         """``parent``'s prefix extended by ``name``, whose bit is ``bit``: only
-        entries holding the bit add closers or tails, or a new empty-head cap failure."""
-        mask, cap_name, sums, closers, missing = parent
+        entries holding the bit add closers or tails, or a new empty-head cap
+        failure. While the empty head stays unmet it decides, reading the same
+        entries; otherwise the deciding head is found afresh (:meth:`_decide`)."""
+        mask, cap_name, sums, closers, missing, head = parent
         mask |= bit
         if cap_name is None and bit in self.over_cap.get(0, ()):
             cap_name = name  # the pair {name}, or G = {} at the root
@@ -473,17 +507,53 @@ class CWChecker:
             closers = closers.union(new)
         if 0 in closers or self.empty_tails is None:
             sums = None
-        else:  # so the parent took this branch too, and its sums are not None
+        elif head or sums.get(bit, 0) == missing:  # sums is a dict: only the branch above makes None
+            sums, missing, head = self._decide(mask)
+        else:  # the empty head stays unmet: the name does not complete its row
             tails = self.empty_tails.get(bit, ())
             if tails:
-                sums = dict(sums)  # type: ignore[arg-type]
-                for g, d in tails:
-                    rest = g & outside
-                    if not rest:
-                        missing -= d
-                    elif not rest & (rest - 1):
-                        sums[rest] = sums.get(rest, 0) + d
-        return tuple.__new__(_Prefix, (mask, cap_name, sums, closers, missing))  # skips _Prefix.__new__
+                sums = dict(sums)
+                missing = _fold(tails, outside, sums, missing)
+        return tuple.__new__(_Prefix, (mask, cap_name, sums, closers, missing, head))  # skips _Prefix.__new__
+
+    def _decide(self, mask: int) -> tuple[dict[int, int] | None, int, str]:
+        """``(sums, missing, head)`` of the prefix whose keyed names make
+        ``mask``: the first gated head, the empty one or a prefix name's,
+        whose row the prefix leaves unmet, with ``missing`` at each last bit
+        that changes a met head's row before it; else the empty head, met."""
+        outside = ~mask
+        changers: list[int] = []
+        met_empty = None
+        for h in (0, *_low_bits(mask)):
+            entry = self._head(h)
+            if entry is None:  # no row: every guess meets it
+                continue
+            name, required, tails = entry
+            if tails is None:  # a partial sum of its row could escape
+                break
+            sums: dict[int, int] = {}
+            missing = _fold(tails, outside, sums, required)
+            if missing:
+                sums.update(dict.fromkeys(changers, missing))
+                return sums, missing, name
+            if not h:
+                met_empty = sums
+            changers.extend(y for y, s in sums.items() if s)
+        return met_empty, 0, ""
+
+    def _head(self, h: int) -> tuple[str, int, list[tuple[int, int]] | None] | None:
+        """The head mask ``h`` of at most one bit as ``(name, delta_empty,
+        tails)``: its tails of 1 to ``b`` names and their counts, None when
+        their absolute values sum past ``sum_bound``. None when it has no row."""
+        if h not in self.heads:
+            row = self.rows.get(h)
+            entry = None
+            if row is not None:
+                tails = [(g, d) for g, d in row.items() if 0 < g.bit_count() <= self.b]
+                gated = sum(abs(d) for _, d in tails) <= self.sum_bound
+                entry = (list(self.bits)[h.bit_length() - 1] if h else "", -row.get(0, 0), tails if gated else None)
+            self.heads[h] = entry
+        return self.heads[h]
 
     def _tail_sum(self, row: dict[int, int], inside: int, bound: int) -> int:
         """Sum of ``row`` over its tails of 1 to ``bound`` names inside the

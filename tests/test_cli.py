@@ -297,6 +297,35 @@ def cli_child(args, timeout=60):
 HUGE_K = Instance(("a", "b"), WeightParameter(WeightKind.EXACT, 2**63), (Constraint(WRelation(WS1, 1), ("a",)),))
 
 
+class TestTextThatIsNotUTF8:
+    @pytest.mark.parametrize("command", [["stats"], ["solve"], ["simulate"]])
+    def test_a_file_that_is_not_utf8_is_refused(self, command, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run(command + [str(path)]) == EXIT_USAGE
+        _, err = capsys.readouterr()
+        assert err == f"error: cannot read {path}: not UTF-8 text (byte 0)\n"
+
+    @pytest.mark.parametrize(
+        "command", [["stats"], ["solve"], ["solve", "--method", "fpt-kue"], ["reduce", "--to", "appearance"]]
+    )
+    def test_an_instance_name_holding_a_lone_surrogate_is_refused(self, command, tmp_path, capsys):
+        # JSON can escape a lone surrogate, but no output could print it.
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(POSITIVE_X).replace('"x"', '"\\ud800"'), encoding="utf-8")
+        assert run(command + [str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: variables[0]: name '\\ud800' is not UTF-8 text\n")
+
+    def test_a_machine_universe_name_holding_a_lone_surrogate_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        text = serialize_machine(reduce_appearance(POSITIVE_X)).replace('"x"', '"\\udcff"')
+        path.write_text(text, encoding="utf-8")
+        assert run(["simulate", str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: machine.universe[0]: name '\\udcff' is not UTF-8 text\n")
+
+
 class TestHugeGuessesFinish:
     """Each command on a k = 2**63 input answers from closed forms or refuses
     before any loop or power that grows with k."""

@@ -3,15 +3,16 @@
 Each example starts from a document the library wrote for a generated
 instance, relation or machine over at most four variables, mutates it
 (drops, duplicates or retypes a key or a row, swaps an integer for a huge,
-negative or boolean one, or for 0 or its neighbour on either side, or
-reorders an object's keys) and feeds it
+negative or boolean one, or for 0 or its neighbour on either side, gives a
+string, wherever the document writes it, a lone surrogate, or reorders an
+object's keys) and feeds it
 in-process to ``cli.run``: through stdin, or for a relation as the argument
 of ``partials --relation``. Machine universes are also given the empty name,
 a repeated name or the reverse order, which every machine refuses.
 Whatever the mutant holds, the run must exit
 with 0, 1, 2 or 3, print one ``error:`` line exactly when it exits 2 or 3,
-and print no traceback. Tier-1 runs a sample; ``pytest -m slow`` runs ten
-times as many examples.
+print only text that encodes as UTF-8, and print no traceback. Tier-1 runs
+a sample; ``pytest -m slow`` runs ten times as many examples.
 """
 
 from __future__ import annotations
@@ -124,6 +125,15 @@ def nodes(value, path=()):
             yield from nodes(child, path + (i,))
 
 
+def renamed(value, old, new):
+    """A copy of the JSON tree ``value`` with every string ``old`` replaced by ``new``."""
+    if isinstance(value, dict):
+        return {k: renamed(v, old, new) for k, v in value.items()}
+    if isinstance(value, list):
+        return [renamed(v, old, new) for v in value]
+    return new if value == old else value
+
+
 def dump(value, extra=None, path=()):
     """JSON text of ``value``; ``extra = (path, key, value, last)`` writes a
     second ``key`` into the object at ``path``, before or after the first."""
@@ -148,6 +158,9 @@ def mutants(draw, documents):
         op = draw(st.sampled_from(["drop", "duplicate", "retype"]))
         if isinstance(value, int) and not isinstance(value, bool) and draw(st.booleans()):
             op = draw(st.sampled_from(["odd-integer", "off-by-one"]))
+        if isinstance(value, str) and draw(st.booleans()):  # a name, say, everywhere, holding a lone surrogate
+            doc = renamed(doc, value, value[:1] + "\ud800" + value[1:])
+            continue
         if isinstance(value, dict) and draw(st.booleans()):  # the same keys and values, reordered
             items = draw(st.permutations(list(value.items())))
             value.clear()
@@ -187,6 +200,8 @@ def assert_fails_closed(text, command):
     assert code in (0, 1, 2, 3), (argv, text, err.getvalue())
     assert len(errors) == (code in (2, 3)), (argv, text, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, text, err.getvalue())
+    for printed in (out.getvalue(), err.getvalue()):
+        printed.encode("utf-8")  # raises on text that no terminal could be sent
     return code
 
 

@@ -1051,6 +1051,24 @@ def prefix_tables(draw):
 
 
 @st.composite
+def one_name_head_tables(draw):
+    """Checkers over the names a-f whose heads are the empty one and heads of
+    one name, so that a prefix meets some rows and leaves others unmet, a
+    last name completes or changes them, and some rows' counts sum past
+    ``sum_bound``."""
+    b = draw(st.integers(1, 2))
+    heads = st.sampled_from([frozenset()] + [frozenset(v) for v in "abcd"])
+    keys = st.tuples(heads, st.frozensets(st.sampled_from(NAMES[:6]), min_size=1, max_size=2))
+    return CWChecker(
+        b=b,
+        delta_sizes=draw(st.dictionaries(keys, st.integers(1, 2), max_size=12)),
+        lambda_caps=draw(st.dictionaries(keys, st.sampled_from(range(b + 2)), max_size=2)),
+        delta_empty={frozenset(): 1, **draw(st.dictionaries(heads, st.integers(0, 2), max_size=5))},
+        sum_bound=draw(st.sampled_from([1, 2, 4, 40])),
+    )
+
+
+@st.composite
 def guess_sequences(draw):
     """Sorted guesses over a-f in the orders a checker may meet them: a lex
     run of one size, the at-most order of changing sizes, and either one
@@ -1209,31 +1227,45 @@ def per_last_block(check, prefix, lasts, steps):
 
 
 def needs_scan(tables, prefix, last):
-    """Whether the block walk must scan ``prefix + (last,)``, read
-    from the tables by name. A cap failure of the empty head at ``{}`` or at a
-    prefix name decides the whole block. Otherwise the empty head's row decides
-    the guess, without a scan, when its counts on tails of 1 to ``b`` names
-    cannot escape ``sum_bound``, no subset of the guess is the union of an
-    over-cap pair, and the last name's tails miss the prefix's remainder."""
+    """Whether the block walk must scan ``prefix + (last,)``, read from the
+    tables by name. A cap failure of the empty head at ``{}`` or at a prefix
+    name decides the whole block. Otherwise the guess is scanned when the
+    empty head has no row, or when a subset of it is the union of an
+    over-cap pair. Else the heads ``{}`` and ``{p}``, for each prefix name
+    ``p`` in turn, are read up to the first whose counts on tails of 1 to
+    ``b`` names can escape ``sum_bound``. The first whose row the prefix
+    leaves unmet decides the guess unless the last name completes that row or
+    changes the row of a met head before it. With none unmet, the empty head
+    decides when the last name changes its row; with its own counts
+    escaping, nothing decides."""
     b, e = tables.b, frozenset()
     firsts = [e] + [frozenset({v}) for v in prefix]
     if any(tables.lambda_caps.get((e, g), 0) > b for g in firsts):
         return False
-    row = {
-        g: d if len(g) % 2 else -d
-        for (bset, g), d in tables.delta_sizes.items()
-        if not bset and 0 < len(g) <= b and d
-    }
-    if not (tables.delta_empty.get(e) or row) or sum(map(abs, row.values())) > tables.sum_bound:
+    if not (tables.delta_empty.get(e) or any(not bset and g and d for (bset, g), d in tables.delta_sizes.items())):
         return True
     unions = {bset | g for (bset, g), cap in tables.lambda_caps.items() if cap > b and len(g) <= b + 1}
     guess = prefix + (last,)
     subsets = {frozenset(c) for size in range(len(guess) + 1) for c in combinations(guess, size)}
     if unions & subsets:
         return True
-    missing = tables.delta_empty.get(e, 0) - sum(d for g, d in row.items() if g <= set(prefix))
-    reach = sum(d for g, d in row.items() if last in g and g <= set(guess))
-    return reach == missing
+    changed, empty_reach = False, 0
+    for head in firsts:
+        row = {
+            g: d if len(g) % 2 else -d
+            for (bset, g), d in tables.delta_sizes.items()
+            if bset == head and 0 < len(g) <= b and d
+        }
+        if sum(map(abs, row.values())) > tables.sum_bound:
+            break
+        missing = tables.delta_empty.get(head, 0) - sum(d for g, d in row.items() if g <= set(prefix))
+        reach = sum(d for g, d in row.items() if last in g and g <= set(guess))
+        if missing:
+            return changed or reach == missing
+        if not head:
+            empty_reach = reach
+        changed = changed or reach != 0
+    return empty_reach == 0
 
 
 @st.composite
@@ -1265,7 +1297,7 @@ def block_machines(draw):
         names = tuple(sorted(draw(st.sets(st.sampled_from(NAMES[:6]), max_size=6))))
         checker = AlwaysReject()
         if kind == "tables":
-            checker = draw(st.one_of(hand_built_tables(), prefix_tables()))
+            checker = draw(st.one_of(hand_built_tables(), prefix_tables(), one_name_head_tables()))
         machine = GuessCheckMachine(names, draw(st.integers(0, 4)), 10**6, checker)
     if draw(st.booleans()):
         machine = replace(machine, budget=draw(st.integers(0, max(machine.budget, 400))))
@@ -1365,7 +1397,7 @@ class TestBlockWalk:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        tables=st.one_of(hand_built_tables(), prefix_tables()),
+        tables=st.one_of(hand_built_tables(), prefix_tables(), one_name_head_tables()),
         k0=st.integers(1, 4),
     )
     def test_cw_blocks_match_the_literal_per_last_loop(self, tables, k0):
@@ -1401,7 +1433,7 @@ class TestBlockWalk:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        tables=st.one_of(prefix_tables(), hand_built_tables()),
+        tables=st.one_of(prefix_tables(), hand_built_tables(), one_name_head_tables()),
         names=st.sets(st.sampled_from(NAMES[:6]), max_size=6),
         k0=st.integers(0, 4),
     )
@@ -1410,15 +1442,8 @@ class TestBlockWalk:
         result = outcome(literal_simulate, fresh_copy(machine))
         assume(isinstance(result, SimulationResult))  # a raising block is walked again branch by branch
         walked = list(islice(guesses(machine.universe, k0, True), result.branches_explored))
-        checked = []
-        real = CWChecker._scan
-
-        def counting(self, guess, combo, steps):
-            checked.append(combo)
-            return real(self, guess, combo, steps)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CWChecker, "_scan", counting)
+            checked = counted_scans(patch)
             assert simulate(machine) == result
         assert checked == [g for g in walked if not g or needs_scan(tables, g[:-1], g[-1])]
 
@@ -1427,14 +1452,7 @@ class TestBlockWalk:
         # empty head's row; only {a, x} is scanned, and it accepts.
         machine = reduce_cw(exact("abcdx", 2, Constraint(CWRelation(WS1, head=0, tail=1), ("x",))))
         want = literal_simulate(fresh_copy(machine))
-        checked = []
-        real = CWChecker._scan
-
-        def counting(self, guess, combo, steps):
-            checked.append(combo)
-            return real(self, guess, combo, steps)
-
-        monkeypatch.setattr(CWChecker, "_scan", counting)
+        checked = counted_scans(monkeypatch)
         result = simulate(machine)
         assert result == want
         assert (result.witness, result.branches_explored) == (frozenset("ax"), 4)
@@ -1471,16 +1489,89 @@ class TestBlockWalk:
         machine = GuessCheckMachine(("a", "b", "c"), 2, _cw_budget(2, 2), tables)
         want = literal_simulate(fresh_copy(machine))
         assert (want.witness, want.branches_explored) == (a | c, 2)
-        checked = []
-        real = CWChecker._scan
-
-        def counting(self, guess, combo, steps):
-            checked.append(combo)
-            return real(self, guess, combo, steps)
-
-        monkeypatch.setattr(CWChecker, "_scan", counting)
+        checked = counted_scans(monkeypatch)
         assert simulate(machine) == want
         assert checked == [("a", "c")]
+
+    def test_the_first_unmet_one_name_head_decides(self, monkeypatch):
+        # The prefix (a, b) meets the empty head and head {a}, and leaves
+        # head {b} unmet. {a, b, c} misses {b}'s row without a scan; d changes
+        # the met row of {a}, and e completes {b}'s row, so both are scanned,
+        # and {a, b, e} accepts.
+        e, a, b = frozenset(), frozenset("a"), frozenset("b")
+        tables = CWChecker(
+            b=1,
+            delta_sizes={(e, a): 1, (a, b): 1, (a, frozenset("d")): 1, (b, frozenset("e")): 1},
+            lambda_caps={},
+            delta_empty={e: 1, a: 1, b: 1},
+            sum_bound=2,
+        )
+        machine = GuessCheckMachine(tuple("abcde"), 3, _cw_budget(3, 1), tables)
+        want = literal_simulate(fresh_copy(machine))
+        assert (want.witness, want.branches_explored) == (frozenset("abe"), 3)
+        state = reduce(tables.grow, "ab", None)
+        assert (state.head, state.missing) == ("b", 1)
+        block = per_last_block(partial(literal_cw_check, tables), ("a", "b"), "cde", 3)
+        assert tables.check_block(state, ("a", "b"), "cde", 3) == block
+        checked = counted_scans(monkeypatch)
+        assert simulate(machine) == want
+        assert checked == [("a", "b", "d"), ("a", "b", "e")]
+
+    @pytest.mark.parametrize("names", ["abce", "abcd"])
+    def test_a_one_name_head_whose_counts_can_escape_decides_nothing(self, names, monkeypatch):
+        # Head {a}'s counts sum to 2 against a bound of 1, so no head after it
+        # decides: both guesses under (a, b) are scanned, and fail at the
+        # unmet head {b}. Over a-e, {a, c, e} accepts; over a-d, {a, c, d}
+        # escapes the bound at {a}.
+        e, a = frozenset(), frozenset("a")
+        tables = CWChecker(
+            b=1,
+            delta_sizes={(e, a): 1, (a, frozenset("c")): 1, (a, frozenset("d")): 1},
+            lambda_caps={},
+            delta_empty={e: 1, a: 1, frozenset("b"): 1},
+            sum_bound=1,
+        )
+        machine = GuessCheckMachine(tuple(names), 3, _cw_budget(3, 1), tables)
+        state = reduce(tables.grow, "ab", None)
+        assert (state.sums, state.missing, state.head) == ({}, 0, "")
+        want = outcome(literal_simulate, fresh_copy(machine))
+        assert want == {
+            "abce": SimulationResult(True, frozenset("ace"), machine.budget, 3),
+            "abcd": (ParamCSPError, "partial sum escaped its bound"),
+        }[names]
+        checked = counted_scans(monkeypatch)
+        assert outcome(simulate, machine) == want
+        assert checked[:2] == [("a", "b", names[2]), ("a", "b", names[3])]
+
+    def test_an_unsatisfiable_pipeline_instance_scans_nothing(self, monkeypatch):
+        # The wd-pipeline slot k2-unsat's shape: a weight-one clause on a
+        # repeated name never holds. Every guess that passes the weight part
+        # misses the first unmet head of at most one name of its prefix.
+        inst = exact(("x001", "x002", "x003"), 2, Constraint(WRelation(WS1, 2), ("x003", "x003")))
+        lifted = lift_kle_to_k(completion_reduction(inst, 1).instance)
+        weight, *conditional = lifted.body
+        parts = reduce_appearance(replace(lifted, body=(weight,))), reduce_cw(replace(lifted, body=tuple(conditional)))
+        machine = combine_machines(*parts)
+        checked = counted_scans(monkeypatch)
+        assert simulate(machine) == SimulationResult(False, None, 17209, 462)
+        assert checked == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(machine=block_machines())
+    def test_branches_explored_has_a_closed_form(self, machine):
+        # Guesses are walked in lex order: a rejecting run explores all
+        # C(n, k0) of them, an accepting one the witness's lex rank plus one,
+        # which the combinatorial number system gives from its positions.
+        assume(not isinstance(machine.checker, AlwaysReject))
+        n, k0 = len(machine.universe), machine.k0
+        assume(k0 <= n)
+        result = outcome(simulate, machine)
+        assume(isinstance(result, SimulationResult))  # an overrun or escaping sum raises
+        want = comb(n, k0)
+        if result.accepted:
+            positions = sorted(map(machine.universe.index, result.witness))
+            want -= sum(comb(n - 1 - p, k0 - i) for i, p in enumerate(positions))
+        assert result.branches_explored == want
 
     def test_an_overrun_before_a_raising_branch_is_named_first(self):
         # {a, c} misses the empty head's row and is charged without a scan;
@@ -1529,6 +1620,20 @@ class TestBlockWalk:
         monkeypatch.setattr(type(machine.checker), "check_block", planted)
         with pytest.raises(TypeError, match="^planted$"):
             simulate(machine)
+
+
+def counted_scans(patch):
+    """The guesses :meth:`CWChecker._scan` is called on from now until
+    ``patch`` is undone, in call order."""
+    checked = []
+    real = CWChecker._scan
+
+    def counting(self, guess, combo, steps):
+        checked.append(combo)
+        return real(self, guess, combo, steps)
+
+    patch.setattr(CWChecker, "_scan", counting)
+    return checked
 
 
 def counted_checks(patch):
