@@ -37,7 +37,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, combinations, filterfalse, islice
 from math import comb
 from typing import NamedTuple
@@ -225,15 +225,14 @@ def _tail_scans(k: int, b: int) -> tuple[int, int, int, int]:
     return pairs, pair_scan, terms, term_scan + 2
 
 
-@lru_cache(maxsize=256)
-def _scan_charges(k: int, b: int) -> tuple[int, int, int]:
-    """``(cap_pass, miss, accept)``: the literal scan's charge of a guess of
-    ``k`` names after every head's pairs, after the empty head's terms too
-    (missing its row), and after every head's terms (accepting)."""
+@lru_cache(maxsize=1024)
+def _row_charge(k: int, b: int, heads: int, sizes: int) -> int:
+    """The literal scan's charge of a guess of ``k`` names after every head's
+    pairs and the terms of its first ``heads`` heads, which hold ``sizes``
+    names: ``(1, 0)`` misses the empty head's row, and ``(2**k, k << k >> 1)``
+    (``sum i * C(k, i)``, the names in all heads) accepts."""
     pairs, pair_scan, terms, term_scan = _tail_scans(k, b)
-    head_sizes = k << k >> 1  # sum i * C(k, i): the names in the 2**k heads
-    cap_pass = pairs * head_sizes + (pair_scan << k)
-    return cap_pass, cap_pass + term_scan, cap_pass + (terms + 1) * head_sizes + (term_scan << k)
+    return pairs * (k << k >> 1) + (pair_scan << k) + (terms + 1) * sizes + heads * term_scan
 
 
 def _low_bits(mask: int) -> list[int]:
@@ -314,7 +313,7 @@ class CWChecker:
     ``G = {}`` column. Unstored keys read as zero. ``sum_bound`` bounds every
     inclusion-exclusion partial sum and is enforced during checking.
 
-    Read literally, :meth:`check` scans every head ``B`` of the guess twice,
+    :meth:`check` is the literal scan: every head ``B`` of the guess twice,
     in :func:`~paramcsp._sets.subsets_by_size` order: once over the tail sets
     ``G`` of at most ``b + 1`` names (the lambda caps), once over the nonempty
     tail sets of at most ``b`` names (the alternating sum of :meth:`_tail_sum`
@@ -419,36 +418,29 @@ class CWChecker:
         object.__setattr__(self, "root", self._grow(no_names, 0, ""))
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
-        """Check one guess of distinct names in sorted order, as a block of one
-        under its prefix's state grown from the root; returns (accepted, steps)."""
-        if not combo:
-            return self._scan(0, combo, steps)
-        found, top = self.check_block(reduce(self.grow, combo[:-1], None), combo[:-1], combo[-1:], steps)
-        return found is not None, top
+        """Check one guess of distinct names in sorted order by the literal
+        scan, reading no prefix state; returns (accepted, steps)."""
+        return self._scan(sum(self.bits.get(v, 0) for v in combo), combo, steps)
 
     def _scan(self, guess: int, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
         """The literal scan of ``combo``, whose keyed names make ``guess``."""
         k = len(combo)
         outside = ~guess
-        pairs, pair_scan, terms, term_scan = _tail_scans(k, self.b)
-        cap_pass, _, accept = _scan_charges(k, self.b)
         for head, capped in self.over_cap.items():
             if not head & outside:
                 failing = [g for g in capped if not g & outside]
                 if failing:
                     rank, before = self._rank_of(combo, head)
                     tail = min(failing, key=_scan_key)
-                    j, sizes = self._rank_of(combo, tail)
-                    j += 1  # the pairs up to this one, and their summed sizes
-                    sizes += tail.bit_count()
-                    steps += pairs * before + rank * pair_scan
-                    return False, steps + (head.bit_count() + 1) * j + sizes
+                    j, sizes = self._rank_of(combo, tail)  # the pairs before this one, and their summed sizes
+                    pairs, pair_scan, _, _ = _tail_scans(k, self.b)
+                    steps += pairs * before + rank * pair_scan + (head.bit_count() + 1) * (j + 1)
+                    return False, steps + sizes + tail.bit_count()
         for head, row in self.rows.items():
             if not head & outside and self._tail_sum(row, guess, self.b) != -row.get(0, 0):
                 rank, before = self._rank_of(combo, head)
-                sizes = before + head.bit_count()  # of the heads up to this one
-                return False, steps + cap_pass + (terms + 1) * sizes + (rank + 1) * term_scan
-        return True, steps + accept
+                return False, steps + _row_charge(k, self.b, rank + 1, before + head.bit_count())
+        return True, steps + _row_charge(k, self.b, 1 << k, k << k >> 1)
 
     def _rank_of(self, combo: tuple[str, ...], mask: int) -> tuple[int, int]:
         """:func:`_rank` of the subset of ``combo`` whose keyed names make ``mask``."""
@@ -467,10 +459,8 @@ class CWChecker:
         mask, cap_name, sums, closers, missing, head = state or self.root
         if cap_name is not None:  # at pair j = bisect_right(...) + 1 ("" sorts first); j pairs cost 2j - 1
             return None, steps + 2 * bisect_right(prefix, cap_name) + 1
-        miss = steps + _scan_charges(len(prefix) + 1, self.b)[1]
-        if head:  # the r one-name heads before it and its own terms come first
-            _, _, terms, term_scan = _tail_scans(len(prefix) + 1, self.b)
-            miss += bisect_right(prefix, head) * (terms + 1 + term_scan)
+        r = bisect_right(prefix, head)  # the one-name heads up to the decider ("": the empty head)
+        miss = steps + _row_charge(len(prefix) + 1, self.b, r + 1, r)
         top = 0
         for i, last in enumerate(lasts):
             bit = self.bits.get(last)  # None for names in no key: they read zero
@@ -786,10 +776,10 @@ def inclusion_exclusion_union(
 def _cw_budget(k0: int, b: int) -> int:
     """Exact cost of one full conditional-weight check at guess size ``k0``:
     ``k0`` for writing the guess, then the charge of an accepting scan
-    (:func:`_scan_charges`). A ``k0`` above the guess cap is refused first."""
+    (:func:`_row_charge`). A ``k0`` above the guess cap is refused first."""
     if k0 > _GUESS_CAP:
         raise CapacityError(f"guess size {k0} above the conditional-weight bound {_GUESS_CAP}")
-    return k0 + _scan_charges(k0, b)[2]
+    return k0 + _row_charge(k0, b, 1 << k0, k0 << k0 >> 1)
 
 
 def reduce_cw(inst: Instance) -> GuessCheckMachine:
@@ -829,8 +819,9 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
     held against the budget. A block that overruns it or raises a
     :class:`ParamCSPError` is walked again through ``run_branch``, so the error
     names the first guess that overruns or raises, as a per-branch loop would;
-    any other exception is a fault and propagates. A block adds to ``branches_explored``
-    its guesses up to the accepting one, or all of them.
+    a re-walk doing neither disagrees with the block and raises one naming the
+    prefix. Any other exception is a fault and propagates. A block adds to
+    ``branches_explored`` its guesses up to the accepting one, or all of them.
     """
     names, k0, budget = machine.universe, machine.k0, machine.budget
     if isinstance(machine.checker, AlwaysReject) or k0 > len(names):
@@ -862,7 +853,8 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
         if top > budget:
             # Walk the block branch by branch, so that the error names the
             # first guess that raises or overruns, as a per-branch loop does.
-            found, top = _per_branch(machine, (prefix + (last,) for last in lasts))
+            _per_branch(machine, (prefix + (last,) for last in lasts))
+            raise ParamCSPError(f"the block after {prefix!r} overran or raised, but none of its guesses does")
         explored += len(lasts) if found is None else found + 1
         if top > max_steps:
             max_steps = top

@@ -9,13 +9,12 @@ name at a time in order, simulations walk every guess through the
 per-branch ``run_branch`` instead of the prefix walk's blocks, and combined checks
 run each part's own ``run_branch``.
 
-One path is shared on purpose: a conditional-weight machine's ``run_branch``
-reaches ``CWChecker.check_block`` through ``CWChecker.check``, which judges a
-guess as a block of one. So ``literal_simulate`` does not check the block's
-shortcuts on its own; the check-level tests against ``literal_cw_check`` do.
-With one step added to every miss that ``check_block`` charges without a
-scan, ``TestBlockWalk::test_simulation_matches_the_per_branch_loop`` still
-passes, while 44 other tests in ``tests/test_machines.py`` fail.
+Every checker's ``check`` judges a guess without the walk's prefix state: a
+conditional-weight machine's ``run_branch`` runs the literal scan, never
+``CWChecker.check_block``. So ``literal_simulate`` reads every block
+independently of its shortcuts. With one step added to every miss that
+``check_block`` charges without a scan, 51 tier-1 tests fail, among them
+``TestBlockWalk::test_simulation_matches_the_per_branch_loop``.
 """
 
 from __future__ import annotations

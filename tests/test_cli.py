@@ -287,6 +287,7 @@ def cli_child(args, timeout=60):
         [sys.executable, "-m", "paramcsp.cli", *args],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=timeout,
         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__))},
         preexec_fn=_limit_child_memory,
@@ -896,6 +897,7 @@ class TestArgumentHandling:
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 text=True,
+                encoding="utf-8",
                 timeout=60,
                 env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__))},
             )

@@ -111,6 +111,7 @@ class TestFeasibilityInvariant:
             [sys.executable, "-O", "-c", code],
             capture_output=True,
             text=True,
+            encoding="utf-8",
             timeout=60,
             env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__))},
         )

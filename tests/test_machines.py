@@ -86,6 +86,7 @@ from paramcsp import (
     solve_wd_pipeline,
 )
 import paramcsp
+from paramcsp.cli import run
 from paramcsp._sets import guesses, lex_subsets, subsets_by_size
 from paramcsp.machines import _cw_budget, _rank, _tail_scans
 
@@ -281,6 +282,7 @@ class TestCheckerInvariants:
             [sys.executable, "-O", "-c", code],
             capture_output=True,
             text=True,
+            encoding="utf-8",
             timeout=60,
             env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__))},
         )
@@ -305,6 +307,7 @@ class TestCheckerInvariants:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
+            encoding="utf-8",
             timeout=60,
             env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__))},
         )
@@ -708,6 +711,7 @@ class TestInclusionExclusionUnion:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
+            encoding="utf-8",
             timeout=30,
             env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(paramcsp.__file__))},
         )
@@ -820,11 +824,23 @@ class TestReduceCw:
         assert accepted >= 30
 
 
+def block_of_one(checker, combo, steps):
+    """``combo`` judged as the walk judges it: its last name as a block of
+    one, from its prefix's state grown from the root; returns (accepted, steps)."""
+    prefix = combo[:-1]
+    found, top = checker.check_block(reduce(checker.grow, prefix, None), prefix, combo[-1:], steps)
+    return found is not None, top
+
+
 def assert_matches_literal_check(checker, combos):
-    """Every combo costs the same steps and gets the same verdict as the literal check."""
+    """Every combo costs the same steps and gets the same verdict as the
+    literal check, through ``check`` and, unless it is empty, as a block of one."""
     for combo in combos:
         steps = len(combo)
-        assert checker.check(combo, steps) == literal_cw_check(checker, combo, steps), combo
+        want = literal_cw_check(checker, combo, steps)
+        assert checker.check(combo, steps) == want, combo
+        if combo:
+            assert block_of_one(checker, combo, steps) == want, combo
 
 
 def pipeline_cw_part(inst):
@@ -945,6 +961,8 @@ class TestMaskCheck:
         # Guesses draw from a-f, so keys naming g or h lie partly outside.
         want = outcome(literal_cw_check, tables, combo, len(combo))
         assert outcome(tables.check, combo, len(combo)) == want
+        if combo:
+            assert outcome(block_of_one, tables, combo, len(combo)) == want
 
     def test_check_lists_no_subsets(self, monkeypatch):
         checker = reduce_cw(ONE_OF_TWO).checker
@@ -991,6 +1009,7 @@ class TestMaskCheck:
                 [sys.executable, "-c", code],
                 capture_output=True,
                 text=True,
+                encoding="utf-8",
                 timeout=60,
                 check=True,
                 env={
@@ -1020,6 +1039,8 @@ class TestMaskCheck:
             checker = CWChecker(b=b, delta_sizes=delta_sizes, lambda_caps={}, delta_empty={e: 1}, sum_bound=0)
             assert (checker.empty_tails is None) == (b > 0 and bool(delta_sizes))
             assert checker.check(tuple(NAMES[:k]), 0) == (False, miss)
+            if k:
+                assert block_of_one(checker, tuple(NAMES[:k]), 0) == (False, miss)
 
     def test_rank_matches_subsets_by_size(self):
         for k in range(11):
@@ -1094,6 +1115,8 @@ class TestPrefixCache:
         for combo in combos:
             want = outcome(literal_cw_check, replace(tables), combo, len(combo))
             assert outcome(tables.check, combo, len(combo)) == want, combo
+            if combo:
+                assert outcome(block_of_one, tables, combo, len(combo)) == want, combo
 
     def test_a_lex_run_builds_one_state_per_prefix(self, monkeypatch):
         # Every name is keyed, so each grown state goes through _grow. A state
@@ -1140,21 +1163,19 @@ class TestPrefixCache:
     @pytest.mark.parametrize("build", ["cap", "row"])
     def test_decided_branches_skip_the_scan(self, build, monkeypatch):
         # Every guess of the counting-unsat family fails the empty head's cap
-        # at its first name. With x the one tail of ``CW(d=0){1}``, {a, c}
-        # and {a, d} pass the cap scan and fail the empty head's row. Past
-        # the first branch of a prefix, none of them reaches the scan.
+        # at its first name. With x the one tail of ``CW(d=0){1}``, {a, b},
+        # {a, c} and {a, d} pass the cap scan and fail the empty head's row.
+        # As blocks of one, none of them reaches the scan.
         if build == "cap":
             inst = _counting_unsat(5)
         else:
             inst = exact("abcdx", 2, Constraint(CWRelation(WS1, head=0, tail=1), ("x",)))
         checker = reduce_cw(inst).checker
-        first, *rest = combinations(inst.variables, inst.weight.k0)
-        assert_matches_literal_check(checker, [first])
-        plans = []
-        monkeypatch.setattr(paramcsp.machines, "_tail_scans", lambda *args: plans.append(args))
-        for combo in rest[:2]:
-            assert checker.check(combo, 2) == literal_cw_check(checker, combo, 2)
-        assert plans == []
+        combos = list(combinations(inst.variables, inst.weight.k0))[:3]
+        want = [literal_cw_check(checker, combo, 2) for combo in combos]
+        checked = counted_scans(monkeypatch)
+        assert [block_of_one(checker, combo, 2) for combo in combos] == want
+        assert checked == []
 
     @pytest.mark.parametrize("head", ["", "a"])
     def test_a_last_name_completing_an_over_cap_pair_keeps_the_scan(self, head):
@@ -1544,14 +1565,9 @@ class TestBlockWalk:
         assert checked[:2] == [("a", "b", names[2]), ("a", "b", names[3])]
 
     def test_an_unsatisfiable_pipeline_instance_scans_nothing(self, monkeypatch):
-        # The wd-pipeline slot k2-unsat's shape: a weight-one clause on a
-        # repeated name never holds. Every guess that passes the weight part
-        # misses the first unmet head of at most one name of its prefix.
-        inst = exact(("x001", "x002", "x003"), 2, Constraint(WRelation(WS1, 2), ("x003", "x003")))
-        lifted = lift_kle_to_k(completion_reduction(inst, 1).instance)
-        weight, *conditional = lifted.body
-        parts = reduce_appearance(replace(lifted, body=(weight,))), reduce_cw(replace(lifted, body=tuple(conditional)))
-        machine = combine_machines(*parts)
+        # Every guess that passes the weight part misses the first unmet head
+        # of at most one name of its prefix.
+        machine = k2_unsat_pipeline()
         checked = counted_scans(monkeypatch)
         assert simulate(machine) == SimulationResult(False, None, 17209, 462)
         assert checked == []
@@ -1583,6 +1599,10 @@ class TestBlockWalk:
         )
         assert tables.empty_tails is not None
         decided = literal_cw_check(tables, ("a", "c"), 2)[1]
+        state = tables.grow(None, "a")
+        assert tables.check_block(state, ("a",), ("c",), 2) == (None, decided)
+        with pytest.raises(ParamCSPError, match="^partial sum escaped its bound$"):
+            tables.check_block(state, ("a",), ("c", "d"), 2)
         overrun = f"branch ('a', 'c') used {decided} steps against budget {decided - 1}"
         for budget, want in [
             (10**6, (ParamCSPError, "partial sum escaped its bound")),
@@ -1595,7 +1615,11 @@ class TestBlockWalk:
     def test_an_overrun_at_a_blocks_first_guess_is_named(self):
         # {a, b}, {a, c} and {a, d} miss the empty head's row at one charge.
         machine = reduce_cw(exact("abcdx", 2, Constraint(CWRelation(WS1, head=0, tail=1), ("x",))))
-        decided = literal_cw_check(machine.checker, ("a", "b"), 2)[1]
+        checker = machine.checker
+        decided = literal_cw_check(checker, ("a", "b"), 2)[1]
+        block = per_last_block(partial(literal_cw_check, checker), ("a",), "bcd", 2)
+        assert block == (None, decided)
+        assert checker.check_block(checker.grow(None, "a"), ("a",), "bcd", 2) == block
         tight = replace(machine, budget=decided - 1)
         message = f"branch ('a', 'b') used {decided} steps against budget {decided - 1}"
         assert outcome(literal_simulate, fresh_copy(tight)) == (BudgetExceededError, message)
@@ -1620,6 +1644,66 @@ class TestBlockWalk:
         monkeypatch.setattr(type(machine.checker), "check_block", planted)
         with pytest.raises(TypeError, match="^planted$"):
             simulate(machine)
+
+    def test_the_literal_walk_does_not_share_the_block_path(self, monkeypatch):
+        # One step planted on every block that check_block returns without an
+        # accept must show against the literal per-branch walk, which judges
+        # each guess by the literal scan and so does not see the plant.
+        machines = [reduce_cw(_counting_unsat(5)), k2_unsat_pipeline()]
+        wants = [literal_simulate(fresh_copy(machine)) for machine in machines]
+        assert not any(want.accepted for want in wants)
+        real = CWChecker.check_block
+
+        def planted(self, state, prefix, lasts, steps):
+            found, top = real(self, state, prefix, lasts, steps)
+            return found, top + (found is None)
+
+        monkeypatch.setattr(CWChecker, "check_block", planted)
+        for machine, want in zip(machines, wants):
+            assert literal_simulate(fresh_copy(machine)) == want
+            assert outcome(simulate, machine) != want
+
+    @pytest.mark.parametrize("fault", ["overrun", "raise"])
+    @pytest.mark.parametrize("kind", ["appearance", "cw"])
+    def test_a_block_its_re_walk_disagrees_with_is_a_fault(self, kind, fault, monkeypatch, tmp_path, capsys):
+        # A block over the budget, or raising, is walked again branch by
+        # branch. When no branch overruns or raises there, the block path is
+        # at fault: simulate raises, and the CLI exits 4 with one error line.
+        cfg = InstanceConfig(n=6, k0=2, profile="w-finite", body_len=2, finite_values=(1,))
+        machine = {
+            "appearance": reduce_appearance(random_instance(3, cfg)),
+            "cw": reduce_cw(_counting_unsat(5)),
+        }[kind]
+        path = tmp_path / "machine.json"
+        path.write_text(serialize_machine(machine), encoding="utf-8")
+        real = type(machine.checker).check_block
+
+        def planted(self, state, prefix, lasts, steps):
+            if fault == "raise":
+                raise ParamCSPError("partial sum escaped its bound")
+            found, top = real(self, state, prefix, lasts, steps)
+            return found, top + 10**6
+
+        monkeypatch.setattr(type(machine.checker), "check_block", planted)
+        prefix = machine.universe[: machine.k0 - 1]
+        message = f"the block after {prefix!r} overran or raised, but none of its guesses does"
+        with pytest.raises(ParamCSPError) as raised:
+            simulate(machine)
+        assert (type(raised.value), str(raised.value)) == (ParamCSPError, message)
+        capsys.readouterr()
+        assert run(["simulate", str(path)]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def k2_unsat_pipeline():
+    """The combined machine :func:`solve_wd_pipeline` simulates on an instance
+    of the wd-pipeline slot k2-unsat's shape: a weight-one clause on a
+    repeated name, which never holds."""
+    inst = exact(("x001", "x002", "x003"), 2, Constraint(WRelation(WS1, 2), ("x003", "x003")))
+    lifted = lift_kle_to_k(completion_reduction(inst, 1).instance)
+    weight, *conditional = lifted.body
+    parts = reduce_appearance(replace(lifted, body=(weight,))), reduce_cw(replace(lifted, body=tuple(conditional)))
+    return combine_machines(*parts)
 
 
 def counted_scans(patch):

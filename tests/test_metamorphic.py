@@ -11,7 +11,8 @@ against five transforms:
 - renaming the names of an exact instance in an order-preserving way maps
   every witness and keeps every counter of both profile-class solvers, and of
   ``simulate`` on appearance and conditional-weight machines where the guess
-  count ``comb(n, k0)`` stays at or below 10**5;
+  count ``comb(n, k0)`` stays at or below 10**5; both serialized machines
+  stay the same once their names are mapped;
 - duplicating a body constraint keeps every accept bit, and brute force's
   (where it tries at most 5,000 sets) and every machine's witness. A copy
   appended at the end keeps the profile classes in their order, so it
@@ -34,6 +35,7 @@ Tier-1 runs a sample; ``pytest -m slow`` runs ten times as many examples.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 from math import comb
@@ -157,14 +159,24 @@ def check_renaming(inst: Instance, start: int, step: int) -> None:
                 solve(renamed)
         else:
             assert solve(renamed) == (mapped(got[0]), got[1]), solve.__name__
+    def mapped_doc(value):
+        if isinstance(value, dict):
+            return {name.get(k, k): mapped_doc(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return list(map(mapped_doc, value))
+        return name.get(value, value) if isinstance(value, str) else value
+
     for build in BUILDERS:
         machine = applicable(build, inst)
-        if machine is None or not simulable(machine):
+        if machine is None:
             continue
         renamed_machine = build(renamed)
         assert renamed_machine.budget == machine.budget, build.__name__
-        result = simulate(machine)
-        assert simulate(renamed_machine) == replace(result, witness=mapped(result.witness)), build.__name__
+        doc = json.loads(serialize_machine(renamed_machine))
+        assert doc == mapped_doc(json.loads(serialize_machine(machine))), build.__name__
+        if simulable(machine):
+            result = simulate(machine)
+            assert simulate(renamed_machine) == replace(result, witness=mapped(result.witness)), build.__name__
 
 
 def check_duplicating(inst: Instance, pick: int, where: int) -> None:
