@@ -5,6 +5,7 @@ bound ``h``, variables with equal capped occurrence profiles are
 interchangeable, so only the number chosen from each profile class matters.
 The solver enumerates count vectors over profile classes instead of variable
 subsets, which is what makes it parameterized rather than exponential in n.
+Each vector is judged by one column sum per constraint (see :func:`_feasible`).
 
 Profiles are counted from the constraint scopes in one pass, which also
 reads off the cap: it costs O(sum of arities + touched * |body|), where
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import filterfalse, islice
+from operator import mul
 
 from .errors import NotApplicableError, ParamCSPError
 from .instances import Instance, WeightKind, _meets, param_t
@@ -107,18 +109,14 @@ def _profile_classes(
     return h, classes
 
 
-def _feasible(weights: WeightSet, profiles: list[tuple[int, ...]], vector: tuple[int, ...], body_len: int) -> bool:
-    """Whether ``vector`` meets every constraint. A count reaches the cap
-    ``h + 1`` only when ``h`` is the largest value of a finite or cofinite
-    set, so the capped sum lies above every value: a finite set refuses it and
-    a cofinite set admits it, as it would the true sum. Parity sets never cap,
-    because their bound is the longest scope."""
-    for i in range(body_len):
-        total = 0
-        for profile, n in zip(profiles, vector):
-            if n:
-                total += profile[i] * n
-        if not weights._contains(total):
+def _feasible(weights: WeightSet, columns: list[tuple[int, ...]], vector: tuple[int, ...]) -> bool:
+    """Whether every column's sum against ``vector`` lies in ``weights``. A
+    count reaches the cap ``h + 1`` only when ``h`` is the largest value of a
+    finite or cofinite set, so the capped sum lies above every value: a finite
+    set refuses it and a cofinite set admits it, as it would the true sum.
+    Parity sets never cap, because their bound is the longest scope."""
+    for column in columns:
+        if not weights._contains(sum(map(mul, column, vector))):
             return False
     return True
 
@@ -135,7 +133,8 @@ def _count_vectors(caps: list[int], target: int):
             return
         # Place ``remaining`` after the raised class as late as the caps allow.
         for j in range(raised + 1, len(caps)):
-            counts[j] = max(0, remaining - room_after[j + 1])
+            n = remaining - room_after[j + 1]
+            counts[j] = n if n > 0 else 0
             remaining -= counts[j]
         yield tuple(counts)
         # Raise the rightmost count that can take one variable from the classes after it.
@@ -157,7 +156,8 @@ def _solve(inst: Instance, weights: WeightSet | None) -> tuple[frozenset[str] | 
     if weights is not None and weights.kind in (WeightSetKind.EVEN, WeightSetKind.ODD) and max(map(max, profiles)) > h:
         raise ParamCSPError("parity sets cannot hit the cap")
     sizes = [size for _, size, _ in classes]
-    body_len = len(inst.body)
+    # A column per constraint: every scope is nonempty, so some class touches it.
+    columns = list(zip(*profiles))
     k0 = inst.weight.k0
     # No count vector sums past the variable count, so larger targets are skipped.
     targets = (k0,) if inst.weight.kind is WeightKind.EXACT else range(min(k0, len(inst.variables)) + 1)
@@ -165,7 +165,7 @@ def _solve(inst: Instance, weights: WeightSet | None) -> tuple[frozenset[str] | 
     for target in targets:
         for vector in _count_vectors(sizes, target):
             tested += 1
-            if not _feasible(weights, profiles, vector, body_len):
+            if not _feasible(weights, columns, vector):
                 continue
             witness = frozenset(
                 name

@@ -4,7 +4,8 @@ Nothing here calls the code paths under test: unions are counted by direct
 scan over the body, reduced instances are decided by enumerating original
 variable subsets and propagating the forced indicator values, costs and
 budgets are summed term by term, occurrence profiles are read for every
-variable against every constraint, instance declarations are checked one
+variable against every constraint, count vectors are every product of
+class counts filtered by their sum, instance declarations are checked one
 name at a time in order, simulations walk every guess through the
 per-branch ``run_branch`` instead of the prefix walk's blocks, and combined checks
 run each part's own ``run_branch``.
@@ -20,7 +21,7 @@ independently of its shortcuts. With one step added to every miss that
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from paramcsp import (
@@ -233,6 +234,13 @@ def dense_profile_classes(inst: Instance, h: int) -> list[tuple[tuple[int, ...],
         prof = tuple(min(counts.get(v, 0), over) for counts in per_constraint)
         groups.setdefault(prof, []).append(v)
     return sorted(groups.items())
+
+
+def literal_count_vectors(caps, target: int) -> list[tuple[int, ...]]:
+    """Every way to pick ``target`` names across classes of sizes ``caps``,
+    in lexicographic order: the full product of per-class counts, filtered
+    by its sum."""
+    return [v for v in product(*(range(cap + 1) for cap in caps)) if sum(v) == target]
 
 
 def validate_in_order(variables, body) -> None:

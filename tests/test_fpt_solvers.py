@@ -39,7 +39,7 @@ from paramcsp import (
 )
 from paramcsp.fpt_solvers import _count_vectors, _profile_classes, _shared_weight_set
 from corpus_helpers import SOLVER_PROFILES, instances, solver_config
-from oracles import dense_profile_classes
+from oracles import dense_profile_classes, literal_count_vectors
 
 EXACT = WeightKind.EXACT
 ATMOST = WeightKind.ATMOST
@@ -92,6 +92,15 @@ class TestManyProfileClasses:
         assert witness == frozenset({"v0000"})
         assert stats.class_count == 1500
         assert stats.multisets_enumerated == 1
+
+
+class TestCountVectors:
+    def test_every_small_caps_tuple_matches_the_literal_product(self):
+        # Order and placement: every caps tuple of up to 5 classes, caps 0-3.
+        for width in range(6):
+            for caps in product(range(4), repeat=width):
+                for target in range(6):
+                    assert list(_count_vectors(list(caps), target)) == literal_count_vectors(caps, target), (caps, target)
 
 
 class TestFeasibilityInvariant:
@@ -412,14 +421,15 @@ def dense_solve(inst: Instance, weights: WeightSet | None) -> tuple[frozenset[st
     """The profile-class solve read densely: the dense cap and classes, every
     class holding all its names, and the count vectors in order, each decided
     by ``satisfies`` on its representative witness rather than the solver's
-    own feasibility test."""
+    own feasibility test. The vectors come from the literal product, not
+    the solver's enumeration."""
     h = cap(inst, weights)
     classes = dense_profile_classes(inst, h)
     k0 = inst.weight.k0
     targets = (k0,) if inst.weight.kind is EXACT else range(min(k0, len(inst.variables)) + 1)
     tested = 0
     for target in targets:
-        for vector in _count_vectors([len(names) for _, names in classes], target):
+        for vector in literal_count_vectors([len(names) for _, names in classes], target):
             tested += 1
             witness = frozenset(v for (_, names), n in zip(classes, vector) for v in names[:n])
             if satisfies(inst, witness):

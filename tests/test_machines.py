@@ -1572,6 +1572,31 @@ class TestBlockWalk:
         assert simulate(machine) == SimulationResult(False, None, 17209, 462)
         assert checked == []
 
+    def test_an_inclusion_exclusion_bound_on_the_empty_head_may_not_skip(self):
+        # Tables no instance produces: a tail's count counts constraints whose
+        # tail image contains it, yet {x, y} counts 1 where {y} counts 0.
+        # Under the first name p the alive names are
+        # p q r x y, and S1 - S2 + S3 over them reads 1 + 1 - 1 = 1, below
+        # the empty head's count of 2; yet {p, q, x} meets the empty head's
+        # row, so a subtree rule skipping on that bound would reject.
+        rows = [
+            {"count": 2, "head": [], "tail": []},
+            {"count": 1, "head": [], "max_positions": 1, "tail": ["p"]},
+            {"count": 1, "head": [], "max_positions": 1, "tail": ["x"]},
+            {"count": 1, "head": [], "max_positions": 2, "tail": ["x", "y"]},
+            {"count": 1, "head": ["a"], "tail": []},
+        ]
+        machine = parse_machine(json.dumps({
+            "format_version": "1",
+            "machine": {
+                "b": 2, "budget": 527, "exact": True, "k0": 3, "kind": "cw",
+                "sum_bound": 12, "tables": rows, "universe": list("apqrxy"),
+            },
+        }))
+        want = SimulationResult(True, frozenset("pqx"), 527, 12)
+        assert simulate(machine) == want
+        assert literal_simulate(machine) == want
+
     @settings(max_examples=300, deadline=None)
     @given(machine=block_machines())
     def test_branches_explored_has_a_closed_form(self, machine):
