@@ -25,7 +25,8 @@ steps match that scan and an accepting branch costs exactly the budget.
 :func:`simulate` walks guess prefixes depth first and counts the branches.
 Every checker answers ``grow(state, name)``, the state of a prefix extended
 by one name (None at the empty prefix and under the always-reject checker;
-a count of the prefix's touched names under the appearance checker), and
+a count of the prefix's touched names under the appearance checker; and
+``state`` itself when the name changes nothing), and
 ``check_block(state, prefix, lasts, steps)``, which judges ``prefix + (x,)``
 for each last name ``x`` up to the first accept and returns its index (or
 None) and the top step count. ``check(combo, steps)`` judges a single guess.
@@ -171,9 +172,10 @@ class AppearanceChecker:
                 return False, steps
         return True, steps
 
-    def grow(self, state: int | None, name: str) -> int:
-        """The number of touched names in ``state``'s prefix extended by ``name``."""
-        return (state or 0) + (name in self.occurrences)
+    def grow(self, state: int | None, name: str) -> int | None:
+        """The number of touched names in ``state``'s prefix extended by
+        ``name``; an untouched name returns ``state`` itself."""
+        return (state or 0) + 1 if name in self.occurrences else state
 
     def check_block(self, state: int | None, prefix: tuple[str, ...], lasts: Sequence[str], steps: int) -> BlockResult:
         """Check ``prefix + (x,)`` for each ``x`` in ``lasts`` by its touched
@@ -474,12 +476,11 @@ class CWChecker:
                 return i, top
         return None, top
 
-    def grow(self, state: _Prefix | None, name: str) -> _Prefix:
+    def grow(self, state: _Prefix | None, name: str) -> _Prefix | None:
         """``state``'s prefix extended by ``name``; a name in no key reads
-        zero everywhere, so it leaves the state as it is."""
-        parent = state or self.root
+        zero everywhere, so it returns ``state`` itself."""
         bit = self.bits.get(name)
-        return parent if bit is None else self._grow(parent, bit, name)
+        return state if bit is None else self._grow(state or self.root, bit, name)
 
     def _grow(self, parent: _Prefix, bit: int, name: str) -> _Prefix:
         """``parent``'s prefix extended by ``name``, whose bit is ``bit``: only
@@ -598,10 +599,12 @@ class CombinedChecker:
             used += more
         return accepted, steps + used
 
-    def grow(self, state: tuple | None, name: str) -> tuple:
-        """The pair of the parts' states, each grown by ``name``."""
+    def grow(self, state: tuple | None, name: str) -> tuple | None:
+        """The pair of the parts' states, each grown by ``name``; ``state``
+        itself when both parts return theirs."""
         first, second = state or (None, None)
-        return self.first.checker.grow(first, name), self.second.checker.grow(second, name)
+        grown = self.first.checker.grow(first, name), self.second.checker.grow(second, name)
+        return state if grown[0] is first and grown[1] is second else grown
 
     def check_block(self, state: tuple | None, prefix: tuple[str, ...], lasts: Sequence[str], steps: int) -> BlockResult:
         """Check ``prefix + (x,)`` for each ``x`` in ``lasts`` as :meth:`check`
@@ -814,14 +817,26 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
     first, without recursion, over the ``(k0 - 1)``-prefixes of its guesses in
     lex order: a stack holds the state ``grow`` made for each leading part of
     the prefix, and the next prefix keeps those of the names it shares, so each
-    prefix grows once, from its parent. Each prefix's block of guesses, one per
-    later last name, goes to ``check_block``, and its largest step count is
-    held against the budget. A block that overruns it or raises a
-    :class:`ParamCSPError` is walked again through ``run_branch``, so the error
-    names the first guess that overruns or raises, as a per-branch loop would;
-    a re-walk doing neither disagrees with the block and raises one naming the
-    prefix. Any other exception is a fault and propagates. A block adds to
-    ``branches_explored`` its guesses up to the accepting one, or all of them.
+    prefix grows at most once, from its parent.
+
+    A name that changes nothing, such as a pad of :func:`lift_kle_to_k`, makes
+    ``grow`` return ``state`` itself, the same object, so that state stands
+    at two places of the stack and its children are grown again for later
+    prefixes. The walk keeps the children, by name, of the last state a name
+    left as it was, from then on, and reuses them. ``grow`` is a pure function
+    of ``(state, name)`` (``CWChecker.heads`` is a lazy cache that fills alike
+    whoever calls it), so a kept child is exact. So the walk holds children
+    of one parent, at most one per universe name, and a walk in which no name
+    leaves a state as it was pays two identity tests per grow.
+
+    Each prefix's block of guesses, one per later last name, goes to
+    ``check_block``, and its largest step count is held against the budget. A
+    block that overruns it or raises a :class:`ParamCSPError` is walked again
+    through ``run_branch``, so the error names the first guess that overruns
+    or raises, as a per-branch loop would; a re-walk doing neither disagrees
+    with the block and raises one naming the prefix. Any other exception is a
+    fault and propagates. A block adds to ``branches_explored`` its guesses up
+    to the accepting one, or all of them.
     """
     names, k0, budget = machine.universe, machine.k0, machine.budget
     if isinstance(machine.checker, AlwaysReject) or k0 > len(names):
@@ -835,6 +850,8 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
     after = {name: i + 1 for i, name in enumerate(names)}
     tail = names[len(names) - k0 :]  # tail[i]: the last name prefix place i takes
     states: list[object] = [None]  # states[i]: the state of the prefix's first i names
+    shared = missing = object()  # shared: the last state a name left as it was; none yet
+    children: dict[str, object] = {}  # shared's children by name
     previous: tuple[str, ...] = ()
     for prefix in combinations(names[:-1], k0 - 1):
         # The place that moved on is the last one of the previous prefix not
@@ -844,7 +861,16 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
             keep -= 1
         del states[keep or 1 :]  # states[0], of no names, always stays
         for name in prefix[len(states) - 1 :]:
-            states.append(grow(states[-1], name))
+            parent = states[-1]
+            if parent is not shared:
+                child = grow(parent, name)
+                if child is parent:  # the name changed nothing: keep this state's children
+                    shared, children = parent, {name: child}
+            else:
+                child = children.get(name, missing)
+                if child is missing:
+                    child = children[name] = grow(parent, name)
+            states.append(child)
         previous, lasts = prefix, names[after[prefix[-1]] :] if prefix else names
         try:
             found, top = check_block(states[-1], prefix, lasts, write)

@@ -1720,15 +1720,26 @@ class TestBlockWalk:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def k2_unsat_pipeline():
-    """The combined machine :func:`solve_wd_pipeline` simulates on an instance
-    of the wd-pipeline slot k2-unsat's shape: a weight-one clause on a
-    repeated name, which never holds."""
-    inst = exact(("x001", "x002", "x003"), 2, Constraint(WRelation(WS1, 2), ("x003", "x003")))
+def unsat_pipeline(n, k0):
+    """The combined machine :func:`solve_wd_pipeline` simulates on ``n``
+    names, ``k0`` and a weight-one clause on the last name repeated, which
+    never holds."""
+    names = tuple(f"x{i:03d}" for i in range(1, n + 1))
+    inst = exact(names, k0, Constraint(WRelation(WS1, 2), (names[-1], names[-1])))
     lifted = lift_kle_to_k(completion_reduction(inst, 1).instance)
     weight, *conditional = lifted.body
     parts = reduce_appearance(replace(lifted, body=(weight,))), reduce_cw(replace(lifted, body=tuple(conditional)))
     return combine_machines(*parts)
+
+
+def k1_unsat_pipeline():
+    """:func:`unsat_pipeline` in the wd-pipeline slot k1-unsat's shape."""
+    return unsat_pipeline(4, 1)
+
+
+def k2_unsat_pipeline():
+    """:func:`unsat_pipeline` in the wd-pipeline slot k2-unsat's shape."""
+    return unsat_pipeline(3, 2)
 
 
 def counted_scans(patch):
@@ -1855,6 +1866,80 @@ class TestTouchedSetMemo:
         assert simulate(machine) == literal_simulate(fresh_copy(machine))
         touched, k0 = len(first.checker.occurrences), machine.k0
         assert len(first.checker.memo) <= sum(comb(touched, j) for j in range(k0))
+
+
+@st.composite
+def inert_name_machines(draw):
+    """Appearance and conditional-weight machines over one drawn instance,
+    combined in both orders and nested two deep, whose universes hold names
+    no checker reads: the pads of a lifted at-most instance, one contiguous
+    run, or names scattered before, between and after the others. The
+    conditional-weight body reads only the instance's own names. ``k0``
+    runs to 5, so that prefixes run three places past the first."""
+    base = draw(finite_bodies())
+    base = replace(base, weight=WeightParameter(WeightKind.EXACT, draw(st.integers(0, 5))))
+    if draw(st.booleans()):
+        inst = lift_kle_to_k(replace(base, weight=replace(base.weight, kind=WeightKind.ATMOST)))
+    else:
+        extra = draw(st.sets(st.sampled_from(["u", "v", "v0u", "v2u", "w"]), max_size=4))
+        inst = replace(base, variables=tuple(sorted(base.variables + tuple(extra))))
+    cw = replace(draw(cw_over(base)), variables=inst.variables)
+    appearance, cw = reduce_appearance(inst), reduce_cw(cw)
+    pair, swapped = combine_machines(appearance, cw), combine_machines(cw, appearance)
+    return [appearance, cw, pair, swapped, combine_machines(pair, swapped), combine_machines(appearance, swapped)]
+
+
+class TestReusedStates:
+    """A name that changes nothing makes ``grow`` return its state itself,
+    and :func:`simulate` reuses the children it grew from the last state a
+    name left as it was; walks still equal the literal per-branch reading."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(machines=inert_name_machines())
+    def test_walks_over_inert_names_match_the_literal_walk(self, machines):
+        for machine in machines:
+            want = outcome(literal_simulate, fresh_copy(machine))
+            assert outcome(simulate, machine) == want
+            assert outcome(simulate, machine) == want  # now through warm checkers
+
+    def test_grow_returns_its_state_for_a_name_that_changes_nothing(self):
+        # Only b is read: the appearance part touches it, the tables key it.
+        appearance = reduce_appearance(exact("abc", 2, Constraint(WRelation(WS1, 1), ("b",))))
+        caps = {(frozenset(), frozenset("b")): 2}
+        cw = GuessCheckMachine(appearance.universe, 2, 0, CWChecker(1, {}, caps, {}, sum_bound=2))
+        combined = combine_machines(appearance, cw)
+        nested = combine_machines(combined, combine_machines(cw, appearance))
+        for machine in (appearance, cw, combined, nested):
+            grow = machine.checker.grow
+            assert grow(None, "a") is None
+            state = grow(None, "b")
+            assert state is not None
+            assert grow(state, "a") is state
+            assert grow(state, "c") is state
+        big = 10**30  # an int no cache shares
+        assert appearance.checker.grow(big, "c") is big
+        assert AlwaysReject().grow(None, "a") is None
+
+    def test_a_pipeline_walk_reuses_the_states_its_pads_leave(self, monkeypatch):
+        machine = k2_unsat_pipeline()
+        want = literal_simulate(fresh_copy(machine))
+        grown = []
+        real = CombinedChecker.grow
+
+        def counting(self, state, name):
+            grown.append(name)
+            return real(self, state, name)
+
+        monkeypatch.setattr(CombinedChecker, "grow", counting)
+        assert simulate(machine) == want == SimulationResult(False, None, 17209, 462)
+        # A walk growing each prefix from its parent grows 461 times.
+        assert len(grown) == 91
+
+    def test_an_unsatisfiable_k1_pipeline_walk(self):
+        machine = k1_unsat_pipeline()
+        want = literal_simulate(fresh_copy(machine))
+        assert want == SimulationResult(False, None, 357, 84)
+        assert simulate(machine) == want
 
 
 def small_scope_bodies(every_pair=1):
