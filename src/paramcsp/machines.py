@@ -290,11 +290,11 @@ class _Prefix(NamedTuple):
     """What :class:`CWChecker` keeps for the guesses that extend a prefix by
     a last name: the prefix's keyed names' mask; its first name whose single
     over-caps the empty head, if any (``""``: ``G = {}`` does); the last bits
-    that close an over-cap union (0: it holds one); and, when a row may
-    decide (else ``sums`` is None), the deciding head's ``sums``, each last
-    bit's extended row sum (``missing`` itself at a last that changes the row
-    of a met head before it, so that it is scanned), the sum a last must
-    reach, and the head's name (``""``: the empty head)."""
+    that close an over-cap union (0: it holds one); and the deciding head's
+    ``sums``, each last bit's extended row sum (``missing`` itself at a last
+    that changes a met head's row before it), the sum a last must reach, and
+    its name (``""``: the empty head). ``sums`` is a dict exactly when an
+    unmet gated head decides, and then ``missing != 0``."""
 
     mask: int
     cap_name: str | None
@@ -344,21 +344,21 @@ class CWChecker:
     bit in ``cap_unions``, the unions ``B | G`` of the over-cap pairs (under
     0 those of at most one name; the cap scan fails exactly when the guess
     holds one), and in ``empty_tails``, the empty head's tails of 1 to ``b``
-    names and their counts (under 0 its one-name tails). ``empty_tails`` is
-    None, and no row decides anything, when the empty head has no row or the
-    absolute values of these counts sum past ``sum_bound``.
+    names and their counts, each under its own bits; None when the empty
+    head is not gated (below) or has no row.
 
-    Otherwise a row may decide a block. In both scans the empty head and then
-    the one-name heads of the prefix names, in prefix order, come before any
-    head holding the last name. So the first of these heads whose row the
-    prefix leaves unmet decides every last that passes the cap scan, does not
-    complete that row and leaves the row of each met head before it as it is:
-    each such branch misses that row. A one-name head's entries are gated as
-    the empty head's, and kept in ``heads`` the first time a walk asks for
-    them (:meth:`_head`); an ungated head, or none unmet, leaves the empty
-    head to decide the lasts that change its met row. No met head before the
-    decider can raise, its partial sums being gated. A branch failing its cap
-    at ``G = {}`` or at a prefix name, or missing the deciding row, is charged
+    In both scans the empty head and then the one-name heads of the prefix
+    names, in prefix order, come before any head holding the last name. The
+    first of these heads whose row the prefix leaves unmet decides every last
+    that passes the cap scan, does not complete that row and leaves the row
+    of each met head before it as it is: each such branch misses that row.
+    It decides only if it and each head before it are gated, their counts on
+    tails of 1 to ``b`` names summing to at most ``sum_bound`` in absolute
+    value, so that no partial sum escapes; a head with no row is met. So a
+    state holds a dict ``sums`` exactly when an unmet gated head decides, and
+    then ``missing != 0``. A head's entries are kept in ``heads`` the first
+    time a walk asks for them (:meth:`_head`). A branch failing its cap at
+    ``G = {}`` or at a prefix name, or missing the deciding row, is charged
     in closed form, and :meth:`check_block` scans only the other lasts.
     """
 
@@ -407,17 +407,16 @@ class CWChecker:
         object.__setattr__(self, "rows", {h: rows[h] for h in sorted(rows, key=_scan_key)})
         object.__setattr__(self, "over_cap", {h: over_cap[h] for h in sorted(over_cap, key=_scan_key)})
         object.__setattr__(self, "cap_unions", cap_unions)
-        _, required, tails = self._head(0) or ("", 0, None)
+        _, _, tails = self._head(0) or ("", 0, None)
         empty_tails: dict[int, list[tuple[int, int]]] | None = None
         if tails is not None:
             empty_tails = {}
             for g, d in tails:
-                for x in _low_bits(g) if g.bit_count() > 1 else (0, *_low_bits(g)):
+                for x in _low_bits(g):
                     empty_tails.setdefault(x, []).append((g, d))
         object.__setattr__(self, "empty_tails", empty_tails)
-        # The empty prefix grows by bit 0 and the name "", reading the entries under 0.
-        no_names = _Prefix(0, None, {}, frozenset(), required, "")
-        object.__setattr__(self, "root", self._grow(no_names, 0, ""))
+        # The empty prefix grows by bit 0 and the name "", reading the cap entries under 0.
+        object.__setattr__(self, "root", self._grow(_Prefix(0, None, None, frozenset(), 0, ""), 0, ""))
 
     def check(self, combo: tuple[str, ...], steps: int) -> tuple[bool, int]:
         """Check one guess of distinct names in sorted order by the literal
@@ -455,7 +454,7 @@ class CWChecker:
     ) -> BlockResult:
         """Check ``prefix + (x,)`` for each ``x`` in ``lasts``, names after
         ``prefix``, from ``state``, its :class:`_Prefix`. A cap failure inside
-        ``prefix`` decides the block. Otherwise, when a row may decide, only the
+        ``prefix`` decides the block. Otherwise, when a head decides (``sums``), only the
         over-cap closers and the lasts whose extended row sum reaches the
         prefix's remainder are scanned; the rest miss the deciding head's row."""
         mask, cap_name, sums, closers, missing, head = state or self.root
@@ -485,8 +484,9 @@ class CWChecker:
     def _grow(self, parent: _Prefix, bit: int, name: str) -> _Prefix:
         """``parent``'s prefix extended by ``name``, whose bit is ``bit``: only
         entries holding the bit add closers or tails, or a new empty-head cap
-        failure. While the empty head stays unmet it decides, reading the same
-        entries; otherwise the deciding head is found afresh (:meth:`_decide`)."""
+        failure. While the empty head decides and the name does not complete
+        its row, it folds the same entries; else :meth:`_decide` finds the
+        decider. ``sums`` is a dict exactly when an unmet gated head decides."""
         mask, cap_name, sums, closers, missing, head = parent
         mask |= bit
         if cap_name is None and bit in self.over_cap.get(0, ()):
@@ -496,9 +496,9 @@ class CWChecker:
         new = [rest for rest in (u & outside for u in self.cap_unions.get(bit, ())) if not rest & (rest - 1)]
         if not closers.issuperset(new):
             closers = closers.union(new)
-        if 0 in closers or self.empty_tails is None:
+        if 0 in closers:
             sums = None
-        elif head or sums.get(bit, 0) == missing:  # sums is a dict: only the branch above makes None
+        elif sums is None or head or sums.get(bit, 0) == missing:
             sums, missing, head = self._decide(mask)
         else:  # the empty head stays unmet: the name does not complete its row
             tails = self.empty_tails.get(bit, ())
@@ -509,12 +509,12 @@ class CWChecker:
 
     def _decide(self, mask: int) -> tuple[dict[int, int] | None, int, str]:
         """``(sums, missing, head)`` of the prefix whose keyed names make
-        ``mask``: the first gated head, the empty one or a prefix name's,
-        whose row the prefix leaves unmet, with ``missing`` at each last bit
-        that changes a met head's row before it; else the empty head, met."""
+        ``mask``: the first head, the empty one or a prefix name's, whose row
+        the prefix leaves unmet, if it and each head before it are gated, with
+        ``missing`` at each last bit changing a met head's row before it; else
+        ``(None, 0, "")``."""
         outside = ~mask
         changers: list[int] = []
-        met_empty = None
         for h in (0, *_low_bits(mask)):
             entry = self._head(h)
             if entry is None:  # no row: every guess meets it
@@ -527,10 +527,8 @@ class CWChecker:
             if missing:
                 sums.update(dict.fromkeys(changers, missing))
                 return sums, missing, name
-            if not h:
-                met_empty = sums
             changers.extend(y for y, s in sums.items() if s)
-        return met_empty, 0, ""
+        return None, 0, ""
 
     def _head(self, h: int) -> tuple[str, int, list[tuple[int, int]] | None] | None:
         """The head mask ``h`` of at most one bit as ``(name, delta_empty,
@@ -611,7 +609,7 @@ class CombinedChecker:
         would, each part judging the guess as a block of one from its state.
         The parts' ``k0`` agree, so each part's write of the guess is charged
         what the first part's guess rule charges."""
-        checked, write = self.first._write(len(prefix) + 1, 0)
+        checked, write = self.first._write(len(prefix) + 1)
         if not checked:
             return None, steps + write
         first, second = self.first.checker.check_block, self.second.checker.check_block
@@ -661,14 +659,14 @@ class GuessCheckMachine:
         require_int(self.k0, "k0", ValidationError)
         require_int(self.budget, "budget", ValidationError)
 
-    def _write(self, k: int, steps: int) -> tuple[bool, int]:
-        """The guess rule: writing a ``k``-name guess adds ``k`` to ``steps``,
-        and only a guess of ``k0`` names goes on to the checker."""
-        return k == self.k0, steps + k
+    def _write(self, k: int) -> tuple[bool, int]:
+        """The guess rule: writing a ``k``-name guess costs ``k`` steps, and
+        only a guess of ``k0`` names goes on to the checker."""
+        return k == self.k0, k
 
     def run_branch(self, combo: tuple[str, ...]) -> tuple[bool, int]:
         """Run one guess; returns (accepted, steps charged). ``combo`` must be sorted."""
-        checked, steps = self._write(len(combo), 0)
+        checked, steps = self._write(len(combo))
         return self.checker.check(combo, steps) if checked else (False, steps)
 
 
@@ -845,7 +843,7 @@ def simulate(machine: GuessCheckMachine) -> SimulationResult:
         found, steps = _per_branch(machine, [()])
         return SimulationResult(found is not None, frozenset() if found is not None else None, steps, 1)
     grow, check_block = machine.checker.grow, machine.checker.check_block
-    _, write = machine._write(k0, 0)  # every guess below has k0 names
+    _, write = machine._write(k0)  # every guess below has k0 names
     max_steps = explored = 0
     after = {name: i + 1 for i, name in enumerate(names)}
     tail = names[len(names) - k0 :]  # tail[i]: the last name prefix place i takes

@@ -33,7 +33,9 @@ from oracles import (
     union_premise_holds,
 )
 from paramcsp import (
+    AppearanceChecker,
     Constraint,
+    CWChecker,
     CWRelation,
     ExplicitRelation,
     Instance,
@@ -234,27 +236,45 @@ def _cw_unsat(n):
     return Instance(names, WeightParameter(WeightKind.EXACT, 3), body)
 
 
-# (family, reducer, expected accept bit, branch steps, budget); the numbers
-# are frozen measurements and the point is that they hold at every size.
+# (family, reducer, expected accept bit, branch steps, budget, scans); the
+# numbers are frozen measurements and the point is that they hold at every
+# size. Scans count the checker's own judgments of a guess: calls of
+# AppearanceChecker.check and CWChecker._scan. The walk decides every other
+# branch from its prefix, so they pin the walk's cost as the sizes grow.
 FAMILIES = (
-    ("occurrence sat", _app_sat, reduce_appearance, True, 33, 57),
-    ("occurrence unsat", _app_unsat, reduce_appearance, False, 11, 57),
-    ("counting sat", _cw_sat, reduce_cw, True, 351, 351),
-    ("counting unsat", _cw_unsat, reduce_cw, False, 6, 351),
+    ("occurrence sat", _app_sat, reduce_appearance, True, 33, 57, 1),
+    ("occurrence unsat", _app_unsat, reduce_appearance, False, 11, 57, 2),
+    ("counting sat", _cw_sat, reduce_cw, True, 351, 351, 1),
+    ("counting unsat", _cw_unsat, reduce_cw, False, 6, 351, 0),
 )
 
 
-def test_branch_cost_ignores_instance_size(capsys):
+def test_branch_cost_ignores_instance_size(capsys, monkeypatch):
+    scans: list[tuple] = []
+
+    def counted(real):
+        def count(self, *args):
+            scans.append(args)
+            return real(self, *args)
+
+        return count
+
+    monkeypatch.setattr(AppearanceChecker, "check", counted(AppearanceChecker.check))
+    monkeypatch.setattr(CWChecker, "_scan", counted(CWChecker._scan))
     started = time.monotonic()
     failures: list[str] = []
-    for label, build, reducer, accepted, steps, budget in FAMILIES:
+    scanned_by: dict[str, set[int]] = {}  # each family's scan counts over the sizes
+    for label, build, reducer, accepted, steps, budget, scanned in FAMILIES:
         for n in SIZES:
             machine = reducer(build(n))
+            scans.clear()
             res = simulate(machine)
-            got = (res.accepted, res.max_branch_steps, machine.budget)
-            if got != (accepted, steps, budget):
-                failures.append(f"{label} at n={n}: {got} != {(accepted, steps, budget)}")
-    finish(capsys, "branch cost ignores instance size", 120, started, failures)
+            got = (res.accepted, res.max_branch_steps, machine.budget, len(scans))
+            scanned_by.setdefault(label, set()).add(len(scans))
+            if got != (accepted, steps, budget, scanned):
+                failures.append(f"{label} at n={n}: {got} != {(accepted, steps, budget, scanned)}")
+    counts = ", ".join(f"{label} {'/'.join(map(str, sorted(seen)))}" for label, seen in scanned_by.items())
+    finish(capsys, f"branch cost ignores instance size (scans per size: {counts})", 120, started, failures)
 
 
 def test_pipeline_matches_brute_force_on_weight_one_clauses(capsys):

@@ -1250,27 +1250,24 @@ def per_last_block(check, prefix, lasts, steps):
 def needs_scan(tables, prefix, last):
     """Whether the block walk must scan ``prefix + (last,)``, read from the
     tables by name. A cap failure of the empty head at ``{}`` or at a prefix
-    name decides the whole block. Otherwise the guess is scanned when the
-    empty head has no row, or when a subset of it is the union of an
-    over-cap pair. Else the heads ``{}`` and ``{p}``, for each prefix name
-    ``p`` in turn, are read up to the first whose counts on tails of 1 to
-    ``b`` names can escape ``sum_bound``. The first whose row the prefix
-    leaves unmet decides the guess unless the last name completes that row or
-    changes the row of a met head before it. With none unmet, the empty head
-    decides when the last name changes its row; with its own counts
-    escaping, nothing decides."""
+    name decides the whole block. Otherwise the guess is scanned when a
+    subset of it is the union of an over-cap pair. Else the heads ``{}`` and
+    ``{p}``, for each prefix name ``p`` in turn, are read up to the first
+    whose counts on tails of 1 to ``b`` names can escape ``sum_bound``; a
+    head with no row reads as met. The first whose row the prefix leaves
+    unmet decides the guess unless the last name completes that row or
+    changes the row of a met head before it. With none unmet, nothing
+    decides."""
     b, e = tables.b, frozenset()
     firsts = [e] + [frozenset({v}) for v in prefix]
     if any(tables.lambda_caps.get((e, g), 0) > b for g in firsts):
         return False
-    if not (tables.delta_empty.get(e) or any(not bset and g and d for (bset, g), d in tables.delta_sizes.items())):
-        return True
     unions = {bset | g for (bset, g), cap in tables.lambda_caps.items() if cap > b and len(g) <= b + 1}
     guess = prefix + (last,)
     subsets = {frozenset(c) for size in range(len(guess) + 1) for c in combinations(guess, size)}
     if unions & subsets:
         return True
-    changed, empty_reach = False, 0
+    changed = False
     for head in firsts:
         row = {
             g: d if len(g) % 2 else -d
@@ -1283,10 +1280,8 @@ def needs_scan(tables, prefix, last):
         reach = sum(d for g, d in row.items() if last in g and g <= set(guess))
         if missing:
             return changed or reach == missing
-        if not head:
-            empty_reach = reach
         changed = changed or reach != 0
-    return empty_reach == 0
+    return True
 
 
 @st.composite
@@ -1554,7 +1549,7 @@ class TestBlockWalk:
         )
         machine = GuessCheckMachine(tuple(names), 3, _cw_budget(3, 1), tables)
         state = reduce(tables.grow, "ab", None)
-        assert (state.sums, state.missing, state.head) == ({}, 0, "")
+        assert (state.sums, state.missing, state.head) == (None, 0, "")
         want = outcome(literal_simulate, fresh_copy(machine))
         assert want == {
             "abce": SimulationResult(True, frozenset("ace"), machine.budget, 3),
@@ -1563,6 +1558,51 @@ class TestBlockWalk:
         checked = counted_scans(monkeypatch)
         assert outcome(simulate, machine) == want
         assert checked[:2] == [("a", "b", names[2]), ("a", "b", names[3])]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tables=st.one_of(prefix_tables(), hand_built_tables(), one_name_head_tables()),
+        prefix=guesses_of(NAMES[:8]),
+    )
+    def test_a_state_holds_sums_only_while_an_unmet_head_decides(self, tables, prefix):
+        # One rule decides a block: the first unmet gated head. A state with
+        # no such head holds no sums, so no met row decides any last.
+        for i in range(len(prefix) + 1):
+            state = reduce(tables.grow, prefix[:i], None) or tables.root
+            assert state.sums is None or state.missing != 0, prefix[:i]
+
+    def test_a_one_name_head_decides_when_the_empty_head_has_no_row(self, monkeypatch):
+        # No constraint has the empty head. The prefix (a,) leaves head {a}
+        # unmet, and no last reaches its one tail z, so every last misses it.
+        a = frozenset("a")
+        tables = CWChecker(
+            b=1, delta_sizes={(a, frozenset("z")): 1}, lambda_caps={}, delta_empty={a: 1}, sum_bound=1
+        )
+        state = tables.grow(None, "a")
+        assert (state.head, state.missing) == ("a", 1)
+        block = per_last_block(partial(literal_cw_check, tables), ("a",), "bcd", 2)
+        checked = counted_scans(monkeypatch)
+        assert tables.check_block(state, ("a",), "bcd", 2) == block
+        assert checked == []
+
+    def test_a_prefix_meeting_every_gated_head_scans_every_last(self, monkeypatch):
+        # The prefix (a,) meets the empty head's row, and each last changes
+        # it, so every guess misses it; with no unmet head, each is scanned.
+        e = frozenset()
+        tables = CWChecker(
+            b=1,
+            delta_sizes={(e, frozenset(v)): 1 for v in "abcd"},
+            lambda_caps={},
+            delta_empty={e: 1},
+            sum_bound=4,
+        )
+        state = tables.grow(None, "a")
+        assert (state.sums, state.missing) == (None, 0)
+        block = per_last_block(partial(literal_cw_check, tables), ("a",), "bcd", 2)
+        assert block[0] is None
+        checked = counted_scans(monkeypatch)
+        assert tables.check_block(state, ("a",), "bcd", 2) == block
+        assert checked == [("a", "b"), ("a", "c"), ("a", "d")]
 
     def test_an_unsatisfiable_pipeline_instance_scans_nothing(self, monkeypatch):
         # Every guess that passes the weight part misses the first unmet head
